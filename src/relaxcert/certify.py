@@ -9,7 +9,6 @@ models.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -19,7 +18,6 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.spatial
-from scipy.stats import qmc
 
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import (
@@ -29,7 +27,6 @@ from relaxcert.core import (
     PathTrace,
     PreconditionError,
     check_piecewise_linear_family,
-    norm_m,
 )
 from relaxcert.distflow import (
     OperatingPoint,
@@ -179,19 +176,6 @@ def check_c2_proxy(problem: CertifiedProblem,
                            margin=-report.worst_deviation,
                            witnesses=() if report.passed else (report.note,),
                            note=report.note if report.passed else "")
-
-
-def trace_cprime_margin(problem: CertifiedProblem, trace: PathTrace) -> float:
-    """Sampled proportional-decrease margin of one trace (inf if constant)."""
-    f_vals = np.array([problem.handle.cost(p) for p in trace.points])
-    K = len(f_vals)
-    margin = np.inf
-    for i in range(K):
-        for j in range(i + 1, K):
-            dist = norm_m(trace.points[i] - trace.points[j])
-            if dist > 0:
-                margin = min(margin, (f_vals[i] - f_vals[j]) / dist)
-    return float(margin)
 
 
 @dataclass(frozen=True)
@@ -672,6 +656,8 @@ def multistart_local_search(
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
+
     sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=seed)
     raw = sampler.random_base2(int(np.ceil(np.log2(max(8 * starts, 16)))))
     candidates = problem.lower + raw * (problem.upper - problem.lower)
@@ -789,6 +775,9 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
     # rows would be identically zero and only degrade the local solves
     free_bus = np.array([j for j in range(n) if j != root or not root_pinned],
                         dtype=int)
+    # unbounded injections have no lower-bound rows
+    lo_p = np.flatnonzero(np.isfinite(s_min.real))
+    lo_q = np.flatnonzero(np.isfinite(s_min.imag))
 
     def ineq_fn(U: np.ndarray) -> np.ndarray:
         sp, sq, v, ell, _, _, bad = expand(U)
@@ -796,8 +785,8 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
         cols = [
             net.v_min[None, free_bus] - vf, vf - net.v_max[None, free_bus],
             ell - net.l_max[None, :],
-            s_min.real[None, :] - sp, sp - s_max.real[None, :],
-            s_min.imag[None, :] - sq, sq - s_max.imag[None, :],
+            s_min.real[None, lo_p] - sp[:, lo_p], sp - s_max.real[None, :],
+            s_min.imag[None, lo_q] - sq[:, lo_q], sq - s_max.imag[None, :],
         ]
         out = np.concatenate(cols, axis=1)
         out[bad] = 1e6
@@ -870,15 +859,3 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
         dim=3, lower=np.full(3, -B), upper=np.full(3, B), cost=cost_fn,
         inequalities=ineq_fn, equalities=eq_fn, eq_scale=4.0 * B,
         anchor=anchor, to_ambient=to_ambient, label="psd-slice")
-
-
-# --- report export -------------------------------------------------------------
-
-def write_report_json(path: str, report: CertificateReport,
-                      extra: dict[str, Any] | None = None) -> None:
-    data = report.as_dict()
-    if extra:
-        data.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -41,7 +41,6 @@ from relaxcert.distflow import (
     pack_point,
     residual_X,
     sample_relaxed_points,
-    sentinel_bound_active,
     validate_assumptions,
 )
 from relaxcert.lrsdp import (
@@ -108,6 +107,16 @@ def _solve_summary(res) -> dict[str, Any]:
     }
 
 
+def _certificate_exit(report: CertificateReport) -> int:
+    """Exit code of a finished certificate run; each failed condition is
+    named on stderr."""
+    for c in (report.c1, report.c2_proxy, report.c3, report.cprime):
+        if c is not None and not c.passed:
+            cause = c.witnesses[0] if c.witnesses else f"margin {c.margin:.3g}"
+            print(f"condition {c.name} failed: {cause}", file=sys.stderr)
+    return EXIT_OK if report.all_passed else EXIT_CERT_FAIL
+
+
 def _operating_point_dict(point) -> dict[str, Any]:
     return {
         "s": [[v.real, v.imag] for v in point.s],
@@ -138,14 +147,14 @@ def cmd_opf(args: argparse.Namespace) -> int:
         "relaxation_parameter": args.relaxation_parameter})
     solve_data: dict[str, Any] = _solve_summary(res)
     if res.status == "infeasible":
-        solve_data["note"] = (solve_data["note"] or
-                              "relaxation infeasible: the feasibility "
-                              "assumption does not hold")
+        cause = res.note or "the feasibility assumption does not hold"
+        solve_data["note"] = f"relaxation infeasible: {cause}"
         _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
         _write_json(os.path.join(out, "report.json"), _stamp({
             "assumptions": assumptions.as_dict(),
             "verdict": "infeasible",
         }))
+        print(solve_data["note"], file=sys.stderr)
         return EXIT_CERT_FAIL
     if res.status != "optimal":
         _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
@@ -153,8 +162,6 @@ def cmd_opf(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     solve_data["point"] = _operating_point_dict(res.point)
-    sentinel = sentinel_bound_active(net, res.point)
-    solve_data["sentinel_bound_active"] = sentinel
     _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
 
     problem = opf_certified_problem(net, cost)
@@ -192,19 +199,11 @@ def cmd_opf(args: argparse.Namespace) -> int:
         c1=checks.c1, c2_proxy=proxy, c3=checks.c3, cprime=cprime,
         exactness=verdict.verdict, sample_count=args.samples, seed=args.seed,
         tolerances={"membership": args.tol},
-        notes=tuple(filter(None, [
-            verdict.note,
-            trace_note,
-            ("big-box stand-in ACTIVE at solution for buses "
-             f"{sentinel}" if sentinel else
-             "big-box stand-in inactive at the solution"),
-        ])))
+        notes=tuple(filter(None, [verdict.note, trace_note])))
     _write_json(os.path.join(out, "report.json"), _stamp({
         "assumptions": assumptions.as_dict(), **report.as_dict()}))
 
-    if not report.all_passed or sentinel:
-        return EXIT_CERT_FAIL
-    return EXIT_OK
+    return _certificate_exit(report)
 
 
 def cmd_lrsdp(args: argparse.Namespace) -> int:
@@ -221,6 +220,8 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
             "verdict": "infeasible",
             "dimension_condition": inst.dimension_condition,
         }))
+        print("relaxation infeasible: the solver found a certificate that "
+              "no PSD matrix meets the constraints", file=sys.stderr)
         return EXIT_CERT_FAIL
     if res.status != "optimal":
         _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
@@ -274,7 +275,7 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
         "tail_value_final": lyapunov_tail(inst, reduction.final),
     }))
 
-    return EXIT_OK if report.all_passed else EXIT_CERT_FAIL
+    return _certificate_exit(report)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

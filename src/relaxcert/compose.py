@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from relaxcert.core import FEAS_TOL, PathTrace, ProblemHandle
 
@@ -56,6 +55,8 @@ def sample_box(
     box: tuple[np.ndarray, np.ndarray], count: int, seed: int = 0
 ) -> np.ndarray:
     """Quasi-random complex points filling a box (independent real/imag)."""
+    from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
+
     lo, hi = np.asarray(box[0], dtype=complex), np.asarray(box[1], dtype=complex)
     d = len(lo)
     sampler = qmc.Halton(d=2 * d, scramble=True, seed=seed)

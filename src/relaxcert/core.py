@@ -269,14 +269,6 @@ class ProblemHandle:
         return self.residual_relaxed(x) <= tol
 
 
-def monotone_decrease_violation(values: Sequence[float]) -> float:
-    """Largest increase between consecutive entries (0 for non-increasing)."""
-    arr = np.asarray(values, dtype=float)
-    if len(arr) < 2:
-        return 0.0
-    return float(max(0.0, np.max(np.diff(arr))))
-
-
 def write_trace_csv(
     path: str,
     trace: PathTrace,

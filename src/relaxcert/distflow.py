@@ -17,10 +17,6 @@ import numpy as np
 
 from relaxcert.core import FEAS_TOL, PreconditionError
 
-# Finite stand-in for an unbounded injection box.  Reports must confirm the
-# substituted bound is inactive at any solution that relies on it.
-BIG_BOUND = 1e4
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -34,11 +30,6 @@ class Bus:
     v_max: float
     s_min: complex | None
     s_max: complex
-
-    def effective_s_min(self) -> complex:
-        if self.s_min is None:
-            return complex(-BIG_BOUND, -BIG_BOUND)
-        return self.s_min
 
 
 @dataclass(frozen=True)
@@ -109,11 +100,10 @@ class RadialNetwork:
 
     @cached_property
     def s_min(self) -> np.ndarray:
-        return np.array([b.effective_s_min() for b in self.buses], dtype=complex)
-
-    @cached_property
-    def s_min_is_sentinel(self) -> np.ndarray:
-        return np.array([b.s_min is None for b in self.buses], dtype=bool)
+        """Lower injection bounds; ``-inf`` in both parts where unbounded."""
+        unbounded = complex(-np.inf, -np.inf)
+        return np.array([unbounded if b.s_min is None else b.s_min
+                         for b in self.buses], dtype=complex)
 
     @cached_property
     def s_max(self) -> np.ndarray:
@@ -242,15 +232,20 @@ class OpfCost:
 
         A positive value certifies the cost is strongly increasing in every
         real injection over the instance box.  Quadratic terms are monotone
-        in Re(s), so the infimum sits at the lower bound; with the big-box
-        sentinel for unbounded injections this usually kills qp > 0.
+        in Re(s), so the infimum sits at the lower bound; a bus with qp > 0
+        and no lower bound makes the constant ``-inf``.
         """
-        lo = net.s_min.real
-        return float(np.min(self.cp + 2.0 * self.qp * lo))
+        return float(np.min(_slope_floor(self.cp, self.qp, net.s_min.real)))
 
     def imag_nondecrease_constant(self, net: RadialNetwork) -> float:
-        lo = net.s_min.imag
-        return float(np.min(self.cq + 2.0 * self.qq * lo))
+        return float(np.min(_slope_floor(self.cq, self.qq, net.s_min.imag)))
+
+
+def _slope_floor(lin: np.ndarray, quad: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Infimum of ``lin + 2 * quad * p`` over ``p >= lo`` for ``quad >= 0``.
+    The bound enters only where ``quad > 0``: ``0 * -inf`` would be NaN, and
+    a NaN constant compares false against every threshold."""
+    return lin + 2.0 * quad * np.where(quad > 0, lo, 0.0)
 
 
 @dataclass(frozen=True)
@@ -355,8 +350,7 @@ def validate_assumptions(net: RadialNetwork, cost: OpfCost) -> AssumptionReport:
         "" if not bad else f"line {bad[0].tail}->{bad[0].head} has z={bad[0].z}"))
 
     box_bad = ""
-    for b in net.buses:
-        smin = b.effective_s_min()
+    for b, smin in zip(net.buses, net.s_min):
         if b.v_min <= 0:
             box_bad = f"bus {b.id}: v_min={b.v_min} must be positive"
         elif b.v_min > b.v_max:
@@ -380,11 +374,11 @@ def validate_assumptions(net: RadialNetwork, cost: OpfCost) -> AssumptionReport:
             c = cost.strong_increase_constant(net)
             cphi = cost.imag_nondecrease_constant(net)
             if c <= 0:
-                j = int(np.argmin(cost.cp + 2 * cost.qp * net.s_min.real))
+                j = int(np.argmin(_slope_floor(cost.cp, cost.qp, net.s_min.real)))
                 witness = (f"bus {net.buses[j].id}: cost not strongly increasing in "
                            f"Re(s) over the injection box (constant {c:.3g})")
             elif cphi < 0:
-                j = int(np.argmin(cost.cq + 2 * cost.qq * net.s_min.imag))
+                j = int(np.argmin(_slope_floor(cost.cq, cost.qq, net.s_min.imag)))
                 witness = (f"bus {net.buses[j].id}: cost decreasing in Im(s) "
                            f"over the injection box")
         checks.append(AssumptionCheck("cost_monotone", not witness, witness))
@@ -537,20 +531,6 @@ def coordinate_rows(net: RadialNetwork, vec: np.ndarray) -> list[float]:
     return row
 
 
-def sentinel_bound_active(net: RadialNetwork, x: OperatingPoint,
-                          margin: float = 1.0) -> list[str]:
-    """Buses whose big-box stand-in for an unbounded injection is within
-    ``margin`` of binding; nonempty means the substitution distorted the
-    problem and results should not be trusted."""
-    active = []
-    for j, b in enumerate(net.buses):
-        if net.s_min_is_sentinel[j]:
-            smin = net.s_min[j]
-            if (x.s[j].real - smin.real < margin) or (x.s[j].imag - smin.imag < margin):
-                active.append(b.id)
-    return active
-
-
 # --- case file schema -------------------------------------------------------
 
 def _require(obj: dict, key: str, context: str) -> Any:
@@ -631,9 +611,3 @@ def load_case(path: str) -> tuple[RadialNetwork, OpfCost]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return case_from_dict(data)
-
-
-def save_case(path: str, net: RadialNetwork, cost: OpfCost) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case_to_dict(net, cost), fh, indent=2)
-        fh.write("\n")

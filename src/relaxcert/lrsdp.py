@@ -528,12 +528,6 @@ def load_instance(path: str) -> LrsdpInstance:
         return instance_from_dict(json.load(fh))
 
 
-def save_instance(path: str, inst: LrsdpInstance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
-
-
 def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace) -> None:
     """Trace CSV with flattened row-major matrix entries."""
     from relaxcert.core import write_trace_csv

@@ -28,7 +28,6 @@ from relaxcert.core import (
     write_trace_csv,
 )
 from relaxcert.distflow import (
-    BIG_BOUND,
     OperatingPoint,
     OpfCost,
     RadialNetwork,
@@ -282,20 +281,25 @@ def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem
     def _path(vec: np.ndarray) -> PathTrace:
         return restoration_path(net, cost, unpack_point(net, vec))
 
-    n, e = net.n_bus, net.n_line
     v_pad = 0.5
+    # |S_k|^2 <= v_tail * ell_k caps every line power; by the balance
+    # equation an injection is at least minus the caps of its incident
+    # lines, since positive impedances make z * ell >= 0
+    S_cap = np.sqrt(net.v_max[net.tail_idx] * net.l_max)
+    s_floor = np.zeros(net.n_bus)
+    np.add.at(s_floor, net.tail_idx, -S_cap)
+    np.add.at(s_floor, net.head_idx, -S_cap)
     lo = np.concatenate([
-        np.full(n, -BIG_BOUND) + 1j * np.full(n, -BIG_BOUND),
+        np.maximum(net.s_min.real, s_floor) + 1j * np.maximum(net.s_min.imag, s_floor),
         (net.v_min - v_pad).astype(complex),
-        np.zeros(e, dtype=complex),
-        -np.sqrt(net.v_max[net.tail_idx] * net.l_max).astype(complex)
-        * (1 + 1j),
+        np.zeros(net.n_line, dtype=complex),
+        -S_cap.astype(complex) * (1 + 1j),
     ])
     hi = np.concatenate([
         net.s_max.real + 1j * net.s_max.imag,
         (net.v_max + v_pad).astype(complex),
         net.l_max.astype(complex),
-        np.sqrt(net.v_max[net.tail_idx] * net.l_max).astype(complex) * (1 + 1j),
+        S_cap.astype(complex) * (1 + 1j),
     ])
     return CertifiedProblem(
         handle=ProblemHandle(cost=_cost, residual_feasible=_res_feas,

@@ -218,7 +218,6 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
     A_s, d, e = _equilibrate(prog)
     b_s = d * prog.b
     c_s = e * prog.c
-    b_norm = 1.0 + np.linalg.norm(prog.b)
     c_norm = 1.0 + np.linalg.norm(prog.c)
     inv_d = 1.0 / d
     inv_e = 1.0 / e
@@ -266,7 +265,10 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
             x = e * (u[:n] / tau)
             y = d * (u[n:n + m] / tau)
             s = inv_d * (v[n:n + m] / tau)
-            pres = np.linalg.norm(prog.A @ x + s - prog.b) / b_norm
+            # absolute 2-norm: it bounds every row, as the absolute
+            # membership checks need, and the drift of linear functionals of
+            # s such as the trace of an SDP point read from its cone block
+            pres = float(np.linalg.norm(prog.A @ x + s - prog.b))
             dres = np.linalg.norm(prog.A.T @ y + prog.c) / c_norm
             pobj = float(prog.c @ x)
             dobj = float(-prog.b @ y)
@@ -347,12 +349,17 @@ class SolveResult:
 
 # --- OPF front-end -----------------------------------------------------------
 
-def _empty_box(net: RadialNetwork) -> bool:
-    """Presolve: detect trivially empty variable boxes."""
-    if np.any(net.v_min > net.v_max) or np.any(net.l_max < 0):
-        return True
-    return bool(np.any(net.s_min.real > net.s_max.real)
-                or np.any(net.s_min.imag > net.s_max.imag))
+def _empty_box(net: RadialNetwork) -> str:
+    """Presolve: name the first trivially empty variable box, or ``""``."""
+    for b, lo, hi in zip(net.buses, net.s_min, net.s_max):
+        if b.v_min > b.v_max:
+            return f"bus {b.id}: v_min {b.v_min:.6g} > v_max {b.v_max:.6g}"
+        if lo.real > hi.real or lo.imag > hi.imag:
+            return f"bus {b.id}: s_min > s_max"
+    for ln in net.lines:
+        if ln.l_max < 0:
+            return f"line {ln.tail}->{ln.head}: l_max {ln.l_max:.6g} < 0"
+    return ""
 
 
 class _VarMap:
@@ -430,9 +437,13 @@ def build_opf_program(net: RadialNetwork, cost: OpfCost) -> tuple[ConicProgram, 
         upper(vm.v + j, net.v_max[j])
         lower(vm.v + j, net.v_min[j])
         upper(vm.sp + j, s_max[j].real)
-        lower(vm.sp + j, s_min[j].real)
         upper(vm.sq + j, s_max[j].imag)
-        lower(vm.sq + j, s_min[j].imag)
+        # an unbounded injection is a free column; a large finite bound in
+        # its place would enter b and wreck the conditioning
+        if np.isfinite(s_min[j].real):
+            lower(vm.sp + j, s_min[j].real)
+        if np.isfinite(s_min[j].imag):
+            lower(vm.sq + j, s_min[j].imag)
     for k in range(e):
         upper(vm.ell + k, net.l_max[k])
     n_nonneg = len(rows_A) - n_zero
@@ -493,20 +504,19 @@ def solve_opf_relaxation(net: RadialNetwork, cost: OpfCost,
     if len(cost.cp) != net.n_bus:
         raise PreconditionError("cost dimension does not match the network")
 
-    opts0 = dict(DEFAULT_OPTIONS)
-    if options:
-        opts0.update(options)
-    if _empty_box(net):
-        return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,
-                           dual_obj=np.nan, primal_residual=np.inf,
-                           dual_residual=np.inf, gap=np.nan,
-                           status="infeasible", iterations=0, options=opts0)
-
-    prog, vm = build_opf_program(net, cost)
-    raw = solve_conic(prog, options)
     opts = dict(DEFAULT_OPTIONS)
     if options:
         opts.update(options)
+    empty = _empty_box(net)
+    if empty:
+        return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,
+                           dual_obj=np.nan, primal_residual=np.inf,
+                           dual_residual=np.inf, gap=np.nan,
+                           status="infeasible", iterations=0, options=opts,
+                           note=empty)
+
+    prog, vm = build_opf_program(net, cost)
+    raw = solve_conic(prog, opts)
 
     if raw.status in ("infeasible", "unbounded", "max_iter") and raw.x is None:
         return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,

@@ -215,6 +215,26 @@ class TestBruteForceOracle:
         assert oracle.label_counts["genuine"] == 0
         assert oracle.n_components == 1
 
+    def test_unbounded_injections_scan_like_a_slack_finite_box(self):
+        import dataclasses
+        from relaxcert.distflow import RadialNetwork
+        rng = np.random.default_rng(8)
+        net, cost = two_bus_case(rng)
+        boxed = RadialNetwork(
+            buses=tuple(dataclasses.replace(b, s_min=complex(-1e4, -1e4))
+                        for b in net.buses),
+            lines=net.lines, root=net.root)
+        free_gp = eliminated_opf_grid(net, cost)
+        boxed_gp = eliminated_opf_grid(boxed, cost)
+        u = free_gp.anchor[None, :]
+        # two lower-bound columns per bus fewer
+        assert free_gp.inequalities(u).shape[1] == boxed_gp.inequalities(u).shape[1] - 4
+        free = brute_force_oracle(free_gp, resolution=0.02)
+        boxed_scan = brute_force_oracle(boxed_gp, resolution=0.02)
+        np.testing.assert_array_equal(free.points, boxed_scan.points)
+        np.testing.assert_array_equal(free.labels, boxed_scan.labels)
+        assert free.global_cost == boxed_scan.global_cost
+
     def test_empty_feasible_grid(self):
         rng = np.random.default_rng(9)
         net, cost = two_bus_case(rng)

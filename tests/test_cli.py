@@ -3,7 +3,10 @@
 import json
 import os
 
-from relaxcert.cli import main
+import numpy as np
+
+from relaxcert.certify import CertificateReport, ConditionResult
+from relaxcert.cli import _certificate_exit, main
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -32,7 +35,8 @@ class TestOpfCommand:
         assert report["exactness"] in ("weak", "strong")
         solve = read_json(os.path.join(out, "solve.json"))
         assert solve["status"] == "optimal"
-        assert solve["sentinel_bound_active"] == []
+        assert "sentinel_bound_active" not in solve
+        assert np.all(np.isfinite(solve["point"]["s"]))
 
     def test_assumption_violation_exits_2_and_names_edge(self, tmp_path):
         out = str(tmp_path / "run")
@@ -59,6 +63,49 @@ class TestOpfCommand:
         assert code == 2
         report = read_json(os.path.join(out, "report.json"))
         assert report["verdict"] == "assumption-failure"
+
+    def test_negative_current_limit_prints_cause(self, tmp_path, capsys):
+        data = read_json(case("demo_2bus.json"))
+        data["lines"][0]["l_max"] = -1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = str(tmp_path / "run")
+        assert main(["opf", str(bad), "--out", out]) == 2
+        assert read_json(os.path.join(out, "report.json"))["verdict"] == "infeasible"
+        err = capsys.readouterr().err
+        assert "relaxation infeasible" in err and "l_max" in err
+
+    def test_unbounded_feeder_meets_absolute_membership(self, tmp_path):
+        # a primal stop test scaled by 1 + |b| leaves this feeder's cone rows
+        # 1.01e-8 outside the absolute --tol of 1e-8
+        bus = {"v_min": 0.9, "v_max": 1.1, "s_min": None}
+        s_max = [[3.0782108514074533, 2.394719927369386],
+                 [2.0507734401990385, 1.7006525912703478],
+                 [1.6181668182072135, 1.7668116291510456],
+                 [1.6543177454502525, 2.435222597897447],
+                 [1.6202727530900127, 1.7381067810909103]]
+        lines = [([0.024354326793465466, 0.02761390428133744], 2.0935133913125443),
+                 ([0.020539929821002164, 0.048831351802753865], 2.208306525309834),
+                 ([0.04201853144318701, 0.045531636652253925], 2.306035777610382),
+                 ([0.010610452387139273, 0.04025050292167452], 2.2192533571722683)]
+        data = {
+            "buses": [{"id": str(i), **bus, "s_max": hi}
+                      for i, hi in enumerate(s_max)],
+            "lines": [{"from": "0", "to": str(k + 1), "z": z, "l_max": l_max}
+                      for k, (z, l_max) in enumerate(lines)],
+            "root": "0",
+            "cost": {"cp": [1.3814270312494699, 0.9568097496525849,
+                            0.9501794188010371, 1.9299210578238215,
+                            1.5559283424414554],
+                     "cq": [0.46535618769713216, 0.281442755514258,
+                            0.7129270706309896, 0.16949262256943043,
+                            0.43765964524250045],
+                     "qp": [0.0] * 5, "qq": [0.0] * 5},
+        }
+        path = tmp_path / "feeder.json"
+        path.write_text(json.dumps(data))
+        assert main(["opf", str(path), "--out", str(tmp_path / "run"),
+                     "--samples", "5"]) == 0
 
     def test_reports_idempotent_modulo_timestamp(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -106,7 +153,7 @@ class TestLrsdpCommand:
         assert code == 1
         assert "(0,1)" in capsys.readouterr().err
 
-    def test_infeasible_instance_exits_2(self, tmp_path):
+    def test_infeasible_instance_exits_2(self, tmp_path, capsys):
         data = {
             "n": 2, "m": 1, "r": 1,
             "C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
@@ -119,6 +166,15 @@ class TestLrsdpCommand:
         code = main(["lrsdp", str(bad), "--out", out])
         assert code == 2
         assert read_json(os.path.join(out, "report.json"))["verdict"] == "infeasible"
+        assert "relaxation infeasible" in capsys.readouterr().err
+
+
+def test_failed_condition_is_named_on_stderr(capsys):
+    failed = ConditionResult("c2_proxy", False, -1.0, ("3 segments > bound 1",))
+    report = CertificateReport(c1=None, c2_proxy=failed, c3=None, cprime=None,
+                               exactness="unknown", sample_count=1, seed=0)
+    assert _certificate_exit(report) == 2
+    assert "condition c2_proxy failed: 3 segments > bound 1" in capsys.readouterr().err
 
 
 class TestCertifyCommand:

@@ -207,6 +207,16 @@ class TestValidateAssumptions:
         report = validate_assumptions(net, cost)
         assert report["cost_monotone"].passed is False
 
+    def test_unbounded_box_constants(self):
+        net = tiny_line_net()
+        cost = OpfCost(cp=np.array([1.5, 0.7]), cq=np.array([0.2, 0.3]),
+                       qp=np.zeros(2), qq=np.zeros(2))
+        # the missing lower bound enters only through quadratic terms
+        assert cost.strong_increase_constant(net) == 0.7
+        assert cost.imag_nondecrease_constant(net) == 0.2
+        quad = dataclasses.replace(cost, qp=np.array([0.1, 0.0]))
+        assert quad.strong_increase_constant(net) == -np.inf
+
     def test_quadratic_cost_with_tight_box_passes(self):
         buses = (
             Bus(id="0", v_min=0.9, v_max=1.1, s_min=complex(-2, -2), s_max=complex(2, 2)),

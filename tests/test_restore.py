@@ -22,6 +22,7 @@ from relaxcert.restore import (
     edge_delta,
     edge_deltas,
     lyapunov_V,
+    opf_certified_problem,
     restoration_path,
     write_restoration_csv,
 )
@@ -187,15 +188,17 @@ class TestRestorationPath:
         assert np.all(s_samples.real[-1] < s_samples.real[0])
         assert np.all(s_samples.imag[-1] < s_samples.imag[0])
 
-    def test_big_box_untouched(self):
+    def test_endpoint_inside_certified_box(self):
         rng = np.random.default_rng(10)
         net, cost = random_radial_network(rng, n_bus=4)
         S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
         x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.3, net.n_line))
         trace = restoration_path(net, cost, x)
-        end = unpack_point(net, trace.end)
-        from relaxcert.distflow import sentinel_bound_active
-        assert sentinel_bound_active(net, end) == []
+        lo, hi = opf_certified_problem(net, cost).box
+        assert np.all(np.isfinite(lo.view(float)))
+        end = trace.end
+        assert np.all(lo.real <= end.real) and np.all(end.real <= hi.real)
+        assert np.all(lo.imag <= end.imag) and np.all(end.imag <= hi.imag)
 
 
 class TestCprimeMargin:

@@ -1,27 +1,33 @@
 """Tests for the conic solver front-ends."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from gen import two_bus_case
 from relaxcert.certify import brute_force_oracle, eliminated_opf_grid
+from relaxcert.core import FEAS_TOL
 from relaxcert.distflow import (
     Bus,
     Line,
     OpfCost,
     RadialNetwork,
+    load_case,
     residual_X,
     residual_Xhat,
 )
 from relaxcert.lrsdp import LrsdpInstance
 from relaxcert.solver import (
+    build_opf_program,
     hermitian_to_rvec,
     rvec_to_hermitian,
     solve_lrsdp_relaxation,
     solve_opf_relaxation,
 )
+
+CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
 
 def fixed_load_case(z=0.02 + 0.02j, load=0.5 + 0.2j):
@@ -73,6 +79,19 @@ class TestOpfSolve:
         # relaxation lower-bounds the non-convex problem
         assert res.objective <= oracle.global_cost + bound
         assert abs(res.objective - oracle.global_cost) <= bound
+
+    def test_only_bounded_injections_get_lower_rows(self):
+        def box_rows(net, cost):
+            prog, vm = build_opf_program(net, cost)
+            c = prog.cones
+            return prog.A[c.n_zero:c.n_zero + c.n_nonneg], vm
+
+        box, vm = box_rows(*load_case(os.path.join(CASES, "demo_3bus.json")))
+        assert np.all(box[:, vm.sp:vm.v] >= 0)  # upper-bound rows only
+        net, cost, _ = fixed_load_case()  # bus 0 unbounded, bus 1 boxed
+        box, vm = box_rows(net, cost)
+        assert np.all(box[:, [vm.sp, vm.sq]] >= 0)
+        assert np.any(box[:, vm.sp + 1] < 0) and np.any(box[:, vm.sq + 1] < 0)
 
     def test_empty_voltage_box_infeasible(self):
         net, cost, _ = fixed_load_case()
@@ -148,6 +167,17 @@ class TestLrsdpSolve:
         inst = LrsdpInstance(C=np.eye(2), A=[np.zeros((2, 2))], b=[1.0], r=1)
         res = solve_lrsdp_relaxation(inst)
         assert res.status == "infeasible"
+
+    def test_point_meets_constraint_to_membership_tolerance(self):
+        # the point is read from the PSD block of the slack, so each diagonal
+        # residual adds to the trace; a stop test on the worst row alone
+        # left this instance's trace 1.17e-8 off
+        rng = np.random.default_rng([202, 3, 2])
+        M = rng.normal(size=(30, 30))
+        inst = LrsdpInstance(C=(M + M.T) / 2, A=[np.eye(30)], b=[1.0], r=1)
+        res = solve_lrsdp_relaxation(inst, options={"tol": 1e-9})
+        assert res.status == "optimal"
+        assert inst.constraint_residual(res.point.X) <= FEAS_TOL
 
     def test_complex_instance(self):
         C = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
