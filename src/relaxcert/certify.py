@@ -27,12 +27,12 @@ from relaxcert.core import (
     PathTrace,
     PreconditionError,
     check_piecewise_linear_family,
+    verify_path,
 )
 from relaxcert.distflow import (
     OperatingPoint,
     OpfCost,
     RadialNetwork,
-    pack_point,
     tree_check,
 )
 
@@ -88,6 +88,12 @@ def check_c1_c3(
     endpoint; the strict variant additionally needs an end-to-end cost drop.
     Path factory exceptions propagate with the point as witness.
     """
+    if len(sample_points) == 0:
+        note = "no sample points: vacuously true"
+        c3 = ConditionResult("c3", True, np.inf, note=note)
+        c1 = ConditionResult("c1", True, np.inf, note=note)
+        return PathConditionChecks(c1=c1, c3=c3, traces=())
+
     handle = problem.handle
     witnesses_c3: list[str] = []
     witnesses_c1: list[str] = []
@@ -95,10 +101,11 @@ def check_c1_c3(
     margin_c1 = np.inf
     traces: list[PathTrace] = []
 
-    for idx, x in enumerate(sample_points):
-        x = np.asarray(x, dtype=complex)
-        rr = handle.residual_relaxed(x)
-        rf = handle.residual_feasible(x)
+    points = np.asarray(sample_points, dtype=complex)
+    relaxed = handle.residual_relaxed(points)
+    feasible = handle.residual_feasible(points)
+    for idx, x in enumerate(points):
+        rr, rf = relaxed[idx], feasible[idx]
         if rr > tol or rf <= tol:
             raise PreconditionError(
                 f"sample {idx} is not in the relaxed-minus-feasible region "
@@ -109,56 +116,32 @@ def check_c1_c3(
             raise CertificateViolationError(
                 f"path factory failed on sample {idx}: {exc}") from exc
         traces.append(trace)
+        check = verify_path(handle, x, trace)
 
-        point_witnesses: list[str] = []
-        anchor_gap = float(np.max(np.abs(trace.start - x), initial=0.0))
-        scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
-        if anchor_gap > 1e-9 * scale_x:
-            point_witnesses.append(
-                f"sample {idx}: path starts {anchor_gap:.3g} away from the point")
-
-        worst_rr = max(handle.residual_relaxed(p) for p in trace.points)
-        margin_c3 = min(margin_c3, tol - worst_rr)
-        if worst_rr > tol:
-            point_witnesses.append(
-                f"sample {idx}: a path sample leaves the relaxed set "
-                f"(residual {worst_rr:.3g})")
-
-        end_rf = handle.residual_feasible(trace.end)
-        margin_c3 = min(margin_c3, tol - end_rf)
-        if end_rf > tol:
-            point_witnesses.append(
-                f"sample {idx}: endpoint infeasible (residual {end_rf:.3g})")
-
-        f_vals = np.array([handle.cost(p) for p in trace.points])
-        v_vals = np.array([problem.lyapunov(p) for p in trace.points])
-        f_slack = MONOTONE_SLACK * (1.0 + np.abs(f_vals[:-1]))
-        v_slack = MONOTONE_SLACK * (1.0 + np.abs(v_vals[:-1]))
-        f_rise = float(np.max(np.diff(f_vals) - f_slack, initial=-np.inf))
-        v_rise = float(np.max(np.diff(v_vals) - v_slack, initial=-np.inf))
-        margin_c3 = min(margin_c3, -f_rise, -v_rise)
-        if f_rise > 0:
-            point_witnesses.append(f"sample {idx}: cost increases along the path")
-        if v_rise > 0:
-            point_witnesses.append(
-                f"sample {idx}: Lyapunov value increases along the path")
-
+        worst_rr, end_rf = float(np.max(check.relaxed)), check.end_residual
+        # (margin, witness): a negative margin fails both conditions
+        c3_margins = [
+            (tol - worst_rr,
+             f"a path sample leaves the relaxed set (residual {worst_rr:.3g})"),
+            (tol - end_rf, f"endpoint infeasible (residual {end_rf:.3g})"),
+            (-float(np.max(check.cost_rises)), "cost increases along the path"),
+            (-float(np.max(check.lyapunov_rises)),
+             "Lyapunov value increases along the path"),
+        ]
+        point_witnesses = [f"sample {idx}: {w}" for m, w in c3_margins if m < 0]
+        if check.anchor_gap > 1e-9 * check.anchor_scale:
+            point_witnesses.insert(
+                0, f"sample {idx}: path starts {check.anchor_gap:.3g} away from the point")
+        margin_c3 = min(margin_c3, *(m for m, _ in c3_margins))
         witnesses_c3.extend(point_witnesses)
         witnesses_c1.extend(point_witnesses)
 
-        strict_needed = MONOTONE_SLACK * (1.0 + abs(f_vals[0]))
-        drop_margin = float((f_vals[0] - f_vals[-1]) - strict_needed)
-        margin_c1 = min(margin_c1, drop_margin)
-        if drop_margin < 0:
+        margin_c1 = min(margin_c1, check.cost_drop)
+        if check.cost_drop < 0:
+            f_vals = check.costs
             witnesses_c1.append(
                 f"sample {idx}: cost did not strictly decrease "
                 f"(drop {f_vals[0] - f_vals[-1]:.3g})")
-
-    if not sample_points:
-        note = "no sample points: vacuously true"
-        c3 = ConditionResult("c3", True, np.inf, note=note)
-        c1 = ConditionResult("c1", True, np.inf, note=note)
-        return PathConditionChecks(c1=c1, c3=c3, traces=())
 
     c3 = ConditionResult("c3", not witnesses_c3, float(margin_c3),
                          tuple(witnesses_c3))
@@ -193,6 +176,7 @@ def check_exactness(
     optimality_residual: float,
     unique_certificate: bool = False,
     tol: float = FEAS_TOL,
+    path: PathTrace | None = None,
 ) -> ExactnessResult:
     """Judge relaxation exactness from one relaxation optimum.
 
@@ -200,7 +184,9 @@ def check_exactness(
     uniqueness certificate, since strong exactness quantifies over every
     optimum).  An infeasible optimum whose restoration path preserves cost
     also confirms weak exactness; a strictly decreasing restoration refutes
-    the claimed optimality instead.
+    the claimed optimality instead.  ``path`` is the optimum's restoration
+    path when the caller has built it already; otherwise the problem's
+    factory builds it.
     """
     if optimality_residual > tol:
         raise PreconditionError(
@@ -215,9 +201,8 @@ def check_exactness(
             "weak", note="optimum is feasible; strong exactness needs a "
                          "uniqueness certificate")
 
-    trace = problem.path_factory(x)
-    f0 = handle.cost(trace.start)
-    f1 = handle.cost(trace.end)
+    trace = problem.path_factory(x) if path is None else path
+    f0, f1 = handle.cost(trace.points[[0, -1]])
     if abs(f1 - f0) <= 1e-8 * (1.0 + abs(f0)):
         return ExactnessResult(
             "weak", note="restoration reaches a feasible point at equal cost")
@@ -317,15 +302,17 @@ class LandscapeGrid:
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
 
 
-def classify_local_optima(grid: LandscapeGrid) -> np.ndarray:
+def classify_local_optima(grid: LandscapeGrid,
+                          adjacency: scipy.sparse.csr_matrix | None = None) -> np.ndarray:
     """Label each grid point none / global / pseudo / genuine.
 
     A discrete local optimum has no strictly cheaper neighbor; a plateau
     (equal-cost connected component) that reaches a non-local-optimum point
     turns its local optima into pseudo ones; local optima that are neither
-    global nor pseudo are genuine.
+    global nor pseudo are genuine.  ``adjacency`` is ``grid.adjacency()``
+    when the caller has built it already.
     """
-    adj = grid.adjacency().tocoo()
+    adj = (grid.adjacency() if adjacency is None else adjacency).tocoo()
     m = len(grid.points)
     costs = grid.costs
 
@@ -519,7 +506,8 @@ def brute_force_oracle(
     pts = U[mask]
     costs = problem.cost(pts)
     grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution)
-    labels = classify_local_optima(grid)
+    adjacency = grid.adjacency()
+    labels = classify_local_optima(grid, adjacency)
 
     refuted = 0
     if refine_candidates:
@@ -531,9 +519,8 @@ def brute_force_oracle(
                 labels[i] = "none"
                 refuted += 1
 
-    adj = grid.adjacency().tocoo()
-    n_comp, _ = scipy.sparse.csgraph.connected_components(
-        grid.adjacency(), directed=False)
+    adj = adjacency.tocoo()
+    n_comp, _ = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
     if len(adj.row):
         dists = np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1)
         slopes = np.abs(costs[adj.row] - costs[adj.col]) / dists

@@ -37,7 +37,6 @@ from relaxcert.certify import (
 from relaxcert.core import FEAS_TOL, CertificateViolationError, PreconditionError
 from relaxcert.distflow import (
     case_from_dict,
-    coordinate_rows,
     pack_point,
     residual_X,
     sample_relaxed_points,
@@ -55,6 +54,7 @@ from relaxcert.restore import (
     cprime_margin,
     cprime_reference,
     opf_certified_problem,
+    restoration_path,
     write_restoration_csv,
 )
 from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
@@ -165,18 +165,20 @@ def cmd_opf(args: argparse.Namespace) -> int:
     _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
 
     problem = opf_certified_problem(net, cost)
+    optimum_path = None
+    if residual_X(net, cost, res.point) > args.tol:
+        optimum_path = restoration_path(net, cost, res.point, tol=args.tol)
     verdict = check_exactness(problem, pack_point(res.point),
-                              res.optimality_residual, tol=args.tol)
+                              res.optimality_residual, tol=args.tol,
+                              path=optimum_path)
 
     rng = np.random.default_rng(args.seed)
     samples = [pack_point(x) for x in
                sample_relaxed_points(net, cost, args.samples, rng)]
     checks = check_c1_c3(problem, samples, tol=args.tol)
 
-    from relaxcert.restore import restoration_path
-
-    if residual_X(net, cost, res.point) > args.tol:
-        trace = restoration_path(net, cost, res.point, tol=args.tol)
+    if optimum_path is not None:
+        trace = optimum_path
         trace_note = "restoration trace drives the relaxation optimum feasible"
     else:
         trace = checks.traces[0] if checks.traces else None
@@ -249,7 +251,8 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
 
     problem = lrsdp_certified_problem(inst)
     verdict = check_exactness(problem, res.point.X.reshape(-1),
-                              res.optimality_residual, tol=args.tol)
+                              res.optimality_residual, tol=args.tol,
+                              path=reduction.trace)
     proxy = check_c2_proxy(problem, [reduction.trace])
     final_cost = inst.cost(reduction.final.X)
     cost_drift = abs(final_cost - res.objective)

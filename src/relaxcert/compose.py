@@ -66,14 +66,12 @@ def sample_box(
     return re + 1j * im
 
 
-def _points_between(p: CertifiedProblem, count: int, seed: int) -> list[np.ndarray]:
+def _points_between(p: CertifiedProblem, count: int, seed: int) -> np.ndarray:
     """Sampled points of the relaxed set that are infeasible for the original."""
-    pts = []
-    for x in sample_box(p.box, count, seed):
-        if (p.handle.residual_relaxed(x) <= FEAS_TOL
-                and p.handle.residual_feasible(x) > FEAS_TOL):
-            pts.append(x)
-    return pts
+    xs = sample_box(p.box, count, seed)
+    keep = ((p.handle.residual_relaxed(xs) <= FEAS_TOL)
+            & (p.handle.residual_feasible(xs) > FEAS_TOL))
+    return xs[keep]
 
 
 def _trace_gap(t1: PathTrace, t2: PathTrace, grid: int = 33) -> float:
@@ -95,6 +93,14 @@ def _box_intersection(p1: CertifiedProblem, p2: CertifiedProblem):
     return lo, hi
 
 
+def _combined_cost(h1: ProblemHandle, h2: ProblemHandle, mode: str,
+                   lam: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Cost of a union or intersection: the ``lam``-weighted sum or the max."""
+    if mode == "sum":
+        return lambda x: lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
+    return lambda x: np.maximum(h1.cost(x), h2.cost(x))
+
+
 def compose_cost(
     p: CertifiedProblem,
     g: Callable[[float], float],
@@ -103,12 +109,13 @@ def compose_cost(
 ) -> CertifiedProblem:
     """Replace the cost by ``g(cost)`` for non-decreasing convex ``g``.
 
-    The Lyapunov function and paths carry over unchanged.  ``g`` is
-    spot-checked for monotonicity and midpoint convexity over the range of
-    costs seen on box samples.
+    The Lyapunov function and paths carry over unchanged.  ``g`` is a
+    scalar function, applied to each point's cost; it is spot-checked for
+    monotonicity and midpoint convexity over the range of costs seen on box
+    samples.
     """
     xs = sample_box(p.box, samples, seed)
-    costs = np.array([p.handle.cost(x) for x in xs])
+    costs = p.handle.cost(xs)
     lo, hi = float(np.min(costs)), float(np.max(costs))
     if hi <= lo:
         hi = lo + 1.0
@@ -125,7 +132,8 @@ def compose_cost(
         raise CompositionError(f"g is not convex near y={ys[i + 1]:.6g}")
 
     base_cost = p.handle.cost
-    handle = replace(p.handle, cost=lambda x: g(base_cost(x)))
+    g_each = np.vectorize(g, otypes=[float])
+    handle = replace(p.handle, cost=lambda x: g_each(base_cost(x))[()])
     return replace(p, handle=handle, label=f"compose({p.label})")
 
 
@@ -155,22 +163,18 @@ def union_feasible(
     h1, h2 = p1.handle, p2.handle
 
     def residual_relaxed(x):
-        return max(h1.residual_relaxed(x), h2.residual_relaxed(x))
+        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
 
     def residual_feasible(x):
-        return max(min(h1.residual_feasible(x), h2.residual_feasible(x)),
-                   residual_relaxed(x))
+        return np.maximum(np.minimum(h1.residual_feasible(x), h2.residual_feasible(x)),
+                          residual_relaxed(x))
 
     def lyapunov(x):
         return h1.lyapunov(x) * h2.lyapunov(x)
 
-    if mode == "sum":
-        cost = lambda x: lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
-    else:
-        cost = lambda x: max(h1.cost(x), h2.cost(x))
-
     composite = CertifiedProblem(
-        handle=ProblemHandle(cost=cost, residual_feasible=residual_feasible,
+        handle=ProblemHandle(cost=_combined_cost(h1, h2, mode, lam),
+                             residual_feasible=residual_feasible,
                              residual_relaxed=residual_relaxed, lyapunov=lyapunov),
         path_factory=p1.path_factory,
         segment_bound=p1.segment_bound,
@@ -246,18 +250,13 @@ def intersect_feasible(
                     f"{drift:.3g} (witness {x})")
 
     def residual_relaxed(x):
-        return max(h1.residual_relaxed(x), h2.residual_relaxed(x))
+        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
 
     def residual_feasible(x):
-        return max(h1.residual_feasible(x), h2.residual_feasible(x))
+        return np.maximum(h1.residual_feasible(x), h2.residual_feasible(x))
 
     def lyapunov(x):
         return h1.lyapunov(x) + h2.lyapunov(x)
-
-    if mode == "sum":
-        cost = lambda x: lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
-    else:
-        cost = lambda x: max(h1.cost(x), h2.cost(x))
 
     def path_factory(x: np.ndarray) -> PathTrace:
         v1, v2 = h1.lyapunov(x), h2.lyapunov(x)
@@ -278,7 +277,8 @@ def intersect_feasible(
                          segments=first.segments + second.segments)
 
     return CertifiedProblem(
-        handle=ProblemHandle(cost=cost, residual_feasible=residual_feasible,
+        handle=ProblemHandle(cost=_combined_cost(h1, h2, mode, lam),
+                             residual_feasible=residual_feasible,
                              residual_relaxed=residual_relaxed, lyapunov=lyapunov),
         path_factory=path_factory,
         segment_bound=p1.segment_bound + p2.segment_bound,

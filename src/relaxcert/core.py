@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * points live in C^d and are stored as 1-D ``numpy`` arrays of ``complex``;
-  purely real coordinates simply carry zero imaginary parts;
+  purely real coordinates simply carry zero imaginary parts; a stack of
+  points is an ``(..., d)`` array, and every :class:`ProblemHandle`
+  callable maps it to an ``(...)`` array of values, one per point;
 * a path is represented by a finite sample grid (:class:`PathTrace`); every
   path constructed by this package is piecewise linear, so sampling plus a
   declared segment count is lossless;
@@ -254,39 +256,71 @@ class ProblemHandle:
     set, ``residual_relaxed`` for its convex superset; both are nonnegative
     and vanish (to ``FEAS_TOL``) exactly on members.  ``lyapunov``, when
     present, is nonnegative on the relaxed set and vanishes exactly on the
-    original set.
+    original set.  Every callable maps an ``(..., d)`` stack of points to
+    the ``(...)`` array of its values, so a whole sampled path is evaluated
+    in one call.
     """
 
-    cost: Callable[[np.ndarray], float]
-    residual_feasible: Callable[[np.ndarray], float]
-    residual_relaxed: Callable[[np.ndarray], float]
-    lyapunov: Callable[[np.ndarray], float] | None = None
+    cost: Callable[[np.ndarray], np.ndarray]
+    residual_feasible: Callable[[np.ndarray], np.ndarray]
+    residual_relaxed: Callable[[np.ndarray], np.ndarray]
+    lyapunov: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def in_feasible(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        return self.residual_feasible(x) <= tol
 
-    def in_relaxed(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        return self.residual_relaxed(x) <= tol
+@dataclass(frozen=True)
+class PathCheck:
+    """What the monotone-path conditions are judged on, for one trace from
+    one point.  Arrays hold one value per sample, or per step for rises:
+    increases beyond ``MONOTONE_SLACK``, so a positive rise is a violation.
+    ``cost_drop`` is the end-to-end decrease beyond that slack."""
+
+    anchor_gap: float
+    anchor_scale: float
+    relaxed: np.ndarray
+    end_residual: float
+    costs: np.ndarray
+    lyapunov: np.ndarray
+    cost_rises: np.ndarray
+    lyapunov_rises: np.ndarray
+    cost_drop: float
+
+
+def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathCheck:
+    """Evaluate a sampled path from ``x`` with one handle call per quantity."""
+    if handle.lyapunov is None:
+        raise ValueError("the problem carries no Lyapunov function")
+    relaxed = handle.residual_relaxed(trace.points)
+    end_residual = float(handle.residual_feasible(trace.end))
+    f, v = handle.cost(trace.points), handle.lyapunov(trace.points)
+    return PathCheck(
+        anchor_gap=float(np.max(np.abs(trace.start - x), initial=0.0)),
+        anchor_scale=1.0 + float(np.max(np.abs(x), initial=0.0)),
+        relaxed=relaxed, end_residual=end_residual, costs=f, lyapunov=v,
+        cost_rises=np.diff(f) - MONOTONE_SLACK * (1.0 + np.abs(f[:-1])),
+        lyapunov_rises=np.diff(v) - MONOTONE_SLACK * (1.0 + np.abs(v[:-1])),
+        cost_drop=float((f[0] - f[-1]) - MONOTONE_SLACK * (1.0 + abs(f[0]))))
 
 
 def write_trace_csv(
     path: str,
     trace: PathTrace,
     coordinate_labels: Sequence[str],
-    coordinate_rows: Callable[[np.ndarray], Sequence[float]],
-    cost: Callable[[np.ndarray], float],
-    lyapunov: Callable[[np.ndarray], float],
+    coordinate_rows: Callable[[np.ndarray], np.ndarray],
+    cost: Callable[[np.ndarray], np.ndarray],
+    lyapunov: Callable[[np.ndarray], np.ndarray],
 ) -> None:
     """Write a trace as CSV: columns ``t, f, V`` then flattened coordinates.
 
-    ``coordinate_rows`` maps a sample point to the real values matching
-    ``coordinate_labels``; callers fix the label order so files are
+    Each callable maps the ``(K, d)`` sample matrix to one row (or value)
+    per sample; ``coordinate_rows`` gives the real values matching
+    ``coordinate_labels``, whose order callers fix so files are
     deterministic and diffable.
     """
+    pts = trace.points
+    columns = zip(trace.params.tolist(), cost(pts).tolist(),
+                  lyapunov(pts).tolist(), coordinate_rows(pts))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "f", "V", *coordinate_labels])
-        for t, point in zip(trace.params, trace.points):
-            writer.writerow(
-                [repr(float(t)), repr(float(cost(point))), repr(float(lyapunov(point))),
-                 *[repr(float(v)) for v in coordinate_rows(point)]])
+        # csv writes Python floats with repr, which round-trips exactly
+        writer.writerows([t, f, v, *row.tolist()] for t, f, v, row in columns)

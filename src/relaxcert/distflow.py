@@ -166,7 +166,8 @@ def tree_check(net: RadialNetwork) -> tuple[bool, str]:
 @dataclass(frozen=True)
 class OperatingPoint:
     """Decision tuple ``(s, v, ell, S)``: bus injections, squared voltages,
-    squared currents and sending-end line powers."""
+    squared currents and sending-end line powers, indexed by bus or line
+    along the last axis; shared leading axes index a stack of points."""
 
     s: np.ndarray
     v: np.ndarray
@@ -178,12 +179,14 @@ class OperatingPoint:
         v = np.asarray(self.v, dtype=float)
         ell = np.asarray(self.ell, dtype=float)
         S = np.asarray(self.S, dtype=complex)
-        if s.ndim != 1 or v.ndim != 1 or ell.ndim != 1 or S.ndim != 1:
-            raise ValueError("operating point components must be 1-D")
-        if len(s) != len(v) or len(ell) != len(S):
+        if (min(s.ndim, v.ndim, ell.ndim, S.ndim) < 1
+                or any(a.shape[:-1] != s.shape[:-1] for a in (v, ell, S))):
+            raise ValueError("operating point components must be arrays over "
+                             "the same leading axes")
+        if s.shape[-1] != v.shape[-1] or ell.shape[-1] != S.shape[-1]:
             raise ValueError("bus-indexed and line-indexed components disagree in length")
         for name, arr in (("s", s), ("v", v), ("ell", ell), ("S", S)):
-            if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         if np.any(v < -1e-9) or np.any(ell < -1e-9):
             raise ValueError("v and ell must be nonnegative")
@@ -193,9 +196,10 @@ class OperatingPoint:
         object.__setattr__(self, "S", S)
 
     def _check_net(self, net: RadialNetwork) -> None:
-        if len(self.s) != net.n_bus or len(self.S) != net.n_line:
+        n_bus, n_line = self.s.shape[-1], self.S.shape[-1]
+        if n_bus != net.n_bus or n_line != net.n_line:
             raise ValueError(
-                f"point has {len(self.s)} buses / {len(self.S)} lines, "
+                f"point has {n_bus} buses / {n_line} lines, "
                 f"network has {net.n_bus} / {net.n_line}")
 
 
@@ -219,13 +223,11 @@ class OpfCost:
         if any(len(getattr(self, name)) != n for name in ("cq", "qp", "qq")):
             raise ValueError("cost coefficient arrays must share length")
 
-    def value(self, s: np.ndarray) -> float:
+    def value(self, s: np.ndarray) -> np.ndarray:
+        """Cost of each injection vector along the last axis of ``s``."""
         p, q = s.real, s.imag
-        return float(self.cp @ p + self.cq @ q + self.qp @ p**2 + self.qq @ q**2)
-
-    def gradient(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Partials with respect to (Re s, Im s)."""
-        return self.cp + 2 * self.qp * s.real, self.cq + 2 * self.qq * s.imag
+        return (np.vecdot(self.cp, p) + np.vecdot(self.cq, q)
+                + np.vecdot(self.qp, p**2) + np.vecdot(self.qq, q**2))
 
     def strong_increase_constant(self, net: RadialNetwork) -> float:
         """Infimum over the injection box of d f / d Re(s_j), minimized over j.
@@ -265,27 +267,22 @@ class PfResiduals:
 def pf_residuals(net: RadialNetwork, x: OperatingPoint) -> PfResiduals:
     x._check_net(net)
     z, t, h = net.z, net.tail_idx, net.head_idx
-    ohm = x.v[t] - x.v[h] - 2.0 * (z * np.conj(x.S)).real + np.abs(z) ** 2 * x.ell
-    cone_eq = x.v[t] * x.ell - np.abs(x.S) ** 2
-    balance = x.s.astype(complex).copy()
-    np.add.at(balance, t, -x.S)
-    np.add.at(balance, h, x.S - z * x.ell)
+    v_tail = x.v[..., t]
+    ohm = v_tail - x.v[..., h] - 2.0 * (z * np.conj(x.S)).real + np.abs(z) ** 2 * x.ell
+    cone_eq = v_tail * x.ell - np.abs(x.S) ** 2
+    balance = x.s.astype(complex)
+    np.add.at(balance, (..., t), -x.S)
+    np.add.at(balance, (..., h), x.S - z * x.ell)
     return PfResiduals(ohm=ohm, cone_eq=cone_eq, balance=balance)
 
 
-def _box_violations(net: RadialNetwork, x: OperatingPoint) -> float:
-    worst = 0.0
-    worst = max(worst, float(np.max(net.v_min - x.v, initial=0.0)))
-    worst = max(worst, float(np.max(x.v - net.v_max, initial=0.0)))
-    worst = max(worst, float(np.max(x.ell - net.l_max, initial=0.0)))
-    worst = max(worst, float(np.max(net.s_min.real - x.s.real, initial=0.0)))
-    worst = max(worst, float(np.max(net.s_min.imag - x.s.imag, initial=0.0)))
-    worst = max(worst, float(np.max(x.s.real - net.s_max.real, initial=0.0)))
-    worst = max(worst, float(np.max(x.s.imag - net.s_max.imag, initial=0.0)))
-    return worst
+def _worst(*violations: np.ndarray) -> np.ndarray:
+    """Largest entry along the last axis over all arrays, and at least 0."""
+    return np.max(np.concatenate(violations, axis=-1), axis=-1, initial=0.0)
 
 
-def residual_Xhat(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -> float:
+def residual_Xhat(net: RadialNetwork, cost: OpfCost | None,
+                  x: OperatingPoint) -> np.ndarray:
     """Worst violation of the relaxed set: DistFlow affine equations, boxes,
     and the one-sided cone inequality |S|^2 <= v * ell.
 
@@ -293,18 +290,17 @@ def residual_Xhat(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -
     restore and certify call sites can share one calling convention.
     """
     res = pf_residuals(net, x)
-    worst = float(np.max(np.abs(res.ohm), initial=0.0))
-    worst = max(worst, float(np.max(np.abs(res.balance), initial=0.0)))
-    worst = max(worst, _box_violations(net, x))
-    worst = max(worst, float(np.max(-res.cone_eq, initial=0.0)))
-    return worst
+    return _worst(
+        np.abs(res.ohm), np.abs(res.balance), -res.cone_eq,
+        net.v_min - x.v, x.v - net.v_max, x.ell - net.l_max,
+        net.s_min.real - x.s.real, net.s_min.imag - x.s.imag,
+        x.s.real - net.s_max.real, x.s.imag - net.s_max.imag)
 
 
-def residual_X(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -> float:
+def residual_X(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -> np.ndarray:
     """Worst violation of the original feasible set (cone held at equality)."""
     res = pf_residuals(net, x)
-    worst = residual_Xhat(net, cost, x)
-    return max(worst, float(np.max(np.abs(res.cone_eq), initial=0.0)))
+    return np.maximum(residual_Xhat(net, cost, x), _worst(np.abs(res.cone_eq)))
 
 
 @dataclass(frozen=True)
@@ -495,40 +491,39 @@ def pack_point(x: OperatingPoint) -> np.ndarray:
 
 
 def unpack_point(net: RadialNetwork, vec: np.ndarray) -> OperatingPoint:
+    """Operating point (or stack of them) of flat vectors along the last axis."""
     n, e = net.n_bus, net.n_line
-    if len(vec) != 2 * n + 2 * e:
-        raise ValueError(f"flat vector has length {len(vec)}, expected {2 * n + 2 * e}")
+    if vec.shape[-1] != 2 * n + 2 * e:
+        raise ValueError(
+            f"flat vector has length {vec.shape[-1]}, expected {2 * n + 2 * e}")
     return OperatingPoint(
-        s=vec[:n],
-        v=vec[n:2 * n].real,
-        ell=vec[2 * n:2 * n + e].real,
-        S=vec[2 * n + e:],
+        s=vec[..., :n],
+        v=vec[..., n:2 * n].real,
+        ell=vec[..., 2 * n:2 * n + e].real,
+        S=vec[..., 2 * n + e:],
     )
 
 
 def coordinate_labels(net: RadialNetwork) -> list[str]:
     """Column labels for trace CSV export (bus-major s then v, line-major
     ell then S; real parts before imaginary)."""
-    labels: list[str] = []
-    for b in net.buses:
-        labels += [f"s{b.id}_re", f"s{b.id}_im"]
-    labels += [f"v{b.id}" for b in net.buses]
-    labels += [f"ell_{ln.tail}_{ln.head}" for ln in net.lines]
-    for ln in net.lines:
-        labels += [f"S_{ln.tail}_{ln.head}_re", f"S_{ln.tail}_{ln.head}_im"]
-    return labels
+    def re_im(names) -> list[str]:
+        return [f"{name}_{part}" for name in names for part in ("re", "im")]
+
+    return (re_im(f"s{b.id}" for b in net.buses) + [f"v{b.id}" for b in net.buses]
+            + [f"ell_{ln.tail}_{ln.head}" for ln in net.lines]
+            + re_im(f"S_{ln.tail}_{ln.head}" for ln in net.lines))
 
 
-def coordinate_rows(net: RadialNetwork, vec: np.ndarray) -> list[float]:
+def coordinate_rows(net: RadialNetwork, vec: np.ndarray) -> np.ndarray:
+    """Real values in :func:`coordinate_labels` order, one row per flat
+    vector along the last axis of ``vec``."""
     x = unpack_point(net, vec)
-    row: list[float] = []
-    for j in range(net.n_bus):
-        row += [x.s[j].real, x.s[j].imag]
-    row += list(x.v)
-    row += list(x.ell)
-    for e in range(net.n_line):
-        row += [x.S[e].real, x.S[e].imag]
-    return row
+
+    def re_im(z: np.ndarray) -> np.ndarray:
+        return np.stack([z.real, z.imag], axis=-1).reshape(*z.shape[:-1], -1)
+
+    return np.concatenate([re_im(x.s), x.v, x.ell, re_im(x.S)], axis=-1)
 
 
 # --- case file schema -------------------------------------------------------

@@ -24,8 +24,6 @@ from relaxcert.core import (
 
 # An eigenvalue counts as nonzero above this times max(1, lambda_max).
 RANK_TOL = 1e-8
-# PSD acceptance for matrices entering the pipeline.
-PSD_TOL = 1e-8
 
 
 class ReductionStuckError(RuntimeError):
@@ -37,12 +35,15 @@ class ReductionStuckError(RuntimeError):
 
 
 def _check_hermitian(M: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
+    """Check each matrix of an (..., n, n) stack is Hermitian to relative ``tol``."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    gap = np.abs(M - M.conj().T)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(gap) > tol * scale:
+    gaps = np.abs(M - np.swapaxes(M, -2, -1).conj()).reshape(-1, *M.shape[-2:])
+    scales = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1))).reshape(-1)
+    bad = np.flatnonzero(np.max(gaps, axis=(-2, -1)) > tol * scales)
+    if len(bad):
+        gap = gaps[bad[0]]
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValueError(
             f"{name} is not Hermitian: entry ({i},{j}) differs from its "
@@ -97,12 +98,22 @@ class LrsdpInstance:
         return (np.max(np.abs(self.C.imag)) == 0.0
                 and all(np.max(np.abs(Ai.imag)) == 0.0 for Ai in self.A))
 
-    def constraint_residual(self, X: np.ndarray) -> float:
-        return float(max(abs(np.trace(Ai @ X).real - bi)
-                         for Ai, bi in zip(self.A, self.b)))
+    def constraint_residual(self, X: np.ndarray) -> np.ndarray:
+        """Worst constraint violation of each matrix in an (..., n, n) stack."""
+        return np.max([np.abs(_trace(Ai @ X).real - bi)
+                       for Ai, bi in zip(self.A, self.b)], axis=0)
 
-    def cost(self, X: np.ndarray) -> float:
-        return float(np.trace(self.C @ X).real)
+    def cost(self, X: np.ndarray) -> np.ndarray:
+        """Cost of each matrix in an (..., n, n) stack."""
+        return _trace(self.C @ X).real
+
+
+def _trace(M: np.ndarray) -> np.ndarray:
+    return np.trace(M, axis1=-2, axis2=-1)
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return (M + np.swapaxes(M, -2, -1).conj()) / 2
 
 
 @dataclass(frozen=True)
@@ -138,14 +149,27 @@ class PsdPoint:
         return self.eigenvectors[:, :k], self.eigenvalues[:k]
 
 
-def lyapunov_tail(inst: LrsdpInstance, X: PsdPoint | np.ndarray) -> float:
-    """Sum of the eigenvalues below the target rank; zero iff rank(X) <= r."""
-    point = X if isinstance(X, PsdPoint) else PsdPoint.from_matrix(np.asarray(X))
-    vals = point.eigenvalues
-    if vals[-1] < -PSD_TOL * max(1.0, vals[0]):
-        raise PreconditionError(
-            f"matrix is indefinite (min eigenvalue {vals[-1]:.3g})")
-    return float(max(0.0, np.sum(vals[inst.r:])))
+def lyapunov_tail(inst: LrsdpInstance, X: PsdPoint | np.ndarray) -> np.ndarray:
+    """Sum of the eigenvalues below the target rank; zero iff rank(X) <= r.
+
+    ``X`` is a :class:`PsdPoint` or an (..., n, n) stack of Hermitian
+    matrices, held to the PSD test of :meth:`PsdPoint.from_matrix`.
+    """
+    if isinstance(X, PsdPoint):
+        vals = X.eigenvalues
+    else:
+        vals = np.linalg.eigh(_check_hermitian(X, "X"))[0][..., ::-1].copy()
+    low = vals[..., -1] < -1e-9 * np.maximum(1.0, vals[..., 0])
+    if np.any(low):
+        raise PreconditionError(f"X is not positive semidefinite "
+                                f"(min eigenvalue {vals[..., -1][low].flat[0]:.3g})")
+    return _tail(vals, inst.r)
+
+
+def _tail(vals_desc: np.ndarray, r: int) -> np.ndarray:
+    """Sum of each descending spectrum past its ``r`` largest entries, at least 0."""
+    tail = np.sum(vals_desc[..., r:], axis=-1)
+    return np.where(tail > 0.0, tail, 0.0)[()]
 
 
 def _hermitian_basis_coefficients(G: np.ndarray, real_symmetric: bool) -> np.ndarray:
@@ -248,13 +272,6 @@ def boundary_step(Sigma: np.ndarray, Y: np.ndarray) -> BoundarySteps:
     return BoundarySteps(alpha_pos=alpha_pos, alpha_neg=alpha_neg)
 
 
-def _tail_of_spectrum(vals_desc: np.ndarray, n: int, r: int) -> float:
-    """Tail sum for a rank-k compression padded with n-k zero eigenvalues."""
-    full = np.concatenate([vals_desc, np.zeros(n - len(vals_desc))])
-    full = np.sort(full)[::-1]
-    return float(max(0.0, np.sum(full[r:])))
-
-
 @dataclass(frozen=True)
 class ReductionStage:
     """Bookkeeping for one stage of the reduction."""
@@ -274,11 +291,19 @@ class ReductionResult:
     dimension_condition: bool
 
 
-def _stage_tail(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
-                alpha: float, n: int, t: float) -> float:
-    D = np.diag(Sigma).astype(complex) + (t * alpha) * Y
-    ev = np.sort(np.linalg.eigvalsh(D))[::-1]
-    return _tail_of_spectrum(ev, n, inst.r)
+def _stage_matrices(Sigma: np.ndarray, Y: np.ndarray, alpha: float,
+                    ts: np.ndarray) -> np.ndarray:
+    """The compressed stage matrices ``diag(Sigma) + t alpha Y`` at each t."""
+    return np.diag(Sigma).astype(complex) + (np.asarray(ts)[:, None, None] * alpha) * Y
+
+
+def _stage_tails(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
+                 alpha: float, n: int, ts) -> np.ndarray:
+    """Tail sums along a stage; each rank-k compression is padded with n-k
+    zero eigenvalues."""
+    ev = np.linalg.eigvalsh(_stage_matrices(Sigma, Y, alpha, ts))
+    full = np.concatenate([ev, np.zeros((len(ev), n - ev.shape[-1]))], axis=-1)
+    return _tail(np.sort(full, axis=-1)[:, ::-1], inst.r)
 
 
 def _monotone_side(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
@@ -290,12 +315,10 @@ def _monotone_side(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
     slope and a coarse sweep guards against numerical surprises.  Returns
     ``(qualified, end_to_end_drop)``.
     """
-    v0 = _stage_tail(inst, Sigma, Y, alpha, n, 0.0)
-    eps_rise = _stage_tail(inst, Sigma, Y, alpha, n, 1e-5) - v0
-    if eps_rise > MONOTONE_SLACK * (1.0 + abs(v0)):
+    v0, v_eps = _stage_tails(inst, Sigma, Y, alpha, n, [0.0, 1e-5])
+    if v_eps - v0 > MONOTONE_SLACK * (1.0 + abs(v0)):
         return False, 0.0
-    vals = np.array([_stage_tail(inst, Sigma, Y, alpha, n, t)
-                     for t in np.linspace(0.0, 1.0, probes)])
+    vals = _stage_tails(inst, Sigma, Y, alpha, n, np.linspace(0.0, 1.0, probes))
     slack = MONOTONE_SLACK * (1.0 + np.abs(vals[:-1]))
     ok = not np.any(np.diff(vals) > slack)
     return ok, float(vals[0] - vals[-1])
@@ -366,13 +389,9 @@ def reduce_rank_path(
                     f"stage {i}: tail sum increases toward both boundary steps")
             _, alpha = max(candidates)
 
-            D = lambda t: np.diag(sigma).astype(complex) + (t * alpha) * Y
-            pts = np.empty((samples_per_stage, n * n), dtype=complex)
-            for si, t in enumerate(local_ts):
-                Xt = U @ D(t) @ U.conj().T
-                pts[si] = Xt.reshape(-1)
-            end = PsdPoint.from_matrix(
-                U @ D(1.0) @ U.conj().T, name=f"stage {i} endpoint")
+            X_t = U @ _stage_matrices(sigma, Y, alpha, local_ts) @ U.conj().T
+            pts = X_t.reshape(samples_per_stage, n * n)
+            end = PsdPoint.from_matrix(X_t[-1], name=f"stage {i} endpoint")
             _check_stage(inst, pts, f0, i, tol, n)
             if end.rank() >= k_before:
                 raise CertificateViolationError(
@@ -402,23 +421,20 @@ def reduce_rank_path(
 
 def _check_stage(inst: LrsdpInstance, pts: np.ndarray, f0: float,
                  stage: int, tol: float, n: int) -> None:
-    """Conservation and monotonicity checks along one stage's samples."""
-    tails = np.empty(len(pts))
-    for si in range(len(pts)):
-        X = pts[si].reshape(n, n)
-        drift = inst.constraint_residual(X)
-        if drift > tol:
-            raise CertificateViolationError(
-                f"stage {stage}, sample {si}: constraint drift {drift:.3g}")
-        fdrift = abs(inst.cost(X) - f0)
-        if fdrift > tol * (1.0 + abs(f0)):
-            raise CertificateViolationError(
-                f"stage {stage}, sample {si}: cost drift {fdrift:.3g}")
-        vals = np.sort(np.linalg.eigvalsh((X + X.conj().T) / 2))[::-1]
-        if vals[-1] < -tol:
-            raise CertificateViolationError(
-                f"stage {stage}, sample {si}: min eigenvalue {vals[-1]:.3g}")
-        tails[si] = max(0.0, float(np.sum(vals[inst.r:])))
+    """Conservation and monotonicity checks along one stage's samples; the
+    first failing sample is reported, with its first failing check."""
+    X = pts.reshape(-1, n, n)
+    drift = inst.constraint_residual(X)
+    fdrift = np.abs(inst.cost(X) - f0)
+    vals = np.sort(np.linalg.eigvalsh(_hermitian_part(X)), axis=-1)[:, ::-1]
+    faults = np.stack([drift > tol, fdrift > tol * (1.0 + abs(f0)),
+                       vals[:, -1] < -tol], axis=1)
+    if np.any(faults):
+        si, kind = divmod(int(np.argmax(faults)), 3)
+        what = (f"constraint drift {drift[si]:.3g}", f"cost drift {fdrift[si]:.3g}",
+                f"min eigenvalue {vals[si, -1]:.3g}")[kind]
+        raise CertificateViolationError(f"stage {stage}, sample {si}: {what}")
+    tails = _tail(vals, inst.r)
     rises = np.diff(tails) - MONOTONE_SLACK * (1.0 + np.abs(tails[:-1]))
     if np.any(rises > 0):
         si = int(np.argmax(rises))
@@ -433,41 +449,34 @@ def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
 
     n = inst.n
 
+    def _matrices(vec: np.ndarray) -> np.ndarray:
+        vec = np.asarray(vec, dtype=complex)
+        return vec.reshape(*vec.shape[:-1], n, n)
+
     def _unflatten(vec: np.ndarray) -> np.ndarray:
-        X = np.asarray(vec, dtype=complex).reshape(n, n)
-        return (X + X.conj().T) / 2
+        return _hermitian_part(_matrices(vec))
 
-    def _hermiticity(vec: np.ndarray) -> float:
-        X = np.asarray(vec, dtype=complex).reshape(n, n)
-        return float(np.max(np.abs(X - X.conj().T)) / 2)
+    def _res_relax(vec: np.ndarray) -> np.ndarray:
+        raw, X = _matrices(vec), _unflatten(vec)
+        gap = np.abs(raw - np.swapaxes(raw, -2, -1).conj())
+        hermiticity = np.max(gap, axis=(-2, -1)) / 2
+        lam_min = np.min(np.linalg.eigvalsh(X), axis=-1)
+        worst = np.maximum(np.maximum(hermiticity, inst.constraint_residual(X)), -lam_min)
+        return np.maximum(worst, 0.0)
 
-    def _res_relax(vec: np.ndarray) -> float:
-        X = _unflatten(vec)
-        lam_min = float(np.min(np.linalg.eigvalsh(X)))
-        return max(_hermiticity(vec), inst.constraint_residual(X), -lam_min, 0.0)
-
-    def _res_feas(vec: np.ndarray) -> float:
-        X = _unflatten(vec)
-        vals = np.sort(np.linalg.eigvalsh(X))[::-1]
-        tail = float(max(0.0, np.sum(vals[inst.r:])))
-        return max(_res_relax(vec), tail)
-
-    def _lyap(vec: np.ndarray) -> float:
-        return lyapunov_tail(inst, _unflatten(vec))
-
-    def _cost(vec: np.ndarray) -> float:
-        return inst.cost(_unflatten(vec))
-
-    def _path(vec: np.ndarray) -> PathTrace:
-        return reduce_rank_path(inst, _unflatten(vec)).trace
+    def _res_feas(vec: np.ndarray) -> np.ndarray:
+        vals = np.sort(np.linalg.eigvalsh(_unflatten(vec)), axis=-1)[..., ::-1]
+        return np.maximum(_res_relax(vec), _tail(vals, inst.r))
 
     bound = 1.0 + float(np.max(np.abs(inst.b)))
     lo = np.full(n * n, -bound - 1j * bound)
     hi = np.full(n * n, bound + 1j * bound)
     return CertifiedProblem(
-        handle=ProblemHandle(cost=_cost, residual_feasible=_res_feas,
-                             residual_relaxed=_res_relax, lyapunov=_lyap),
-        path_factory=_path,
+        handle=ProblemHandle(
+            cost=lambda vec: inst.cost(_unflatten(vec)),
+            residual_feasible=_res_feas, residual_relaxed=_res_relax,
+            lyapunov=lambda vec: lyapunov_tail(inst, _unflatten(vec))),
+        path_factory=lambda vec: reduce_rank_path(inst, _unflatten(vec)).trace,
         segment_bound=max(1, n - inst.r),
         box=(lo, hi),
         label="lrsdp",
@@ -533,20 +542,12 @@ def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace) -> Non
     from relaxcert.core import write_trace_csv
 
     n = inst.n
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            labels += [f"X{i}{j}_re", f"X{i}{j}_im"]
-
-    def rows(vec: np.ndarray):
-        out = []
-        for entry in vec:
-            out += [entry.real, entry.imag]
-        return out
+    labels = [f"X{i}{j}_{part}" for i in range(n) for j in range(n)
+              for part in ("re", "im")]
 
     write_trace_csv(
-        path, trace, labels, rows,
-        cost=lambda vec: inst.cost(vec.reshape(n, n)),
-        lyapunov=lambda vec: lyapunov_tail(
-            inst, (vec.reshape(n, n) + vec.reshape(n, n).conj().T) / 2),
+        path, trace, labels,
+        lambda pts: np.ascontiguousarray(pts).view(float),
+        cost=lambda pts: inst.cost(pts.reshape(-1, n, n)),
+        lyapunov=lambda pts: lyapunov_tail(inst, _hermitian_part(pts.reshape(-1, n, n))),
     )

@@ -18,13 +18,12 @@ import numpy as np
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import (
     FEAS_TOL,
-    MONOTONE_SLACK,
     SEGMENT_SAMPLES,
     CertificateViolationError,
     PathTrace,
     PreconditionError,
     ProblemHandle,
-    norm_m,
+    verify_path,
     write_trace_csv,
 )
 from relaxcert.distflow import (
@@ -46,27 +45,22 @@ from relaxcert.distflow import (
 SLACK_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class EdgeGap:
-    """Per-line cone gap: the positive quadratic root ``delta`` (0 for tight
-    lines) and whether the line is strictly slack."""
-
-    line: int
-    delta: float
-    in_M: bool
-
-
-def lyapunov_V(net: RadialNetwork, x: OperatingPoint, tol: float = FEAS_TOL) -> float:
+def lyapunov_V(net: RadialNetwork, x: OperatingPoint,
+               tol: float = FEAS_TOL) -> np.ndarray:
     """Total cone slack sum(v_tail*ell - |S|^2) over lines; zero exactly on
-    DistFlow-feasible points of the relaxed set."""
+    DistFlow-feasible points of the relaxed set.  Rejects the first point
+    of the stack whose cone is violated by more than ``tol``."""
     slack = pf_residuals(net, x).cone_eq
-    if np.any(slack < -tol):
-        e = int(np.argmin(slack))
+    rows = slack.reshape(-1, net.n_line)
+    bad = np.flatnonzero(np.any(rows < -tol, axis=-1))
+    if len(bad):
+        row = rows[bad[0]]
+        e = int(np.argmin(row))
         ln = net.lines[e]
         raise PreconditionError(
-            f"line {ln.tail}->{ln.head} violates the cone by {-slack[e]:.3g}; "
+            f"line {ln.tail}->{ln.head} violates the cone by {-row[e]:.3g}; "
             "the point is not relaxed-feasible")
-    return float(np.sum(np.maximum(slack, 0.0)))
+    return np.sum(np.maximum(slack, 0.0), axis=-1)
 
 
 def _phi_coefficients(net: RadialNetwork, x: OperatingPoint):
@@ -117,14 +111,6 @@ def edge_deltas(net: RadialNetwork, x: OperatingPoint) -> tuple[np.ndarray, np.n
     return delta, in_M
 
 
-def edge_delta(net: RadialNetwork, x: OperatingPoint, line: int) -> EdgeGap:
-    """Gap data for a single line."""
-    if not 0 <= line < net.n_line:
-        raise ValueError(f"line index {line} out of range")
-    delta, in_M = edge_deltas(net, x)
-    return EdgeGap(line=line, delta=float(delta[line]), in_M=bool(in_M[line]))
-
-
 def _path_points(net: RadialNetwork, x: OperatingPoint, delta: np.ndarray,
                  ts: np.ndarray) -> np.ndarray:
     """Flat sample matrix of the restoration path at parameters ``ts``."""
@@ -133,14 +119,10 @@ def _path_points(net: RadialNetwork, x: OperatingPoint, delta: np.ndarray,
     np.add.at(pull, net.tail_idx, zd)
     np.add.at(pull, net.head_idx, zd)
 
-    n, e = net.n_bus, net.n_line
-    pts = np.empty((len(ts), 2 * n + 2 * e), dtype=complex)
-    for i, t in enumerate(ts):
-        pts[i, :n] = x.s - 0.5 * t * pull
-        pts[i, n:2 * n] = x.v
-        pts[i, 2 * n:2 * n + e] = x.ell - t * delta
-        pts[i, 2 * n + e:] = x.S - 0.5 * t * zd
-    return pts
+    t = ts[:, None]
+    v = np.broadcast_to(x.v, (len(ts), net.n_bus))
+    return np.concatenate([x.s - 0.5 * t * pull, v, x.ell - t * delta,
+                           x.S - 0.5 * t * zd], axis=1)
 
 
 def restoration_path(
@@ -157,8 +139,8 @@ def restoration_path(
     the difference so the affine DistFlow equations hold along the way.
     Voltages never move.  All guarantees (relaxed membership of every
     sample, feasible endpoint, strictly decreasing cost and Lyapunov value)
-    are re-checked before returning; a failure raises
-    :class:`CertificateViolationError` and indicates a bug.
+    are re-checked by :func:`~relaxcert.core.verify_path` before returning;
+    a failure raises :class:`CertificateViolationError` and indicates a bug.
     """
     report = validate_assumptions(net, cost)
     if not report.structural_ok:
@@ -173,42 +155,32 @@ def restoration_path(
 
     delta, in_M = edge_deltas(net, x)
     ts = np.linspace(0.0, 1.0, samples)
-    pts = _path_points(net, x, delta, ts)
-    trace = PathTrace(params=ts, points=pts, segments=1)
+    trace = PathTrace(params=ts, points=_path_points(net, x, delta, ts), segments=1)
 
-    f_vals = np.empty(samples)
-    v_vals = np.empty(samples)
-    for i in range(samples):
-        xi = unpack_point(net, pts[i])
-        ri = residual_Xhat(net, cost, xi)
-        if ri > tol:
-            raise CertificateViolationError(
-                f"sample {i} (t={ts[i]:.4f}) left the relaxed set "
-                f"(residual {ri:.3g})")
-        f_vals[i] = cost.value(xi.s)
-        v_vals[i] = lyapunov_V(net, xi, tol=tol)
-
-    end = unpack_point(net, pts[-1])
-    r_end = residual_X(net, cost, end)
-    if r_end > tol:
+    # relaxed membership is judged before the Lyapunov values are read, so
+    # those need not reject cone violations themselves
+    check = verify_path(_opf_handle(net, cost, lyapunov_tol=np.inf),
+                        pack_point(x), trace)
+    left = np.flatnonzero(check.relaxed > tol)
+    if len(left):
+        i = left[0]
         raise CertificateViolationError(
-            f"endpoint residual {r_end:.3g} exceeds {tol:.1g}")
+            f"sample {i} (t={ts[i]:.4f}) left the relaxed set "
+            f"(residual {check.relaxed[i]:.3g})")
+    if check.end_residual > tol:
+        raise CertificateViolationError(
+            f"endpoint residual {check.end_residual:.3g} exceeds {tol:.1g}")
+    v_vals = check.lyapunov
     if v_vals[-1] > tol:
         raise CertificateViolationError(
             f"endpoint Lyapunov value {v_vals[-1]:.3g} exceeds {tol:.1g}")
-
-    f_slack = MONOTONE_SLACK * (1.0 + np.abs(f_vals[:-1]))
-    if np.any(np.diff(f_vals) > f_slack):
-        i = int(np.argmax(np.diff(f_vals) - f_slack))
-        raise CertificateViolationError(
-            f"cost increases at sample {i + 1} (t={ts[i + 1]:.4f})")
-    v_slack = MONOTONE_SLACK * (1.0 + v_vals[:-1])
-    if np.any(np.diff(v_vals) > v_slack):
-        i = int(np.argmax(np.diff(v_vals) - v_slack))
-        raise CertificateViolationError(
-            f"Lyapunov value increases at sample {i + 1} (t={ts[i + 1]:.4f})")
-    strict = MONOTONE_SLACK * (1.0 + abs(f_vals[0]))
-    if not f_vals[-1] <= f_vals[0] - strict:
+    for what, rises in (("cost", check.cost_rises),
+                        ("Lyapunov value", check.lyapunov_rises)):
+        i = int(np.argmax(rises))
+        if rises[i] > 0:
+            raise CertificateViolationError(
+                f"{what} increases at sample {i + 1} (t={ts[i + 1]:.4f})")
+    if check.cost_drop < 0:
         raise CertificateViolationError("cost did not strictly decrease end to end")
     if not v_vals[-1] < v_vals[0]:
         raise CertificateViolationError(
@@ -248,7 +220,7 @@ def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> Cprime
     analytic = cprime_reference(net, cost)
     pts = trace.points
     K = len(pts)
-    f_vals = np.array([cost.value(unpack_point(net, pts[i]).s) for i in range(K)])
+    f_vals = cost.value(unpack_point(net, pts).s)
 
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sum(np.abs(diff.real), axis=2) + np.sum(np.abs(diff.imag), axis=2)
@@ -264,23 +236,19 @@ def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> Cprime
     return CprimeMargin(margin=margin, analytic=analytic)
 
 
+def _opf_handle(net: RadialNetwork, cost: OpfCost,
+                lyapunov_tol: float = FEAS_TOL) -> ProblemHandle:
+    """Cost, residuals and Lyapunov value over (stacks of) flat vectors."""
+    return ProblemHandle(
+        cost=lambda vec: cost.value(unpack_point(net, vec).s),
+        residual_feasible=lambda vec: residual_X(net, cost, unpack_point(net, vec)),
+        residual_relaxed=lambda vec: residual_Xhat(net, cost, unpack_point(net, vec)),
+        lyapunov=lambda vec: lyapunov_V(net, unpack_point(net, vec), tol=lyapunov_tol),
+    )
+
+
 def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem:
     """Package an OPF instance as a certified problem over flat vectors."""
-    def _cost(vec: np.ndarray) -> float:
-        return cost.value(unpack_point(net, vec).s)
-
-    def _res_feas(vec: np.ndarray) -> float:
-        return residual_X(net, cost, unpack_point(net, vec))
-
-    def _res_relax(vec: np.ndarray) -> float:
-        return residual_Xhat(net, cost, unpack_point(net, vec))
-
-    def _lyap(vec: np.ndarray) -> float:
-        return lyapunov_V(net, unpack_point(net, vec))
-
-    def _path(vec: np.ndarray) -> PathTrace:
-        return restoration_path(net, cost, unpack_point(net, vec))
-
     v_pad = 0.5
     # |S_k|^2 <= v_tail * ell_k caps every line power; by the balance
     # equation an injection is at least minus the caps of its incident
@@ -302,9 +270,8 @@ def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem
         S_cap.astype(complex) * (1 + 1j),
     ])
     return CertifiedProblem(
-        handle=ProblemHandle(cost=_cost, residual_feasible=_res_feas,
-                             residual_relaxed=_res_relax, lyapunov=_lyap),
-        path_factory=_path,
+        handle=_opf_handle(net, cost),
+        path_factory=lambda vec: restoration_path(net, cost, unpack_point(net, vec)),
         segment_bound=1,
         box=(lo, hi),
         label="opf",
@@ -315,11 +282,12 @@ def write_restoration_csv(path: str, net: RadialNetwork, cost: OpfCost,
                           trace: PathTrace) -> None:
     """Trace CSV: t, cost, Lyapunov value, then bus-major s and v, line-major
     ell and S with real parts before imaginary."""
+    handle = _opf_handle(net, cost)
     write_trace_csv(
         path,
         trace,
         coordinate_labels(net),
-        lambda vec: coordinate_rows(net, vec),
-        cost=lambda vec: cost.value(unpack_point(net, vec).s),
-        lyapunov=lambda vec: lyapunov_V(net, unpack_point(net, vec)),
+        lambda pts: coordinate_rows(net, pts),
+        cost=handle.cost,
+        lyapunov=handle.lyapunov,
     )

@@ -104,12 +104,16 @@ def random_feasible_psd(rng, n, rank=None):
 
 
 # --- interval toy primitives --------------------------------------------------
+#
+# Handle callables follow the batch contract: an (..., d) stack of points maps
+# to an (...) array of values, reducing over the last axis.
 
 def box_residual(x):
     """Distance to the unit box with real coordinates."""
     re = x.real
-    viol = max(float(np.max(-re, initial=0.0)), float(np.max(re - 1.0, initial=0.0)))
-    return max(viol, float(np.max(np.abs(x.imag), initial=0.0)))
+    viol = np.maximum(np.max(-re, axis=-1, initial=0.0),
+                      np.max(re - 1.0, axis=-1, initial=0.0))
+    return np.maximum(viol, np.max(np.abs(x.imag), axis=-1, initial=0.0))
 
 
 def shrinking_path(x, target, samples=11):
@@ -121,11 +125,11 @@ def shrinking_path(x, target, samples=11):
 def threshold_primitive(cut, dim=1, label=""):
     """1-D primitive on [0,1]: feasible below ``cut``, path shrinks to 0."""
     def v(x):
-        return max(0.0, float(x[0].real) - cut)
+        return np.maximum(0.0, x[..., 0].real - cut)
 
     handle = ProblemHandle(
-        cost=lambda x: float(x[0].real),
-        residual_feasible=lambda x: max(box_residual(x), v(x)),
+        cost=lambda x: x[..., 0].real,
+        residual_feasible=lambda x: np.maximum(box_residual(x), v(x)),
         residual_relaxed=box_residual,
         lyapunov=v,
     )
@@ -141,7 +145,7 @@ def threshold_primitive(cut, dim=1, label=""):
 def block_primitive(block, label=""):
     """2-D primitive whose cost, Lyapunov value and path touch one block."""
     def v(x):
-        return float(x[block].real)
+        return x[..., block].real
 
     def path(x):
         target = x.copy()
@@ -149,8 +153,8 @@ def block_primitive(block, label=""):
         return shrinking_path(x, target)
 
     handle = ProblemHandle(
-        cost=lambda x: float(x[block].real),
-        residual_feasible=lambda x: max(box_residual(x), v(x)),
+        cost=lambda x: x[..., block].real,
+        residual_feasible=lambda x: np.maximum(box_residual(x), v(x)),
         residual_relaxed=box_residual,
         lyapunov=v,
     )

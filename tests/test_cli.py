@@ -7,6 +7,7 @@ import numpy as np
 
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
+from relaxcert.lrsdp import LrsdpInstance, instance_to_dict
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -133,6 +134,28 @@ class TestLrsdpCommand:
         assert report["final_rank"] == 1
         assert report["exactness"] == "weak"
         assert os.path.exists(os.path.join(out, "reduction.csv"))
+
+    def test_identity_cost_reduces_rank_once(self, tmp_path, monkeypatch):
+        import relaxcert.cli as cli
+        import relaxcert.lrsdp as lrsdp
+
+        inst = LrsdpInstance(C=np.eye(4), A=[np.eye(4)], b=[1.0], r=1)
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        calls = []
+        reduce_rank_path = lrsdp.reduce_rank_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reduce_rank_path(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce_rank_path", counted)
+        monkeypatch.setattr(lrsdp, "reduce_rank_path", counted)
+        out = str(tmp_path / "run")
+        assert main(["lrsdp", str(path), "--out", out]) == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["stages"] > 0 and report["exactness"] == "weak"
+        assert len(calls) == 1
 
     def test_stuck_reduction_exits_2_with_stage(self, tmp_path):
         out = str(tmp_path / "run")

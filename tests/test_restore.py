@@ -19,7 +19,6 @@ from relaxcert.distflow import (
 from relaxcert.restore import (
     cprime_margin,
     cprime_reference,
-    edge_delta,
     edge_deltas,
     lyapunov_V,
     opf_certified_problem,
@@ -77,8 +76,8 @@ class TestEdgeDelta:
     def test_tight_line_gives_zero(self):
         net = line_net()
         x = forward_point(net, 1.0, [0.4 + 0.2j])
-        gap = edge_delta(net, x, 0)
-        assert gap.delta == 0.0 and not gap.in_M
+        delta, in_M = edge_deltas(net, x)
+        assert delta[0] == 0.0 and not in_M[0]
 
     def test_golden_ratio_root(self):
         # coefficients a2=1, a1=1, a0=-1 -> delta = (sqrt(5)-1)/2
@@ -91,9 +90,9 @@ class TestEdgeDelta:
                             root="0")
         x = OperatingPoint(s=np.zeros(2, complex), v=np.array([1.0, 1.0]),
                            ell=np.array([1.0]), S=np.zeros(1, complex))
-        gap = edge_delta(net, x, 0)
-        assert gap.in_M
-        assert gap.delta == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
+        delta, in_M = edge_deltas(net, x)
+        assert in_M[0]
+        assert delta[0] == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
 
     def test_pure_quadratic_root(self):
         # a2=1, a1=0, a0=-4 -> delta = 2; force a1 = 0 via S with
@@ -109,8 +108,8 @@ class TestEdgeDelta:
         ell = (abs(S) ** 2 + 4.0) / 1.0  # slack 4
         x = OperatingPoint(s=np.zeros(2, complex), v=np.array([1.0, 1.0]),
                            ell=np.array([ell]), S=np.array([S]))
-        gap = edge_delta(net, x, 0)
-        assert gap.delta == pytest.approx(2.0, abs=1e-12)
+        delta, _ = edge_deltas(net, x)
+        assert delta[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_root_closes_cone_gap_identity(self):
         # |S - (d/2) z|^2 - v (ell - d) == phi(d) == 0 at the root

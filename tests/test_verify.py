@@ -1,0 +1,132 @@
+"""Tests for the batch contract of problem handles and for the path verifier
+behind the monotone-path conditions."""
+
+import numpy as np
+import pytest
+
+from gen import (
+    block_primitive,
+    box_residual,
+    random_feasible_psd,
+    random_radial_network,
+    random_spectraplex_instance,
+    threshold_primitive,
+)
+from relaxcert.certify import check_c1_c3
+from relaxcert.compose import (
+    CertifiedProblem,
+    compose_cost,
+    intersect_feasible,
+    sample_box,
+    union_feasible,
+)
+from relaxcert.core import PathTrace, ProblemHandle
+from relaxcert.distflow import pack_point, sample_relaxed_points
+from relaxcert.lrsdp import lrsdp_certified_problem, reduce_rank_path
+from relaxcert.restore import opf_certified_problem
+
+QUANTITIES = ("cost", "residual_feasible", "residual_relaxed", "lyapunov")
+
+
+def assert_rowwise(handle, pts):
+    """Each callable maps the (K, d) matrix to the K single-point values,
+    bit for bit, and a (2, K/2, d) stack to the same values reshaped."""
+    for name in QUANTITIES:
+        fn = getattr(handle, name)
+        batch = fn(pts)
+        single = np.array([fn(p) for p in pts])
+        assert batch.shape == (len(pts),), name
+        assert batch.tobytes() == single.tobytes(), name
+        half = 2 * (len(pts) // 2)
+        stacked = fn(pts[:half].reshape(2, half // 2, -1))
+        assert stacked.tobytes() == batch[:half].tobytes(), name
+
+
+class TestBatchContract:
+    def test_opf_handle(self):
+        rng = np.random.default_rng(0)
+        net, cost = random_radial_network(rng, n_bus=6, finite_s_box=True)
+        problem = opf_certified_problem(net, cost)
+        relaxed = [pack_point(x) for x in sample_relaxed_points(net, cost, 6, rng)]
+        path = problem.path_factory(relaxed[0]).points
+        assert_rowwise(problem.handle, np.concatenate([np.array(relaxed), path]))
+
+    def test_lrsdp_handle(self):
+        rng = np.random.default_rng(1)
+        inst = random_spectraplex_instance(rng, n=4)
+        problem = lrsdp_certified_problem(inst)
+        trace = reduce_rank_path(inst, random_feasible_psd(rng, 4)).trace
+        assert_rowwise(problem.handle, trace.points[::7])
+
+    def test_union_handle(self):
+        union = union_feasible(threshold_primitive(0.5), threshold_primitive(0.7))
+        assert_rowwise(union.handle, sample_box(union.box, 40, seed=2))
+
+    def test_union_max_cost(self):
+        union = union_feasible(threshold_primitive(0.5), threshold_primitive(0.7),
+                               mode="max")
+        assert_rowwise(union.handle, sample_box(union.box, 40, seed=3))
+
+    def test_intersect_handle(self):
+        comp = intersect_feasible(block_primitive(0), block_primitive(1),
+                                  split=([0], [1]))
+        assert_rowwise(comp.handle, sample_box(comp.box, 40, seed=4))
+
+    def test_compose_cost_handle(self):
+        comp = compose_cost(threshold_primitive(0.5), lambda y: y * y + 0.5 * y)
+        assert_rowwise(comp.handle, sample_box(comp.box, 40, seed=5))
+
+
+# --- one witness per verifier condition ----------------------------------------
+#
+# On the unit square, the cost is Re x0 and the Lyapunov value Re x1; the
+# feasible set is the edge x1 = 0.  Each hand-built path from (0.5, 0.5)
+# breaks exactly one condition.
+
+START = np.array([0.5, 0.5], dtype=complex)
+
+
+def square_problem(knots):
+    def path(x):
+        pts = np.array(knots, dtype=complex)
+        return PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
+                         segments=len(pts) - 1)
+
+    handle = ProblemHandle(
+        cost=lambda x: x[..., 0].real,
+        residual_feasible=lambda x: np.maximum(box_residual(x), x[..., 1].real),
+        residual_relaxed=box_residual,
+        lyapunov=lambda x: x[..., 1].real,
+    )
+    return CertifiedProblem(handle=handle, path_factory=path, segment_bound=2,
+                            box=(np.zeros(2, complex), np.ones(2, complex)),
+                            label="square")
+
+
+@pytest.mark.parametrize("knots, witness", [
+    ([[0.5, 0.4], [0.4, 0.0]], "sample 0: path starts 0.1 away from the point"),
+    ([START, [0.4 + 0.5j, 0.25], [0.3, 0.0]],
+     "sample 0: a path sample leaves the relaxed set (residual 0.5)"),
+    ([START, [0.4, 0.25]], "sample 0: endpoint infeasible (residual 0.25)"),
+    ([START, [0.6, 0.25], [0.4, 0.0]], "sample 0: cost increases along the path"),
+    ([START, [0.45, 0.7], [0.4, 0.0]],
+     "sample 0: Lyapunov value increases along the path"),
+])
+def test_each_path_condition_names_its_witness(knots, witness):
+    checks = check_c1_c3(square_problem(knots), [START])
+    assert checks.c3.witnesses == (witness,)
+    assert checks.c1.witnesses == (witness,)
+    assert not checks.c3.passed and not checks.c1.passed
+
+
+def test_flat_cost_fails_only_the_strict_condition():
+    checks = check_c1_c3(square_problem([START, [0.5, 0.0]]), [START])
+    assert checks.c3.passed
+    assert checks.c1.witnesses == ("sample 0: cost did not strictly decrease (drop 0)",)
+    assert checks.c1.margin == pytest.approx(-1.5e-12, rel=1e-9)
+
+
+def test_monotone_path_passes_both():
+    checks = check_c1_c3(square_problem([START, [0.4, 0.25], [0.3, 0.0]]), [START])
+    assert checks.c3.passed and checks.c1.passed
+    assert checks.c3.witnesses == () and checks.c1.witnesses == ()
