@@ -128,10 +128,14 @@ def check_c1_c3(
             (-float(np.max(check.lyapunov_rises)),
              "Lyapunov value increases along the path"),
         ]
+        # the anchor tolerance counts only once it fails, so the margins of
+        # anchored paths stay those of the other conditions
+        anchor_margin = 1e-9 * check.anchor_scale - check.anchor_gap
+        if anchor_margin < 0:
+            c3_margins.insert(0, (
+                anchor_margin,
+                f"path starts {check.anchor_gap:.3g} away from the point"))
         point_witnesses = [f"sample {idx}: {w}" for m, w in c3_margins if m < 0]
-        if check.anchor_gap > 1e-9 * check.anchor_scale:
-            point_witnesses.insert(
-                0, f"sample {idx}: path starts {check.anchor_gap:.3g} away from the point")
         margin_c3 = min(margin_c3, *(m for m, _ in c3_margins))
         witnesses_c3.extend(point_witnesses)
         witnesses_c1.extend(point_witnesses)

@@ -1,4 +1,4 @@
-"""Desk-scale conic solver producing relaxation optima with first-order
+"""Sparse conic solver producing relaxation optima with first-order
 optimality certificates.
 
 The engine is operator splitting on the homogeneous self-dual embedding of
@@ -7,18 +7,23 @@ The engine is operator splitting on the homogeneous self-dual embedding of
 
 where K stacks a zero cone, a nonnegative orthant, rotated second-order
 cones ``{(a, b, u): 2ab >= |u|^2, a, b >= 0}`` and PSD cones in a scaled
-Hermitian vectorization.  Each iteration is one cached LU solve plus cone
-projections, with over-relaxation and Ruiz equilibration.  Infeasibility
-and unboundedness are reported through the embedding's certificates.
+Hermitian vectorization.  ``A`` is a sparse matrix throughout.  The linear
+step of every iteration reuses one sparse factorization of ``I + A'A``, the
+Schur complement of the embedding's KKT matrix, and the cone projections
+treat all rotated cones of one dimension in a single call; over-relaxation
+and Ruiz equilibration complete the method.  Infeasibility and unboundedness
+are reported through the embedding's certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Any
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from relaxcert.core import PreconditionError
 from relaxcert.distflow import (
@@ -48,38 +53,54 @@ class ConeSpec:
     rsoc_dims: tuple[int, ...] = ()
     psd_sides: tuple[int, ...] = ()
 
-    @property
+    @cached_property
     def total(self) -> int:
         return (self.n_zero + self.n_nonneg + sum(self.rsoc_dims)
                 + sum(s * s for s in self.psd_sides))
 
-    def row_groups(self) -> list[tuple[int, int]]:
-        """Row ranges that must share one equilibration scalar."""
-        groups = [(i, i + 1) for i in range(self.n_zero + self.n_nonneg)]
+    @cached_property
+    def group_starts(self) -> np.ndarray:
+        """First row of each block that shares one equilibration scalar:
+        every zero and nonneg row alone, then each cone."""
+        sizes = ([1] * (self.n_zero + self.n_nonneg) + list(self.rsoc_dims)
+                 + [s * s for s in self.psd_sides])
+        return np.cumsum([0] + sizes[:-1])
+
+    @cached_property
+    def rsoc_rows(self) -> tuple[np.ndarray, ...]:
+        """Rows of the rotated cones, one ``(count, dim)`` matrix per cone
+        dimension."""
+        starts: dict[int, list[int]] = {}
         at = self.n_zero + self.n_nonneg
         for d in self.rsoc_dims:
-            groups.append((at, at + d))
+            starts.setdefault(d, []).append(at)
             at += d
-        for s in self.psd_sides:
-            groups.append((at, at + s * s))
-            at += s * s
-        return groups
+        return tuple(np.add.outer(np.array(s), np.arange(d))
+                     for d, s in starts.items())
+
+
+@lru_cache(maxsize=64)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def hermitian_to_rvec(M: np.ndarray) -> np.ndarray:
     """Inner-product preserving real coordinates of a Hermitian matrix:
     diagonal, then sqrt(2) * (Re, Im) of the upper triangle."""
-    n = M.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _triu(M.shape[0])
+    upper = M[iu, ju]
     return np.concatenate([
         np.diag(M).real,
-        np.sqrt(2.0) * M[iu, ju].real,
-        np.sqrt(2.0) * M[iu, ju].imag,
+        np.sqrt(2.0) * upper.real,
+        np.sqrt(2.0) * upper.imag,
     ])
 
 
 def rvec_to_hermitian(vec: np.ndarray, n: int) -> np.ndarray:
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _triu(n)
     off = len(iu)
     M = np.zeros((n, n), dtype=complex)
     M[np.diag_indices(n)] = vec[:n]
@@ -89,34 +110,33 @@ def rvec_to_hermitian(vec: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def _project_soc(block: np.ndarray) -> np.ndarray:
-    t, z = block[0], block[1:]
-    zn = float(np.linalg.norm(z))
-    if zn <= t:
-        return block
-    if zn <= -t:
-        return np.zeros_like(block)
-    coef = 0.5 * (1.0 + t / zn)
-    out = np.empty_like(block)
-    out[0] = coef * zn
-    out[1:] = coef * z
-    return out
+@lru_cache(maxsize=16)
+def _rsoc_basis(d: int) -> np.ndarray:
+    """Symmetric orthogonal map between the rotated cone of width ``d`` and
+    the standard cone ``{(t, z): t >= |z|}``; it is its own inverse."""
+    R = np.eye(d)
+    R[:2, :2] = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+    R.setflags(write=False)
+    return R
 
 
-_SQRT_HALF = np.sqrt(0.5)
+_TINY = np.finfo(float).tiny
 
 
-def _project_rsoc(block: np.ndarray) -> np.ndarray:
-    # orthogonal change of basis to the standard cone and back
-    rot = block.copy()
-    a, b = block[0], block[1]
-    rot[0] = _SQRT_HALF * (a + b)
-    rot[1] = _SQRT_HALF * (a - b)
-    proj = _project_soc(rot)
-    out = proj.copy()
-    out[0] = _SQRT_HALF * (proj[0] + proj[1])
-    out[1] = _SQRT_HALF * (proj[0] - proj[1])
-    return out
+def _project_rsoc(blocks: np.ndarray) -> np.ndarray:
+    """Project each row of ``blocks`` onto the rotated cone of its width."""
+    R = _rsoc_basis(blocks.shape[1])
+    rot = blocks @ R
+    t = rot[:, 0]
+    zn = np.sqrt(np.einsum("ij,ij->i", rot[:, 1:], rot[:, 1:]))
+    # t / den is 1 inside the cone, -1 in its polar and t / zn in between;
+    # den > 0 also at the origin
+    den = np.maximum(np.maximum(zn, np.abs(t)), _TINY)
+    coef = 0.5 * (1.0 + t / den)
+    top = np.maximum(coef * zn, t)
+    rot *= coef[:, None]
+    rot[:, 0] = top
+    return rot @ R
 
 
 def _project_psd(block: np.ndarray, side: int) -> np.ndarray:
@@ -135,10 +155,9 @@ def _project_dual_cone(y: np.ndarray, cones: ConeSpec) -> np.ndarray:
     at = cones.n_zero
     end = at + cones.n_nonneg
     out[at:end] = np.maximum(out[at:end], 0.0)
-    at = end
-    for d in cones.rsoc_dims:
-        out[at:at + d] = _project_rsoc(out[at:at + d])
-        at += d
+    for rows in cones.rsoc_rows:
+        out[rows] = _project_rsoc(y[rows])
+    at = cones.total - sum(s * s for s in cones.psd_sides)
     for s in cones.psd_sides:
         out[at:at + s * s] = _project_psd(out[at:at + s * s], s)
         at += s * s
@@ -155,7 +174,7 @@ def _project_primal_cone(s: np.ndarray, cones: ConeSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConicProgram:
-    A: np.ndarray
+    A: scipy.sparse.csr_array
     b: np.ndarray
     c: np.ndarray
     cones: ConeSpec
@@ -186,23 +205,59 @@ def _equilibrate(prog: ConicProgram, iters: int = 15):
     """Ruiz scaling with uniform scalars inside each cone block."""
     A = prog.A.copy()
     m, n = A.shape
+    row_len = np.diff(A.indptr)
+    nz_rows = np.repeat(np.arange(m), row_len)
+    filled = row_len > 0
+    row_starts = A.indptr[:-1][filled]
+    starts = prog.cones.group_starts
+    sizes = np.diff(starts, append=m)
     d = np.ones(m)
     e = np.ones(n)
-    groups = prog.cones.row_groups()
     for _ in range(iters):
-        absA = np.abs(A)
+        absA = np.abs(A.data)
         row = np.zeros(m)
-        for lo, hi in groups:
-            row[lo:hi] = absA[lo:hi].max(initial=0.0)
-        col = absA.max(axis=0, initial=0.0)
+        row[filled] = np.maximum.reduceat(absA, row_starts)
+        row = np.repeat(np.maximum.reduceat(row, starts), sizes)
+        col = np.zeros(n)
+        np.maximum.at(col, A.indices, absA)
         row[row == 0] = 1.0
         col[col == 0] = 1.0
         rs = 1.0 / np.sqrt(row)
         cs = 1.0 / np.sqrt(col)
-        A = rs[:, None] * A * cs[None, :]
+        A.data = rs[nz_rows] * A.data * cs[A.indices]
         d *= rs
         e *= cs
     return A, d, e
+
+
+def _kkt_solver(A: scipy.sparse.csr_array, c: np.ndarray, b: np.ndarray):
+    """Solver of ``(I + Q) (z, tau) = (r_z, r_tau)`` for the embedding's skew
+    matrix ``Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]]``, ``z = (x, y)``.
+
+    With ``M = [[I, A'], [-A, I]]`` and ``h = (c, b)``, ``I + Q`` is
+    ``[[M, h], [-h', 1]]``.  ``M p = r_z`` reduces to the Schur complement
+    ``I + A'A``, factored once; then ``tau = (r_tau + h'p) / (1 + h'g)`` and
+    ``z = p - g tau`` with ``g = M^-1 h`` computed up front (the reduction of
+    O'Donoghue, Chu, Parikh and Boyd's SCS).
+    """
+    n = A.shape[1]
+    AT = A.T.tocsr()
+    schur = scipy.sparse.linalg.splu((scipy.sparse.eye_array(n) + AT @ A).tocsc())
+
+    def solve_M(r: np.ndarray) -> np.ndarray:
+        px = schur.solve(r[:n] - AT @ r[n:])
+        return np.concatenate([px, r[n:] + A @ px])
+
+    h = np.concatenate([c, b])
+    g = solve_M(h)
+    h_g = 1.0 + h @ g
+
+    def solve(r_z: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
+        p = solve_M(r_z)
+        tau = (r_tau + h @ p) / h_g
+        return p - g * tau, tau
+
+    return solve
 
 
 def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> RawSolution:
@@ -220,51 +275,40 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
     c_s = e * prog.c
     c_norm = 1.0 + np.linalg.norm(prog.c)
     inv_d = 1.0 / d
-    inv_e = 1.0 / e
 
-    N = n + m + 1
-    Q = np.zeros((N, N))
-    Q[:n, n:n + m] = A_s.T
-    Q[:n, -1] = c_s
-    Q[n:n + m, :n] = -A_s
-    Q[n:n + m, -1] = b_s
-    Q[-1, :n] = -c_s
-    Q[-1, n:n + m] = -b_s
-    lu = scipy.linalg.lu_factor(np.eye(N) + Q)
+    kkt = _kkt_solver(A_s, c_s, b_s)
 
-    u = np.zeros(N)
-    u[-1] = 1.0
-    v = np.zeros(N)
-    v[-1] = 1.0
-
-    def project_u(w: np.ndarray) -> np.ndarray:
-        out = w.copy()
-        out[n:n + m] = _project_dual_cone(w[n:n + m], prog.cones)
-        out[-1] = max(w[-1], 0.0)
-        return out
+    # u = (uz, ut) and v = (vz, vt): the tau and kappa entries stay scalars
+    uz = np.zeros(n + m)
+    vz = np.zeros(n + m)
+    ut = vt = 1.0
 
     best = None
     status = "max_iter"
     it = 0
     check_every = 25
     cert_tol = 1e-6
-    u_mark = u.copy()
+    u_mark = uz.copy()
     for it in range(1, max_iter + 1):
-        u_tilde = scipy.linalg.lu_solve(lu, u + v)
-        u_rel = alpha * u_tilde + (1.0 - alpha) * u
-        u_new = project_u(u_rel - v)
-        v = v - u_rel + u_new
-        u = u_new
+        z_t, tau_t = kkt(uz + vz, ut + vt)
+        rel_z = alpha * z_t + (1.0 - alpha) * uz
+        rel_t = alpha * tau_t + (1.0 - alpha) * ut
+        new_z = rel_z - vz
+        new_z[n:] = _project_dual_cone(new_z[n:], prog.cones)
+        new_t = max(rel_t - vt, 0.0)
+        vz = vz - rel_z + new_z
+        vt = vt - rel_t + new_t
+        uz, ut = new_z, new_t
 
         if it % check_every and it != max_iter:
             continue
 
-        tau = u[-1]
-        u_norm = np.linalg.norm(u[:n + m])
+        tau = ut
+        u_norm = np.linalg.norm(uz)
         if tau > 1e-8 * max(1.0, u_norm):
-            x = e * (u[:n] / tau)
-            y = d * (u[n:n + m] / tau)
-            s = inv_d * (v[n:n + m] / tau)
+            x = e * (uz[:n] / tau)
+            y = d * (uz[n:] / tau)
+            s = inv_d * (vz[n:] / tau)
             # absolute 2-norm: it bounds every row, as the absolute
             # membership checks need, and the drift of linear functionals of
             # s such as the trace of an SDP point read from its cone block
@@ -282,10 +326,10 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
 
         # certificates live in the displacement of the homogeneous iterate;
         # only trust them once tau has collapsed relative to the iterate
-        du = u - u_mark
-        u_mark = u.copy()
+        du = uz - u_mark
+        u_mark = uz.copy()
         if tau <= 1e-3 * max(1.0, u_norm):
-            dy = d * du[n:n + m]
+            dy = d * du[n:]
             by = float(prog.b @ dy)
             if by < -1e-12:
                 if np.linalg.norm(prog.A.T @ dy) <= cert_tol * (-by):
@@ -306,7 +350,7 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
                         dual_obj=np.nan)
 
     ray_note = ""
-    if u[-1] <= 1e-6 * max(1.0, np.linalg.norm(u[:n + m])):
+    if ut <= 1e-6 * max(1.0, np.linalg.norm(uz)):
         ray_note = ("homogeneous ray dominates the iterate; the instance is "
                     "likely infeasible or unbounded")
 
@@ -382,105 +426,80 @@ class _VarMap:
 def build_opf_program(net: RadialNetwork, cost: OpfCost) -> tuple[ConicProgram, _VarMap]:
     n, e = net.n_bus, net.n_line
     vm = _VarMap(net, cost)
-    rows_A: list[np.ndarray] = []
-    rows_b: list[float] = []
+    tail, head = net.tail_idx, net.head_idx
+    lines, buses = np.arange(e), np.arange(n)
+    z = net.z
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
+    m = 0
 
-    def new_row() -> np.ndarray:
-        return np.zeros(vm.total)
+    def block(n_rows: int, entries, b=0.0) -> None:
+        """Append ``n_rows`` rows with right-hand side ``b``; ``entries`` are
+        ``(row, col, value)`` triplets, rows counted from the block's first."""
+        nonlocal m
+        for r, c, v in entries:
+            r, c, v = np.broadcast_arrays(r, c, v)
+            rows.append(m + r.ravel())
+            cols.append(c.ravel())
+            vals.append(v.ravel())
+        rhs.append(np.broadcast_to(np.asarray(b, dtype=float), n_rows))
+        m += n_rows
 
-    # zero cone: voltage drop per line, then complex balance per bus
-    for k in range(e):
-        t_i, h_i = int(net.tail_idx[k]), int(net.head_idx[k])
-        z = net.z[k]
-        row = new_row()
-        row[vm.v + t_i] = 1.0
-        row[vm.v + h_i] = -1.0
-        row[vm.Sp + k] = -2.0 * z.real
-        row[vm.Sq + k] = -2.0 * z.imag
-        row[vm.ell + k] = abs(z) ** 2
-        rows_A.append(row)
-        rows_b.append(0.0)
-    for j in range(n):
-        row_p, row_q = new_row(), new_row()
-        row_p[vm.sp + j] = 1.0
-        row_q[vm.sq + j] = 1.0
-        for k in range(e):
-            z = net.z[k]
-            if int(net.tail_idx[k]) == j:
-                row_p[vm.Sp + k] -= 1.0
-                row_q[vm.Sq + k] -= 1.0
-            if int(net.head_idx[k]) == j:
-                row_p[vm.Sp + k] += 1.0
-                row_q[vm.Sq + k] += 1.0
-                row_p[vm.ell + k] -= z.real
-                row_q[vm.ell + k] -= z.imag
-        rows_A.extend([row_p, row_q])
-        rows_b.extend([0.0, 0.0])
-    n_zero = len(rows_A)
+    # zero cone: voltage drop per line, then complex balance per bus (rows
+    # 2j and 2j + 1), read off the tree incidence
+    block(e, [(lines, vm.v + tail, 1.0), (lines, vm.v + head, -1.0),
+              (lines, vm.Sp + lines, -2.0 * z.real),
+              (lines, vm.Sq + lines, -2.0 * z.imag),
+              (lines, vm.ell + lines, np.abs(z) ** 2)])
+    block(2 * n, [(2 * buses, vm.sp + buses, 1.0),
+                  (2 * buses + 1, vm.sq + buses, 1.0),
+                  (2 * tail, vm.Sp + lines, -1.0),
+                  (2 * tail + 1, vm.Sq + lines, -1.0),
+                  (2 * head, vm.Sp + lines, 1.0),
+                  (2 * head + 1, vm.Sq + lines, 1.0),
+                  (2 * head, vm.ell + lines, -z.real),
+                  (2 * head + 1, vm.ell + lines, -z.imag)])
+    n_zero = e + 2 * n
 
-    # nonneg: boxes (s = b - Ax >= 0)
-    def upper(col: int, bound: float) -> None:
-        row = new_row()
-        row[col] = 1.0
-        rows_A.append(row)
-        rows_b.append(bound)
-
-    def lower(col: int, bound: float) -> None:
-        row = new_row()
-        row[col] = -1.0
-        rows_A.append(row)
-        rows_b.append(-bound)
-
-    s_min = net.s_min
-    s_max = net.s_max
-    for j in range(n):
-        upper(vm.v + j, net.v_max[j])
-        lower(vm.v + j, net.v_min[j])
-        upper(vm.sp + j, s_max[j].real)
-        upper(vm.sq + j, s_max[j].imag)
-        # an unbounded injection is a free column; a large finite bound in
-        # its place would enter b and wreck the conditioning
-        if np.isfinite(s_min[j].real):
-            lower(vm.sp + j, s_min[j].real)
-        if np.isfinite(s_min[j].imag):
-            lower(vm.sq + j, s_min[j].imag)
-    for k in range(e):
-        upper(vm.ell + k, net.l_max[k])
-    n_nonneg = len(rows_A) - n_zero
+    # nonneg: boxes (s = b - Ax >= 0), per bus: v upper and lower, Re and Im
+    # s upper, then Re and Im s lower where finite.  An unbounded injection
+    # is a free column; a large finite bound in its place would enter b and
+    # wreck the conditioning.
+    s_min, s_max = net.s_min, net.s_max
+    box_col = np.stack([vm.v + buses, vm.v + buses, vm.sp + buses,
+                        vm.sq + buses, vm.sp + buses, vm.sq + buses], axis=1)
+    box_sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    box_b = np.stack([net.v_max, -net.v_min,
+                      s_max.real, s_max.imag, -s_min.real, -s_min.imag],
+                     axis=1)
+    keep = np.isfinite(box_b)
+    keep[:, :4] = True
+    n_box = int(keep.sum())
+    block(n_box, [(np.arange(n_box), box_col[keep],
+                   np.broadcast_to(box_sign, keep.shape)[keep])], box_b[keep])
+    block(e, [(lines, vm.ell + lines, 1.0)], net.l_max)
+    n_nonneg = n_box + e
 
     # rotated cones: |S|^2 <= v_tail * ell as (v, ell, sqrt2*ReS, sqrt2*ImS)
-    rsoc_dims: list[int] = []
-    for k in range(e):
-        t_i = int(net.tail_idx[k])
-        for col, coef in ((vm.v + t_i, 1.0), (vm.ell + k, 1.0),
-                          (vm.Sp + k, np.sqrt(2.0)), (vm.Sq + k, np.sqrt(2.0))):
-            row = new_row()
-            row[col] = -coef
-            rows_A.append(row)
-            rows_b.append(0.0)
-        rsoc_dims.append(4)
+    block(4 * e, [(4 * lines, vm.v + tail, -1.0),
+                  (4 * lines + 1, vm.ell + lines, -1.0),
+                  (4 * lines + 2, vm.Sp + lines, -np.sqrt(2.0)),
+                  (4 * lines + 3, vm.Sq + lines, -np.sqrt(2.0))])
+    rsoc_dims = [4] * e
 
     # quadratic cost epigraphs: 2 * t_j * (1/2) >= qp Re^2 + qq Im^2
     for idx, j in enumerate(vm.quad_bus):
-        row = new_row()
-        row[vm.t + idx] = -1.0
-        rows_A.append(row)
-        rows_b.append(0.0)
-        rows_A.append(new_row())
-        rows_b.append(0.5)
+        entries = [(0, vm.t + idx, -1.0)]
         dim = 2
-        if cost.qp[j] > 0:
-            row = new_row()
-            row[vm.sp + j] = -np.sqrt(2.0 * cost.qp[j])
-            rows_A.append(row)
-            rows_b.append(0.0)
-            dim += 1
-        if cost.qq[j] > 0:
-            row = new_row()
-            row[vm.sq + j] = -np.sqrt(2.0 * cost.qq[j])
-            rows_A.append(row)
-            rows_b.append(0.0)
-            dim += 1
+        for col, q in ((vm.sp + j, cost.qp[j]), (vm.sq + j, cost.qq[j])):
+            if q > 0:
+                entries.append((dim, col, -np.sqrt(2.0 * q)))
+                dim += 1
+        b_cone = np.zeros(dim)
+        b_cone[1] = 0.5
+        block(dim, entries, b_cone)
         rsoc_dims.append(dim)
 
     c = np.zeros(vm.total)
@@ -488,8 +507,12 @@ def build_opf_program(net: RadialNetwork, cost: OpfCost) -> tuple[ConicProgram, 
     c[vm.sq:vm.sq + n] = cost.cq
     c[vm.t:] = 1.0
 
+    A = scipy.sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, vm.total)).tocsr()
+    A.eliminate_zeros()
     prog = ConicProgram(
-        A=np.vstack(rows_A), b=np.array(rows_b), c=c,
+        A=A, b=np.concatenate(rhs), c=c,
         cones=ConeSpec(n_zero=n_zero, n_nonneg=n_nonneg,
                        rsoc_dims=tuple(rsoc_dims)))
     return prog, vm
@@ -545,11 +568,10 @@ def solve_opf_relaxation(net: RadialNetwork, cost: OpfCost,
 def build_lrsdp_program(inst: LrsdpInstance) -> ConicProgram:
     n = inst.n
     dim = n * n
-    rows_A = [hermitian_to_rvec(Ai) for Ai in inst.A]
-    rows_b = list(inst.b)
-    A_psd = -np.eye(dim)
-    A = np.vstack([np.vstack(rows_A), A_psd])
-    b = np.concatenate([np.array(rows_b), np.zeros(dim)])
+    rows_A = np.vstack([hermitian_to_rvec(Ai) for Ai in inst.A])
+    A = scipy.sparse.vstack([scipy.sparse.csr_array(rows_A),
+                             -scipy.sparse.eye_array(dim)], format="csr")
+    b = np.concatenate([np.asarray(inst.b, dtype=float), np.zeros(dim)])
     c = hermitian_to_rvec(inst.C)
     return ConicProgram(A=A, b=b, c=c,
                         cones=ConeSpec(n_zero=inst.m, psd_sides=(n,)))

@@ -1,12 +1,17 @@
 """End-to-end CLI tests against the shipped demo cases."""
 
+import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
+import pytest
 
+import relaxcert.cli as cli
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
+from relaxcert.distflow import load_case, residual_X, sample_relaxed_points
 from relaxcert.lrsdp import LrsdpInstance, instance_to_dict
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
@@ -107,6 +112,37 @@ class TestOpfCommand:
         path.write_text(json.dumps(data))
         assert main(["opf", str(path), "--out", str(tmp_path / "run"),
                      "--samples", "5"]) == 0
+
+    def test_infeasible_optimum_is_restored(self, tmp_path, monkeypatch):
+        # no shipped case ends at a relaxation optimum off the cone, so the
+        # solver hands back a relaxed point with strict slack on every line
+        net, cost = load_case(case("demo_3bus.json"))
+        slack = sample_relaxed_points(net, cost, 1, np.random.default_rng(0))[0]
+        assert residual_X(net, cost, slack) > 1e-8
+        solve = cli.solve_opf_relaxation
+        monkeypatch.setattr(cli, "solve_opf_relaxation", lambda *a, **k: (
+            dataclasses.replace(solve(*a, **k), point=slack)))
+
+        out = tmp_path / "run"
+        code = main(["opf", case("demo_3bus.json"), "--out", str(out),
+                     "--samples", "5"])
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert report["exactness"] == "unknown"
+        assert report["notes"] == [
+            "restoration strictly decreased the cost; the supplied point "
+            "cannot be relaxation-optimal",
+            "restoration trace drives the relaxation optimum feasible"]
+        with open(out / "restoration.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        first = dict(zip(header, map(float, rows[0])))
+        last = dict(zip(header, map(float, rows[-1])))
+        assert first["v0"] == pytest.approx(slack.v[0], abs=1e-15)
+        for ln in net.lines:
+            key = f"{ln.tail}_{ln.head}"
+            S = complex(last[f"S_{key}_re"], last[f"S_{key}_im"])
+            assert abs(S) ** 2 == pytest.approx(
+                last[f"v{ln.tail}"] * last[f"ell_{key}"], abs=1e-8)
 
     def test_reports_idempotent_modulo_timestamp(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,5 +1,7 @@
 """Tests for path traces, lengths, reparameterization and the m-norm."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from relaxcert.core import (
     count_affine_segments,
     norm_m,
     partition_length,
+    write_trace_csv,
 )
 
 
@@ -230,3 +233,30 @@ def test_as_complex_vector_rejects_inf():
         as_complex_vector([1.0, np.inf])
     with pytest.raises(ValueError):
         as_complex_vector([[1.0, 2.0]])
+
+
+def test_trace_csv_matches_the_csv_module(tmp_path):
+    pts = np.array([[-0.0, 1e-300 + 1e16j], [0.1, -2.5 - 1e-300j],
+                    [1e16, 1 / 3 + 0.0j]], dtype=complex)
+    trace = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, segments=2)
+
+    def coordinates(x):
+        return np.concatenate([x.real, x.imag], axis=-1)
+
+    def cost(x):
+        return x[..., 0].real
+
+    def lyapunov(x):
+        return -x[..., 1].imag
+
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace, ["a", "b", "c", "d"], coordinates, cost, lyapunov)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "f", "V", "a", "b", "c", "d"])
+        for t, x in zip(trace.params.tolist(), pts):
+            writer.writerow([t, cost(x).item(), lyapunov(x).item(),
+                             *coordinates(x).tolist()])
+    assert path.read_bytes() == reference.read_bytes()
+    assert b"-0.0," in path.read_bytes() and b"1e-300" in path.read_bytes()

@@ -2,11 +2,12 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gen import two_bus_case
+from gen import random_radial_network, random_spectraplex_instance, two_bus_case
 from relaxcert.certify import brute_force_oracle, eliminated_opf_grid
 from relaxcert.core import FEAS_TOL
 from relaxcert.distflow import (
@@ -20,9 +21,13 @@ from relaxcert.distflow import (
 )
 from relaxcert.lrsdp import LrsdpInstance
 from relaxcert.solver import (
+    _kkt_solver,
+    _project_rsoc,
+    build_lrsdp_program,
     build_opf_program,
     hermitian_to_rvec,
     rvec_to_hermitian,
+    solve_conic,
     solve_lrsdp_relaxation,
     solve_opf_relaxation,
 )
@@ -59,6 +64,77 @@ class TestHermitianVectorization:
                 np.trace(A @ B).real, abs=1e-10)
 
 
+def project_rsoc_reference(block):
+    """One rotated cone at a time: rotate to the standard cone, project,
+    rotate back."""
+    rot = block.copy()
+    rot[0] = np.sqrt(0.5) * (block[0] + block[1])
+    rot[1] = np.sqrt(0.5) * (block[0] - block[1])
+    t, z = rot[0], rot[1:]
+    zn = np.linalg.norm(z)
+    if zn <= t:
+        proj = rot
+    elif zn <= -t:
+        proj = np.zeros_like(rot)
+    else:
+        coef = 0.5 * (1.0 + t / zn)
+        proj = np.concatenate([[coef * zn], coef * z])
+    out = proj.copy()
+    out[0] = np.sqrt(0.5) * (proj[0] + proj[1])
+    out[1] = np.sqrt(0.5) * (proj[0] - proj[1])
+    return out
+
+
+class TestConicKernels:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_batched_rotated_cone_projection(self, dim):
+        rng = np.random.default_rng(dim)
+        blocks = rng.normal(size=(60, dim))
+        blocks[:20, :2] = rng.uniform(0.5, 1.5, size=(20, 2))
+        blocks[:20, 2:] = rng.uniform(-0.3, 0.3, size=(20, dim - 2))  # 2ab > |u|^2
+        blocks[20:40] = -blocks[:20]  # the polar cone
+        blocks[40] = 0.0
+        reference = np.array([project_rsoc_reference(b) for b in blocks])
+        np.testing.assert_allclose(_project_rsoc(blocks), reference,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(reference[20:41], 0.0)
+        np.testing.assert_allclose(reference[:20], blocks[:20], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["opf", "sdp"])
+    def test_kkt_step_solves_the_embedding_system(self, kind):
+        rng = np.random.default_rng(7)
+        if kind == "opf":
+            prog, _ = build_opf_program(*random_radial_network(rng, n_bus=6))
+        else:
+            prog = build_lrsdp_program(random_spectraplex_instance(rng, n=4))
+        A, b, c = prog.A.toarray(), prog.b, prog.c
+        m, n = A.shape
+        Q = np.zeros((n + m + 1, n + m + 1))
+        Q[:n, n:n + m] = A.T
+        Q[:n, -1] = c
+        Q[n:n + m, :n] = -A
+        Q[n:n + m, -1] = b
+        Q[-1, :n] = -c
+        Q[-1, n:n + m] = -b
+        r = rng.normal(size=n + m + 1)
+        z, tau = _kkt_solver(prog.A, c, b)(r[:-1], r[-1])
+        u = np.append(z, tau)
+        residual = u + Q @ u - r
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r)
+
+    def test_thousand_bus_feeder_fits_in_memory(self):
+        net, cost = random_radial_network(np.random.default_rng(0), n_bus=1000)
+        tracemalloc.start()
+        try:
+            prog, _ = build_opf_program(net, cost)
+            raw = solve_conic(prog, {"max_iter": 50})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.iterations == 50
+        assert peak < 200e6
+
+
 class TestOpfSolve:
     def test_two_bus_cone_tight_in_exactness_regime(self):
         rng = np.random.default_rng(1)
@@ -84,7 +160,7 @@ class TestOpfSolve:
         def box_rows(net, cost):
             prog, vm = build_opf_program(net, cost)
             c = prog.cones
-            return prog.A[c.n_zero:c.n_zero + c.n_nonneg], vm
+            return prog.A.toarray()[c.n_zero:c.n_zero + c.n_nonneg], vm
 
         box, vm = box_rows(*load_case(os.path.join(CASES, "demo_3bus.json")))
         assert np.all(box[:, vm.sp:vm.v] >= 0)  # upper-bound rows only

@@ -117,6 +117,13 @@ def test_each_path_condition_names_its_witness(knots, witness):
     assert checks.c3.witnesses == (witness,)
     assert checks.c1.witnesses == (witness,)
     assert not checks.c3.passed and not checks.c1.passed
+    assert checks.c3.margin < 0 and checks.c1.margin < 0
+
+
+def test_anchor_gap_sets_the_margin():
+    checks = check_c1_c3(square_problem([[0.5, 0.4], [0.4, 0.0]]), [START])
+    # the anchor tolerance 1e-9 * (1 + max|x|) minus the gap
+    assert checks.c3.margin == checks.c1.margin == 1e-9 * 1.5 - abs(0.4 - 0.5)
 
 
 def test_flat_cost_fails_only_the_strict_condition():
