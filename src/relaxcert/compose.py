@@ -75,12 +75,8 @@ def _points_between(p: CertifiedProblem, count: int, seed: int) -> np.ndarray:
 
 
 def _trace_gap(t1: PathTrace, t2: PathTrace, grid: int = 33) -> float:
-    ts = np.linspace(0.0, 1.0, grid)
-    gap = 0.0
-    for t in ts:
-        d = np.abs(t1.evaluate(t) - t2.evaluate(t))
-        gap = max(gap, float(max(d.max(initial=0.0), 0.0)))
-    return gap
+    return max(float(np.max(np.abs(t1.evaluate(t) - t2.evaluate(t)), initial=0.0))
+               for t in np.linspace(0.0, 1.0, grid))
 
 
 def _box_intersection(p1: CertifiedProblem, p2: CertifiedProblem):
@@ -273,8 +269,8 @@ def intersect_feasible(
                 f"(gap {joint_gap:.3g})")
         params = np.concatenate([0.5 * first.params, 0.5 + 0.5 * second.params[1:]])
         points = np.concatenate([first.points, second.points[1:]], axis=0)
-        return PathTrace(params=params, points=points,
-                         segments=first.segments + second.segments)
+        knots = np.concatenate([first.knots, len(first) - 1 + second.knots[1:]])
+        return PathTrace(params=params, points=points, knots=knots)
 
     return CertifiedProblem(
         handle=ProblemHandle(cost=_combined_cost(h1, h2, mode, lam),

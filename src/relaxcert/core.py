@@ -6,9 +6,10 @@ Conventions used throughout the package:
   purely real coordinates simply carry zero imaginary parts; a stack of
   points is an ``(..., d)`` array, and every :class:`ProblemHandle`
   callable maps it to an ``(...)`` array of values, one per point;
-* a path is represented by a finite sample grid (:class:`PathTrace`); every
-  path constructed by this package is piecewise linear, so sampling plus a
-  declared segment count is lossless;
+* a path is represented by a finite sample grid plus its knots, the sample
+  indices where its linear pieces meet (:class:`PathTrace`); every path
+  constructed by this package is piecewise linear with its breaks among the
+  samples, so samples and knots together are lossless;
 * feasibility is always expressed through nonnegative residuals, with
   ``residual <= FEAS_TOL`` meaning membership.
 """
@@ -16,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -52,6 +54,23 @@ def as_complex_vector(entries: Sequence[complex] | np.ndarray) -> np.ndarray:
     return vec
 
 
+def finite_number(value: object, field: str) -> float:
+    """An input field's value as a float; only finite non-boolean ints and
+    floats are numbers, so strings, booleans, NaN and infinities are
+    rejected with the field named."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def finite_numbers(values: object, field: str) -> list[float]:
+    """A list field of finite numbers, checked with :func:`finite_number`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field}: expected a list of numbers, got {values!r}")
+    return [finite_number(v, f"{field}[{i}]") for i, v in enumerate(values)]
+
+
 def norm_m(x: Sequence[complex] | np.ndarray) -> float:
     """Sum of absolute real and imaginary parts, sum_i |Re x_i| + |Im x_i|."""
     vec = as_complex_vector(x)
@@ -60,21 +79,24 @@ def norm_m(x: Sequence[complex] | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PathTrace:
-    """A sampled path ``t in [0,1] -> C^d``.
+    """A sampled piecewise-linear path ``t in [0,1] -> C^d``.
 
     ``params`` is strictly increasing with ``params[0] == 0`` and
     ``params[-1] == 1``; ``points[i]`` is the sample at ``params[i]``.
-    ``segments`` declares the number of linear pieces; ``0`` means the trace
-    is sampled only and makes no linearity claim.
+    ``knots`` are the sample indices where the linear pieces meet: strictly
+    increasing, from ``0`` to ``len - 1``.  Between consecutive knots the
+    path is claimed affine in ``t``; :func:`check_piecewise_linear_family`
+    verifies the claim against the samples.
     """
 
     params: np.ndarray
     points: np.ndarray
-    segments: int = 0
+    knots: np.ndarray
 
     def __post_init__(self) -> None:
         params = np.asarray(self.params, dtype=float)
         points = np.asarray(self.points, dtype=complex)
+        knots = np.asarray(self.knots)
         if params.ndim != 1 or points.ndim != 2:
             raise ValueError("params must be 1-D and points 2-D (sample, coord)")
         if len(params) != len(points):
@@ -90,10 +112,21 @@ class PathTrace:
             raise ValueError("params must start at 0 and end at 1")
         if np.any(np.diff(params) <= 0):
             raise ValueError("params must be strictly increasing")
-        if self.segments < 0:
-            raise ValueError("segments must be >= 0")
+        if (knots.ndim != 1 or len(knots) < 2
+                or not np.issubdtype(knots.dtype, np.integer)
+                or knots[0] != 0 or knots[-1] != len(params) - 1
+                or np.any(np.diff(knots) <= 0)):
+            raise ValueError(
+                "knots must be strictly increasing sample indices from 0 to "
+                f"{len(params) - 1}, got {knots.tolist()}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "knots", knots)
+
+    @property
+    def segments(self) -> int:
+        """Number of linear pieces."""
+        return len(self.knots) - 1
 
     @property
     def dim(self) -> int:
@@ -148,7 +181,8 @@ def arc_length_reparameterize(trace: PathTrace) -> PathTrace:
     The sample points (and therefore the image and total length) are
     unchanged; only the parameter grid moves.  Zero-length traces are
     returned as-is.  Consecutive duplicate points are collapsed, since they
-    would produce repeated parameters.
+    would produce repeated parameters; a knot on a collapsed sample moves to
+    the kept sample at the same point.
     """
     cum = cumulative_lengths(trace)
     total = cum[-1]
@@ -156,46 +190,12 @@ def arc_length_reparameterize(trace: PathTrace) -> PathTrace:
         return trace
     new_params = cum / total
     keep = np.concatenate(([True], np.diff(new_params) > 0))
-    keep[0] = True
     params = new_params[keep]
     points = trace.points[keep]
     # relabelling can only merge samples, never bend the polyline
     params[0], params[-1] = 0.0, 1.0
-    return PathTrace(params=params, points=points, segments=trace.segments)
-
-
-def count_affine_segments(trace: PathTrace, tol: float = 1e-9) -> tuple[int, float]:
-    """Greedy minimal cover of the samples by affine-in-t runs.
-
-    Returns ``(segment_count, worst_deviation)`` where the deviation is the
-    largest distance from an interior sample to the chord of its run,
-    measured entrywise over real and imaginary parts.  ``tol`` is scaled by
-    the magnitude of the data.
-    """
-    pts, ts = trace.points, trace.params
-    n = len(pts)
-    scale = max(1.0, float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
-    tol_abs = tol * scale
-    worst = 0.0
-    count = 0
-    i = 0
-    while i < n - 1:
-        j = i + 1
-        run_dev = 0.0
-        while j + 1 < n:
-            k = slice(i + 1, j + 1)
-            w = (ts[k] - ts[i]) / (ts[j + 1] - ts[i])
-            chord = pts[i] + w[:, None] * (pts[j + 1] - pts[i])
-            dev_arr = np.abs(chord - pts[k])
-            dev = float(max(np.max(dev_arr.real), np.max(dev_arr.imag))) if dev_arr.size else 0.0
-            if dev > tol_abs:
-                break
-            run_dev = max(run_dev, dev)
-            j += 1
-        worst = max(worst, run_dev)
-        count += 1
-        i = j
-    return count, worst
+    knots = np.unique((np.cumsum(keep) - 1)[trace.knots])
+    return PathTrace(params=params, points=points, knots=knots)
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,11 @@ def check_piecewise_linear_family(
 ) -> PwlFamilyReport:
     """Certify that a family of traces is uniformly piecewise linear.
 
-    Passes iff every trace declares ``1 <= segments <= max_segments``, its
-    samples are consistent with that declaration (greedy affine cover needs
-    no more runs), and all samples fit in one finite bounding box.  An empty
-    family passes vacuously.  Traces with ``segments == 0`` make no linearity
-    claim and fail the check.
+    Passes iff every trace declares at most ``max_segments`` segments, every
+    sample lies within ``tol`` (scaled by the magnitude of the trace's data)
+    of the chord of its declared segment, and all samples fit in one finite
+    bounding box.  One O(K d) pass per trace; an empty family passes
+    vacuously.
     """
     traces = list(traces)
     if not traces:
@@ -228,20 +228,29 @@ def check_piecewise_linear_family(
 
     worst = 0.0
     for idx, tr in enumerate(traces):
-        if tr.segments == 0:
-            return PwlFamilyReport(
-                False, None, 0.0,
-                f"trace {idx} declares no linear segments (sampled only)")
         if tr.segments > max_segments:
             return PwlFamilyReport(
                 False, None, 0.0,
                 f"trace {idx} declares {tr.segments} segments > {max_segments}")
-        count, dev = count_affine_segments(tr, tol=tol)
-        worst = max(worst, dev)
-        if count > tr.segments:
+        # every sample but the last (a knot) against the chord of its own
+        # segment, as the largest complex modulus over coordinates; the
+        # deviation at a knot is exactly 0
+        pts, ts, knots = tr.points, tr.params, tr.knots
+        seg = np.searchsorted(knots, np.arange(len(ts) - 1), side="right") - 1
+        lo, hi = knots[seg], knots[seg + 1]
+        w = (ts[:-1] - ts[lo]) / (ts[hi] - ts[lo])
+        dev = np.max(np.abs(pts[lo] + w[:, None] * (pts[hi] - pts[lo]) - pts[:-1]),
+                      axis=1)
+        i = int(np.argmax(dev))
+        tol_abs = tol * max(1.0, float(np.max(np.abs(pts.real))),
+                            float(np.max(np.abs(pts.imag))))
+        if dev[i] > tol_abs:
             return PwlFamilyReport(
-                False, None, dev,
-                f"trace {idx} needs {count} affine runs but declares {tr.segments}")
+                False, None, float(dev[i]),
+                f"trace {idx}, segment {seg[i]}: sample {i} lies {dev[i]:.3g} "
+                f"off the chord (tol {tol_abs:.3g}); the {tr.segments} declared "
+                "affine runs do not fit the samples")
+        worst = max(worst, float(dev[i]))
 
     stacked = np.concatenate([tr.points for tr in traces], axis=0)
     box = (stacked.min(axis=0), stacked.max(axis=0))

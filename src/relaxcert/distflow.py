@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from relaxcert.core import FEAS_TOL, PreconditionError
+from relaxcert.core import FEAS_TOL, PreconditionError, finite_number, finite_numbers
 
 
 @dataclass(frozen=True)
@@ -117,26 +117,29 @@ class RadialNetwork:
         ok, problem = tree_check(self)
         if not ok:
             raise PreconditionError(f"network is not a tree rooted at root: {problem}")
-        out_lines: dict[int, list[int]] = {i: [] for i in range(self.n_bus)}
-        for e, t in enumerate(self.tail_idx):
-            out_lines[int(t)].append(e)
-        order: list[int] = []
-        stack = [self.bus_index[self.root]]
-        while stack:
-            node = stack.pop()
-            for e in out_lines[node]:
-                order.append(e)
-                stack.append(int(self.head_idx[e]))
-        return order
+        return _lines_from_root(self)
+
+
+def _lines_from_root(net: RadialNetwork) -> list[int]:
+    """Depth-first order of the lines reachable from the root, each after
+    the line into its tail; needs in-degree one at every other bus."""
+    out_lines: dict[int, list[int]] = {i: [] for i in range(net.n_bus)}
+    for e, t in enumerate(net.tail_idx):
+        out_lines[int(t)].append(e)
+    order: list[int] = []
+    stack = [net.bus_index[net.root]]
+    while stack:
+        for e in out_lines[stack.pop()]:
+            order.append(e)
+            stack.append(int(net.head_idx[e]))
+    return order
 
 
 def tree_check(net: RadialNetwork) -> tuple[bool, str]:
     """Check the directed lines form a tree rooted at ``net.root``."""
     n = net.n_bus
     root = net.bus_index[net.root]
-    indeg = np.zeros(n, dtype=int)
-    for h in net.head_idx:
-        indeg[h] += 1
+    indeg = np.bincount(net.head_idx, minlength=n)
     if indeg[root] != 0:
         return False, f"root bus {net.root!r} has an incoming line"
     for i, b in enumerate(net.buses):
@@ -145,18 +148,7 @@ def tree_check(net: RadialNetwork) -> tuple[bool, str]:
     if net.n_line != n - 1:
         return False, f"{net.n_line} lines for {n} buses (expected {n - 1})"
     # in-degrees are right, so any unreachable bus implies a directed cycle
-    out_lines: dict[int, list[int]] = {i: [] for i in range(n)}
-    for e, t in enumerate(net.tail_idx):
-        out_lines[int(t)].append(e)
-    seen = {root}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for e in out_lines[node]:
-            h = int(net.head_idx[e])
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
+    seen = {root, *(int(net.head_idx[e]) for e in _lines_from_root(net))}
     if len(seen) != n:
         cyc = [b.id for i, b in enumerate(net.buses) if i not in seen]
         return False, f"buses {cyc} unreachable from root (cycle present)"
@@ -188,12 +180,9 @@ class OperatingPoint:
         for name, arr in (("s", s), ("v", v), ("ell", ell), ("S", S)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
         if np.any(v < -1e-9) or np.any(ell < -1e-9):
             raise ValueError("v and ell must be nonnegative")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "S", S)
 
     def _check_net(self, net: RadialNetwork) -> None:
         n_bus, n_line = self.s.shape[-1], self.S.shape[-1]
@@ -535,10 +524,10 @@ def _require(obj: dict, key: str, context: str) -> Any:
 
 
 def _complex_pair(value: Any, context: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{context}: expected [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(finite_number(value[0], f"{context}[0]"),
+                   finite_number(value[1], f"{context}[1]"))
 
 
 def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
@@ -548,8 +537,8 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
         s_min_raw = _require(raw, "s_min", ctx)
         buses.append(Bus(
             id=str(_require(raw, "id", ctx)),
-            v_min=float(_require(raw, "v_min", ctx)),
-            v_max=float(_require(raw, "v_max", ctx)),
+            v_min=finite_number(_require(raw, "v_min", ctx), f"{ctx}.v_min"),
+            v_max=finite_number(_require(raw, "v_max", ctx), f"{ctx}.v_max"),
             s_min=None if s_min_raw is None else _complex_pair(s_min_raw, f"{ctx}.s_min"),
             s_max=_complex_pair(_require(raw, "s_max", ctx), f"{ctx}.s_max"),
         ))
@@ -560,17 +549,14 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
             tail=str(_require(raw, "from", ctx)),
             head=str(_require(raw, "to", ctx)),
             z=_complex_pair(_require(raw, "z", ctx), f"{ctx}.z"),
-            l_max=float(_require(raw, "l_max", ctx)),
+            l_max=finite_number(_require(raw, "l_max", ctx), f"{ctx}.l_max"),
         ))
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
                         root=str(_require(data, "root", "case")))
     raw_cost = _require(data, "cost", "case")
-    cost = OpfCost(
-        cp=np.asarray(_require(raw_cost, "cp", "cost"), dtype=float),
-        cq=np.asarray(_require(raw_cost, "cq", "cost"), dtype=float),
-        qp=np.asarray(_require(raw_cost, "qp", "cost"), dtype=float),
-        qq=np.asarray(_require(raw_cost, "qq", "cost"), dtype=float),
-    )
+    cost = OpfCost(**{
+        key: np.asarray(finite_numbers(_require(raw_cost, key, "cost"), f"cost.{key}"))
+        for key in ("cp", "cq", "qp", "qq")})
     if len(cost.cp) != net.n_bus:
         raise ValueError(
             f"cost.cp: {len(cost.cp)} entries for {net.n_bus} buses")

@@ -20,6 +20,9 @@ from relaxcert.core import (
     PathTrace,
     PreconditionError,
     ProblemHandle,
+    finite_number,
+    finite_numbers,
+    write_trace_csv,
 )
 
 # An eigenvalue counts as nonzero above this times max(1, lambda_max).
@@ -350,9 +353,8 @@ def reduce_rank_path(
     f0 = inst.cost(start.X)
 
     if r0 <= inst.r:
-        ts = np.linspace(0.0, 1.0, 2)
-        pts = np.tile(start.X.reshape(-1), (2, 1))
-        trace = PathTrace(params=ts, points=pts, segments=1)
+        trace = PathTrace(params=[0.0, 1.0], points=np.tile(start.X.reshape(-1), (2, 1)),
+                          knots=[0, 1])
         return ReductionResult(trace=trace, final=start, stages=(),
                                dimension_condition=inst.dimension_condition)
 
@@ -410,7 +412,7 @@ def reduce_rank_path(
 
     trace = PathTrace(params=np.concatenate(all_params),
                       points=np.concatenate(all_points, axis=0),
-                      segments=n_stages)
+                      knots=np.arange(n_stages + 1) * (samples_per_stage - 1))
     if current.rank() > inst.r:
         raise CertificateViolationError(
             f"reduction finished at rank {current.rank()} > target {inst.r}")
@@ -493,11 +495,11 @@ def _matrix_from_pairs(raw, n: int, name: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"{name} row {i}: expected {n} entries")
         for j, entry in enumerate(row):
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
-                raise ValueError(
-                    f"{name} entry ({i},{j}): expected [re, im] pair, got {entry!r}")
-            M[i, j] = complex(entry[0], entry[1])
+            field = f"{name} entry ({i},{j})"
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"{field}: expected [re, im] pair, got {entry!r}")
+            M[i, j] = complex(finite_number(entry[0], f"{field}[0]"),
+                              finite_number(entry[1], f"{field}[1]"))
     return M
 
 
@@ -510,15 +512,15 @@ def instance_from_dict(data: dict) -> LrsdpInstance:
     for key in ("n", "m", "r", "C", "A", "b"):
         if key not in data:
             raise ValueError(f"instance: missing field {key!r}")
-    n, m = int(data["n"]), int(data["m"])
+    n, m, r = (int(finite_number(data[key], key)) for key in ("n", "m", "r"))
     C = _matrix_from_pairs(data["C"], n, "C")
     if not isinstance(data["A"], list) or len(data["A"]) != m:
         raise ValueError(f"A: expected {m} matrices")
     A = [_matrix_from_pairs(raw, n, f"A[{i}]") for i, raw in enumerate(data["A"])]
-    b = np.asarray(data["b"], dtype=float)
+    b = np.asarray(finite_numbers(data["b"], "b"))
     if len(b) != m:
         raise ValueError(f"b: expected {m} entries, got {len(b)}")
-    return LrsdpInstance(C=C, A=A, b=b, r=int(data["r"]))
+    return LrsdpInstance(C=C, A=A, b=b, r=r)
 
 
 def instance_to_dict(inst: LrsdpInstance) -> dict:
@@ -539,8 +541,6 @@ def load_instance(path: str) -> LrsdpInstance:
 
 def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace) -> None:
     """Trace CSV with flattened row-major matrix entries."""
-    from relaxcert.core import write_trace_csv
-
     n = inst.n
     labels = [f"X{i}{j}_{part}" for i in range(n) for j in range(n)
               for part in ("re", "im")]

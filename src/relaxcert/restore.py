@@ -155,7 +155,8 @@ def restoration_path(
 
     delta, in_M = edge_deltas(net, x)
     ts = np.linspace(0.0, 1.0, samples)
-    trace = PathTrace(params=ts, points=_path_points(net, x, delta, ts), segments=1)
+    trace = PathTrace(params=ts, points=_path_points(net, x, delta, ts),
+                      knots=[0, samples - 1])
 
     # relaxed membership is judged before the Lyapunov values are read, so
     # those need not reject cone violations themselves
@@ -193,7 +194,7 @@ def restoration_path(
 class CprimeMargin:
     """Sampled proportional-decrease margin along a restoration trace.
 
-    ``margin`` is the minimum over sampled parameter pairs of the cost drop
+    ``margin`` is the minimum over adjacent sample pairs of the cost drop
     divided by the m-norm displacement (``inf`` for constant paths);
     ``analytic`` is the instance constant the margin should dominate.
     """
@@ -212,27 +213,30 @@ def cprime_reference(net: RadialNetwork, cost: OpfCost) -> float:
 
 
 def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> CprimeMargin:
-    """Minimum cost-drop-per-m-norm-displacement over all sampled pairs.
+    """Minimum cost-drop-per-m-norm-displacement over adjacent sample pairs.
 
     A positive margin certifies the proportional-decrease condition on the
-    sampled trace; pairs with zero displacement are skipped.
+    sampled trace; pairs with zero displacement are skipped.  This is the
+    minimum over all pairs i < j.  On a straight segment displacements add,
+    ``|t_i - t_j| ||d||_m``, as do cost drops, and by the mediant inequality
+    a sum of drops over a sum of displacements is at least the smallest
+    adjacent ratio.  On any polyline the triangle inequality makes
+    displacements subadditive instead, so the minima agree whenever the
+    margin is positive and are both nonpositive otherwise: the verdict
+    ``margin > 0`` is the same for every trace.
     """
     analytic = cprime_reference(net, cost)
     pts = trace.points
-    K = len(pts)
     f_vals = cost.value(unpack_point(net, pts).s)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sum(np.abs(diff.real), axis=2) + np.sum(np.abs(diff.imag), axis=2)
-    drop = f_vals[:, None] - f_vals[None, :]
-
-    iu, ju = np.triu_indices(K, k=1)
-    d = dist[iu, ju]
-    mask = d > 0
+    step = np.diff(pts, axis=0)
+    dist = np.sum(np.abs(step.real), axis=1) + np.sum(np.abs(step.imag), axis=1)
+    drop = f_vals[:-1] - f_vals[1:]
+    mask = dist > 0
     if not np.any(mask):
         return CprimeMargin(margin=np.inf, analytic=analytic,
                             note="constant path: no line was slack")
-    margin = float(np.min(drop[iu, ju][mask] / d[mask]))
+    margin = float(np.min(drop[mask] / dist[mask]))
     return CprimeMargin(margin=margin, analytic=analytic)
 
 

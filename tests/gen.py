@@ -119,7 +119,7 @@ def box_residual(x):
 def shrinking_path(x, target, samples=11):
     ts = np.linspace(0.0, 1.0, samples)
     pts = np.array([(1 - t) * x + t * target for t in ts])
-    return PathTrace(params=ts, points=pts, segments=1)
+    return PathTrace(params=ts, points=pts, knots=[0, samples - 1])
 
 
 def threshold_primitive(cut, dim=1, label=""):

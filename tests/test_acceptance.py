@@ -254,7 +254,7 @@ def test_criterion_9_core_numerics():
     for _ in range(50):
         verts = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         ts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]])
-        tr = PathTrace(params=ts, points=verts, segments=5)
+        tr = PathTrace(params=ts, points=verts, knots=np.arange(6))
         once = arc_length_reparameterize(tr)
         twice = arc_length_reparameterize(once)
         assert np.max(np.abs(twice.params - once.params)) <= 1e-12
@@ -274,7 +274,7 @@ def test_criterion_9_core_numerics():
     # partition-length additivity at stored samples
     for _ in range(50):
         verts = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-        tr = PathTrace(params=np.linspace(0, 1, 7), points=verts, segments=6)
+        tr = PathTrace(params=np.linspace(0, 1, 7), points=verts, knots=np.arange(7))
         total = partition_length(tr)
         for mid in tr.params[1:-1]:
             split = (partition_length(tr, 0.0, mid)

@@ -105,7 +105,7 @@ class TestCheckC1C3:
 
         def constant_path(x):
             pts = np.tile(x, (5, 1))
-            return PathTrace(params=np.linspace(0, 1, 5), points=pts, segments=1)
+            return PathTrace(params=np.linspace(0, 1, 5), points=pts, knots=[0, 4])
 
         broken = CertifiedProblem(handle=good.handle, path_factory=constant_path,
                                   segment_bound=1, box=good.box, label="broken")

@@ -228,6 +228,40 @@ class TestLrsdpCommand:
         assert "relaxation infeasible" in capsys.readouterr().err
 
 
+MALFORMED_FIELDS = [
+    # (command, case file, key path into the JSON, field named on stderr)
+    ("opf", "demo_3bus.json", ("buses", 1, "v_min"), "buses[1].v_min"),
+    ("opf", "demo_3bus.json", ("lines", 0, "z", 0), "lines[0].z[0]"),
+    ("opf", "demo_3bus.json", ("cost", "cq", 2), "cost.cq[2]"),
+    ("opf", "demo_3bus.json", ("lines", 1, "l_max"), "lines[1].l_max"),
+    ("lrsdp", "demo_lrsdp.json", ("b", 0), "b[0]"),
+    ("lrsdp", "demo_lrsdp.json", ("C", 0, 1, 1), "C entry (0,1)[1]"),
+]
+
+
+@pytest.mark.parametrize("bad", ["0.9", True, float("nan"), float("inf")],
+                         ids=["string", "bool", "nan", "infinity"])
+@pytest.mark.parametrize("command, name, keys, field", MALFORMED_FIELDS,
+                         ids=[f for *_, f in MALFORMED_FIELDS])
+def test_malformed_number_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, command, name, keys, field, bad):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("malformed input reached the solver")
+
+    monkeypatch.setattr(cli, "solve_opf_relaxation", unreachable)
+    monkeypatch.setattr(cli, "solve_lrsdp_relaxation", unreachable)
+    data = read_json(case(name))
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{field}: expected a finite number" in capsys.readouterr().err
+
+
 def test_failed_condition_is_named_on_stderr(capsys):
     failed = ConditionResult("c2_proxy", False, -1.0, ("3 segments > bound 1",))
     report = CertificateReport(c1=None, c2_proxy=failed, c3=None, cprime=None,

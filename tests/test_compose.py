@@ -123,6 +123,18 @@ class TestIntersectFeasible:
         assert comp.lyapunov(trace.end) <= 1e-9
         assert trace.segments == 2
 
+    def test_concatenation_keeps_every_knot_point(self):
+        p1, p2 = block_primitive(0), block_primitive(1)
+        comp = intersect_feasible(p1, p2, split=([0], [1]))
+        x = np.array([0.6 + 0j, 0.8 + 0j])
+        trace = comp.path_factory(x)
+        first = p1.path_factory(x)
+        second = p2.path_factory(first.end)
+        assert trace.knots.tolist() == [0, 10, 20]
+        np.testing.assert_array_equal(
+            trace.points[trace.knots],
+            np.concatenate([first.points[first.knots], second.points[second.knots][1:]]))
+
     def test_sum_lyapunov_additivity(self):
         p1, p2 = block_primitive(0), block_primitive(1)
         comp = intersect_feasible(p1, p2, split=([0], [1]))

@@ -12,48 +12,80 @@ from relaxcert.core import (
     arc_length_reparameterize,
     as_complex_vector,
     check_piecewise_linear_family,
-    count_affine_segments,
     norm_m,
     partition_length,
     write_trace_csv,
 )
 
 
-def line_trace(a, b, params, segments=1):
+def line_trace(a, b, params):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     ts = np.asarray(params, dtype=float)
     pts = np.array([(1 - t) * a + t * b for t in ts])
-    return PathTrace(params=ts, points=pts, segments=segments)
+    return PathTrace(params=ts, points=pts, knots=[0, len(ts) - 1])
 
 
-def polyline_trace(vertices, params_per_vertex=None, segments=None):
-    """Piecewise-linear trace through vertices at uniform parameter spacing."""
+def polyline_trace(vertices, params_per_vertex=None, knots=None):
+    """Piecewise-linear trace through vertices at uniform parameter spacing,
+    with a knot at every vertex unless ``knots`` says otherwise."""
     verts = np.asarray(vertices, dtype=complex)
     n = len(verts)
     ts = np.linspace(0.0, 1.0, n) if params_per_vertex is None else np.asarray(params_per_vertex)
-    segs = n - 1 if segments is None else segments
-    return PathTrace(params=ts, points=verts, segments=segs)
+    return PathTrace(params=ts, points=verts,
+                     knots=np.arange(n) if knots is None else knots)
+
+
+def dense_polyline(vertices, per_piece=21):
+    """Polyline through ``vertices`` with ``per_piece`` samples per piece and
+    a knot at every vertex."""
+    verts = np.asarray(vertices, dtype=complex)
+    base = np.linspace(0, 1, len(verts))
+    params, points = [0.0], [verts[0]]
+    for i in range(len(verts) - 1):
+        for t in np.linspace(base[i], base[i + 1], per_piece)[1:]:
+            w = (t - base[i]) / (base[i + 1] - base[i])
+            params.append(t)
+            points.append((1 - w) * verts[i] + w * verts[i + 1])
+    knots = np.arange(len(verts)) * (per_piece - 1)
+    return PathTrace(params=np.array(params), points=np.array(points), knots=knots)
 
 
 class TestPathTraceValidation:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
-            PathTrace(params=np.array([0.0]), points=np.zeros((1, 2)))
+            PathTrace(params=np.array([0.0]), points=np.zeros((1, 2)), knots=[0, 0])
 
     def test_rejects_bad_endpoints(self):
         with pytest.raises(ValueError):
-            PathTrace(params=np.array([0.0, 0.5]), points=np.zeros((2, 2)))
+            PathTrace(params=np.array([0.0, 0.5]), points=np.zeros((2, 2)), knots=[0, 1])
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
-            PathTrace(params=np.array([0.0, 0.7, 0.7, 1.0]), points=np.zeros((4, 1)))
+            PathTrace(params=np.array([0.0, 0.7, 0.7, 1.0]), points=np.zeros((4, 1)),
+                      knots=[0, 3])
 
     def test_rejects_nan(self):
         pts = np.zeros((2, 1), dtype=complex)
         pts[1, 0] = np.nan
         with pytest.raises(ValueError):
-            PathTrace(params=np.array([0.0, 1.0]), points=pts)
+            PathTrace(params=np.array([0.0, 1.0]), points=pts, knots=[0, 1])
+
+    @pytest.mark.parametrize("knots", [
+        [1, 4], [0, 3], [0, 2, 2, 4], [0, 3, 2, 4], [0, 2, 5], [-1, 0, 4], [0],
+        [0.0, 4.0],
+    ], ids=["skips-first", "skips-last", "repeats", "out-of-order",
+            "past-the-end", "before-the-start", "one-knot", "not-indices"])
+    def test_rejects_bad_knots(self, knots):
+        with pytest.raises(ValueError, match="knots"):
+            PathTrace(params=np.linspace(0, 1, 5), points=np.zeros((5, 1)),
+                      knots=knots)
+
+    def test_segments_counts_pieces(self):
+        tr = PathTrace(params=np.linspace(0, 1, 5), points=np.zeros((5, 1)),
+                       knots=[0, 1, 4])
+        assert tr.segments == 2
+        assert tr.knots.tolist() == [0, 1, 4]
 
 
 class TestPartitionLength:
@@ -62,7 +94,7 @@ class TestPartitionLength:
         assert partition_length(tr) == pytest.approx(5.0, abs=1e-12)
 
     def test_constant_path_zero_length(self):
-        tr = polyline_trace([[1 + 1j], [1 + 1j], [1 + 1j]], segments=1)
+        tr = polyline_trace([[1 + 1j], [1 + 1j], [1 + 1j]], knots=[0, 2])
         assert partition_length(tr) == 0.0
 
     def test_two_unit_segments(self):
@@ -101,7 +133,7 @@ class TestArcLengthReparameterize:
         np.testing.assert_allclose(rep.evaluate(0.5), [1, 0], atol=1e-12)
 
     def test_constant_path_unchanged(self):
-        tr = polyline_trace([[2 + 1j], [2 + 1j]], segments=1)
+        tr = polyline_trace([[2 + 1j], [2 + 1j]])
         rep = arc_length_reparameterize(tr)
         assert rep is tr
 
@@ -123,6 +155,21 @@ class TestArcLengthReparameterize:
             twice = arc_length_reparameterize(once)
             np.testing.assert_allclose(twice.params, once.params, atol=1e-12)
             np.testing.assert_allclose(twice.points, once.points, atol=1e-12)
+
+    def test_keeps_every_knot_point(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            tr = dense_polyline(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+            rep = arc_length_reparameterize(tr)
+            assert rep.segments == 3
+            np.testing.assert_array_equal(rep.points[rep.knots], tr.points[tr.knots])
+
+    def test_collapsed_piece_drops_its_knot(self):
+        # the middle piece stands still, so its samples merge into one
+        tr = polyline_trace([[0], [1], [1], [3]], params_per_vertex=[0.0, 0.25, 0.5, 1.0])
+        rep = arc_length_reparameterize(tr)
+        assert rep.knots.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(rep.points[:, 0], [0, 1, 3])
 
     def test_length_preserved(self):
         rng = np.random.default_rng(13)
@@ -174,7 +221,7 @@ class TestPiecewiseLinearFamily:
     def test_curved_trace_fails_with_witness(self):
         ts = np.linspace(0, 1, 21)
         pts = np.stack([ts, ts**2], axis=1).astype(complex)
-        tr = PathTrace(params=ts, points=pts, segments=1)
+        tr = PathTrace(params=ts, points=pts, knots=[0, 20])
         rep = check_piecewise_linear_family([tr], max_segments=1)
         assert not rep.passed
         assert "affine runs" in rep.note
@@ -183,11 +230,6 @@ class TestPiecewiseLinearFamily:
         rep = check_piecewise_linear_family([], max_segments=3)
         assert rep.passed
         assert "vacuous" in rep.note
-
-    def test_sampled_only_trace_rejected(self):
-        tr = line_trace([0], [1], [0.0, 1.0], segments=0)
-        rep = check_piecewise_linear_family([tr], max_segments=2)
-        assert not rep.passed
 
     def test_segment_budget_enforced(self):
         tr = polyline_trace([[0, 0], [1, 0], [1, 1]])
@@ -209,23 +251,23 @@ class TestPiecewiseLinearFamily:
         np.testing.assert_allclose(hi.real, [1, 3])
 
 
-class TestAffineSegmentCount:
-    def test_counts_polyline_pieces(self):
+class TestDeclaredKnots:
+    def test_dense_polyline_passes_with_its_knots(self):
         rng = np.random.default_rng(5)
-        verts = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        dense_params = []
-        dense_points = []
-        base = np.linspace(0, 1, 4)
-        for i in range(3):
-            local = np.linspace(base[i], base[i + 1], 21)[: None if i == 2 else -1]
-            for t in local:
-                w = (t - base[i]) / (base[i + 1] - base[i])
-                dense_params.append(t)
-                dense_points.append((1 - w) * verts[i] + w * verts[i + 1])
-        tr = PathTrace(params=np.array(dense_params), points=np.array(dense_points), segments=3)
-        count, dev = count_affine_segments(tr)
-        assert count == 3
-        assert dev <= 1e-12
+        tr = dense_polyline(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        assert tr.knots.tolist() == [0, 20, 40, 60]
+        rep = check_piecewise_linear_family([tr], max_segments=3)
+        assert rep.passed
+        assert rep.worst_deviation <= 1e-12
+
+    def test_two_bent_pieces_declared_as_one_fail(self):
+        rng = np.random.default_rng(5)
+        tr = dense_polyline(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        merged = PathTrace(params=tr.params, points=tr.points, knots=[0, 20, 60])
+        rep = check_piecewise_linear_family([merged], max_segments=3)
+        assert not rep.passed
+        assert rep.note.startswith("trace 0, segment 1: sample ")
+        assert rep.worst_deviation > 1e-3
 
 
 def test_as_complex_vector_rejects_inf():
@@ -238,7 +280,7 @@ def test_as_complex_vector_rejects_inf():
 def test_trace_csv_matches_the_csv_module(tmp_path):
     pts = np.array([[-0.0, 1e-300 + 1e16j], [0.1, -2.5 - 1e-300j],
                     [1e16, 1 / 3 + 0.0j]], dtype=complex)
-    trace = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, segments=2)
+    trace = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, knots=[0, 1, 2])
 
     def coordinates(x):
         return np.concatenate([x.real, x.imag], axis=-1)

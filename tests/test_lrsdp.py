@@ -165,6 +165,18 @@ class TestReduceRankPath:
         assert result.stages == ()
         np.testing.assert_allclose(result.final.X, u @ u.T, atol=1e-12)
         assert np.max(np.abs(result.trace.points[0] - result.trace.points[-1])) == 0
+        assert result.trace.knots.tolist() == [0, 1]
+
+    def test_knots_at_stage_boundaries(self):
+        rng = np.random.default_rng(9)
+        inst = random_spectraplex_instance(rng, n=4, degenerate=True)
+        result = reduce_rank_path(inst, random_feasible_psd(rng, 4), samples_per_stage=11)
+        n_stages = len(result.stages)
+        assert n_stages == 3
+        trace = result.trace
+        assert trace.knots.tolist() == [0, 10, 20, 30]
+        np.testing.assert_allclose(trace.params[trace.knots],
+                                   np.arange(n_stages + 1) / n_stages, atol=1e-15)
 
     def test_two_by_two_demo(self):
         inst = tiny_instance()  # C = diag(1, 2), spectraplex

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gen import random_radial_network
-from relaxcert.core import PreconditionError
+from relaxcert.core import PathTrace, PreconditionError
 from relaxcert.distflow import (
     Bus,
     Line,
@@ -221,8 +221,7 @@ class TestCprimeMargin:
         x = forward_point(net, 1.0, [0.4 + 0.2j])
         pts = np.tile(np.concatenate([x.s, x.v.astype(complex),
                                       x.ell.astype(complex), x.S]), (3, 1))
-        from relaxcert.core import PathTrace
-        tr = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, segments=1)
+        tr = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, knots=[0, 2])
         res = cprime_margin(net, cost, tr)
         assert res.margin == np.inf
         assert "constant" in res.note
@@ -237,6 +236,68 @@ class TestCprimeMargin:
             trace = restoration_path(net, cost, x)
             res = cprime_margin(net, cost, trace)
             assert res.margin >= 0.5 * res.analytic
+
+
+def all_pairs_cprime(net, cost, trace):
+    """Reference c' margin: the minimum of cost drop over m-norm
+    displacement over every sample pair i < j, skipping zero displacements."""
+    pts = trace.points
+    f_vals = cost.value(unpack_point(net, pts).s)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sum(np.abs(diff.real), axis=2) + np.sum(np.abs(diff.imag), axis=2)
+    drop = f_vals[:, None] - f_vals[None, :]
+    iu, ju = np.triu_indices(len(pts), k=1)
+    d = dist[iu, ju]
+    mask = d > 0
+    return float(np.min(drop[iu, ju][mask] / d[mask])) if np.any(mask) else np.inf
+
+
+class TestCprimeAgainstAllPairs:
+    def test_random_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            net, cost = random_radial_network(rng, n_bus=int(rng.integers(3, 7)))
+            S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
+            x = forward_point(net, 1.0, S,
+                              extra_ell=rng.uniform(0.05, 0.4, net.n_line))
+            trace = restoration_path(net, cost, x)
+            margin = cprime_margin(net, cost, trace).margin
+            assert margin == pytest.approx(all_pairs_cprime(net, cost, trace),
+                                           rel=1e-12, abs=0)
+
+    def test_quadratic_cost(self):
+        rng = np.random.default_rng(3)
+        net, cost = random_radial_network(rng, n_bus=5, finite_s_box=True)
+        # steep enough to stay increasing down to the finite lower boxes
+        quad = OpfCost(cp=cost.cp + 2.0, cq=cost.cq + 1.0,
+                       qp=np.full(net.n_bus, 0.15), qq=np.full(net.n_bus, 0.08))
+        S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
+        x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.4, net.n_line))
+        trace = restoration_path(net, quad, x)
+        margin = cprime_margin(net, quad, trace).margin
+        assert margin == pytest.approx(all_pairs_cprime(net, quad, trace),
+                                       rel=1e-12, abs=0)
+
+    def test_two_segment_trace(self):
+        net = line_net(z=0.02 + 0.02j)
+        cost = linear_cost(2)
+        x = forward_point(net, 1.0, [0.5 + 0.2j], extra_ell=[0.3])
+        start = np.concatenate([x.s, x.v.astype(complex), x.ell.astype(complex), x.S])
+        # one step that buys a small cost drop with a long move of S, then a
+        # straight piece that lowers Re s_1 alone
+        bend = start.copy()
+        bend[0] -= 0.1
+        bend[-1] += 0.3
+        end = bend.copy()
+        end[1] -= 0.5
+        tail = bend + np.linspace(0.0, 1.0, 21)[1:, None] * (end - bend)
+        trace = PathTrace(params=np.linspace(0.0, 1.0, 22),
+                          points=np.concatenate([[start, bend], tail]),
+                          knots=[0, 1, 21])
+        margin = cprime_margin(net, cost, trace).margin
+        assert margin == pytest.approx(0.25, rel=1e-12)
+        assert margin == pytest.approx(all_pairs_cprime(net, cost, trace),
+                                       rel=1e-12, abs=0)
 
 
 def test_trace_csv_export(tmp_path):

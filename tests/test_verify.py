@@ -90,7 +90,7 @@ def square_problem(knots):
     def path(x):
         pts = np.array(knots, dtype=complex)
         return PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
-                         segments=len(pts) - 1)
+                         knots=np.arange(len(pts)))
 
     handle = ProblemHandle(
         cost=lambda x: x[..., 0].real,
