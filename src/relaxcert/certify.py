@@ -83,10 +83,11 @@ def check_c1_c3(
     """Verify the monotone-path conditions on each sampled relaxed point.
 
     Every point must lie in the relaxed set but outside the feasible one.
-    For each, the factory path is checked for anchoring, relaxed membership
-    of all samples, non-increasing cost and Lyapunov value, and a feasible
-    endpoint; the strict variant additionally needs an end-to-end cost drop.
-    Path factory exceptions propagate with the point as witness.
+    For each, the factory builds a path and :func:`~relaxcert.core.verify_path`
+    evaluates it once; :meth:`~relaxcert.core.PathCheck.conditions` judges
+    it, its non-strict conditions for c3 and all of them, the end-to-end
+    cost drop included, for c1.  A failed condition becomes a witness; a
+    factory exception is raised as a violation naming the point.
     """
     if len(sample_points) == 0:
         note = "no sample points: vacuously true"
@@ -95,10 +96,8 @@ def check_c1_c3(
         return PathConditionChecks(c1=c1, c3=c3, traces=())
 
     handle = problem.handle
-    witnesses_c3: list[str] = []
-    witnesses_c1: list[str] = []
-    margin_c3 = np.inf
-    margin_c1 = np.inf
+    margins = {"c1": np.inf, "c3": np.inf}
+    witnesses: dict[str, list[str]] = {"c1": [], "c3": []}
     traces: list[PathTrace] = []
 
     points = np.asarray(sample_points, dtype=complex)
@@ -116,41 +115,13 @@ def check_c1_c3(
             raise CertificateViolationError(
                 f"path factory failed on sample {idx}: {exc}") from exc
         traces.append(trace)
-        check = verify_path(handle, x, trace)
+        *c3_pairs, strict = verify_path(handle, x, trace).conditions(tol)
+        for name, pairs in (("c3", c3_pairs), ("c1", [*c3_pairs, strict])):
+            margins[name] = min(margins[name], *(m for m, _ in pairs))
+            witnesses[name] += [f"sample {idx}: {w}" for m, w in pairs if m < 0]
 
-        worst_rr, end_rf = float(np.max(check.relaxed)), check.end_residual
-        # (margin, witness): a negative margin fails both conditions
-        c3_margins = [
-            (tol - worst_rr,
-             f"a path sample leaves the relaxed set (residual {worst_rr:.3g})"),
-            (tol - end_rf, f"endpoint infeasible (residual {end_rf:.3g})"),
-            (-float(np.max(check.cost_rises)), "cost increases along the path"),
-            (-float(np.max(check.lyapunov_rises)),
-             "Lyapunov value increases along the path"),
-        ]
-        # the anchor tolerance counts only once it fails, so the margins of
-        # anchored paths stay those of the other conditions
-        anchor_margin = 1e-9 * check.anchor_scale - check.anchor_gap
-        if anchor_margin < 0:
-            c3_margins.insert(0, (
-                anchor_margin,
-                f"path starts {check.anchor_gap:.3g} away from the point"))
-        point_witnesses = [f"sample {idx}: {w}" for m, w in c3_margins if m < 0]
-        margin_c3 = min(margin_c3, *(m for m, _ in c3_margins))
-        witnesses_c3.extend(point_witnesses)
-        witnesses_c1.extend(point_witnesses)
-
-        margin_c1 = min(margin_c1, check.cost_drop)
-        if check.cost_drop < 0:
-            f_vals = check.costs
-            witnesses_c1.append(
-                f"sample {idx}: cost did not strictly decrease "
-                f"(drop {f_vals[0] - f_vals[-1]:.3g})")
-
-    c3 = ConditionResult("c3", not witnesses_c3, float(margin_c3),
-                         tuple(witnesses_c3))
-    c1 = ConditionResult("c1", not witnesses_c1, float(min(margin_c1, margin_c3)),
-                         tuple(witnesses_c1))
+    c1, c3 = (ConditionResult(name, not witnesses[name], float(margins[name]),
+                              tuple(witnesses[name])) for name in ("c1", "c3"))
     return PathConditionChecks(c1=c1, c3=c3, traces=tuple(traces))
 
 
@@ -190,7 +161,7 @@ def check_exactness(
     also confirms weak exactness; a strictly decreasing restoration refutes
     the claimed optimality instead.  ``path`` is the optimum's restoration
     path when the caller has built it already; otherwise the problem's
-    factory builds it.
+    factory builds it.  Only its end costs are read: the caller verifies it.
     """
     if optimality_residual > tol:
         raise PreconditionError(

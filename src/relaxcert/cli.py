@@ -34,7 +34,12 @@ from relaxcert.certify import (
     eliminated_opf_grid,
     psd_slice_grid_problem,
 )
-from relaxcert.core import FEAS_TOL, CertificateViolationError, PreconditionError
+from relaxcert.core import (
+    FEAS_TOL,
+    CertificateViolationError,
+    PreconditionError,
+    verify_path,
+)
 from relaxcert.distflow import (
     case_from_dict,
     pack_point,
@@ -165,12 +170,17 @@ def cmd_opf(args: argparse.Namespace) -> int:
     _write_json(os.path.join(out, "solve.json"), _stamp(solve_data))
 
     problem = opf_certified_problem(net, cost)
+    optimum = pack_point(res.point)
     optimum_path = None
     if residual_X(net, cost, res.point) > args.tol:
         optimum_path = restoration_path(net, cost, res.point, tol=args.tol)
-    verdict = check_exactness(problem, pack_point(res.point),
-                              res.optimality_residual, tol=args.tol,
-                              path=optimum_path)
+        check = verify_path(problem.handle, optimum, optimum_path)
+        faults = [w for m, w in check.conditions(args.tol) if m < 0]
+        if faults:
+            raise CertificateViolationError(
+                f"restoring the relaxation optimum: {faults[0]}")
+    verdict = check_exactness(problem, optimum, res.optimality_residual,
+                              tol=args.tol, path=optimum_path)
 
     rng = np.random.default_rng(args.seed)
     samples = [pack_point(x) for x in

@@ -11,7 +11,10 @@ Conventions used throughout the package:
   constructed by this package is piecewise linear with its breaks among the
   samples, so samples and knots together are lossless;
 * feasibility is always expressed through nonnegative residuals, with
-  ``residual <= FEAS_TOL`` meaning membership.
+  ``residual <= FEAS_TOL`` meaning membership;
+* a sampled path is evaluated once by :func:`verify_path` and judged once
+  by :meth:`PathCheck.conditions`; path constructors check only their
+  inputs (rank reduction keeps its own per-stage checks).
 """
 
 from __future__ import annotations
@@ -279,9 +282,9 @@ class ProblemHandle:
 @dataclass(frozen=True)
 class PathCheck:
     """What the monotone-path conditions are judged on, for one trace from
-    one point.  Arrays hold one value per sample, or per step for rises:
-    increases beyond ``MONOTONE_SLACK``, so a positive rise is a violation.
-    ``cost_drop`` is the end-to-end decrease beyond that slack."""
+    one point: the start's gap from the point with its scale, the relaxed
+    residual, cost and Lyapunov value of every sample, and the endpoint's
+    feasible residual."""
 
     anchor_gap: float
     anchor_scale: float
@@ -289,25 +292,55 @@ class PathCheck:
     end_residual: float
     costs: np.ndarray
     lyapunov: np.ndarray
-    cost_rises: np.ndarray
-    lyapunov_rises: np.ndarray
-    cost_drop: float
+
+    def conditions(self, tol: float = FEAS_TOL) -> list[tuple[float, str]]:
+        """The conditions as ``(margin, witness)`` pairs, a negative margin
+        being a fault: the non-strict ones, then the strict end-to-end cost
+        drop.  Rises and drops count beyond ``MONOTONE_SLACK``.  The anchor
+        gap, an endpoint Lyapunov value above ``tol`` and a Lyapunov value
+        that does not strictly decrease count only when they fail, the last
+        two as endpoint and Lyapunov faults, so a passing path keeps the
+        margins of the other conditions."""
+        f, v, end = self.costs, self.lyapunov, self.end_residual
+        worst = float(np.max(self.relaxed))
+        f_slack, v_slack = (MONOTONE_SLACK * (1.0 + np.abs(a)) for a in (f, v))
+        anchor = 1e-9 * self.anchor_scale - self.anchor_gap
+        pairs = [] if anchor >= 0 else [
+            (anchor, f"path starts {self.anchor_gap:.3g} away from the point")]
+        return pairs + [
+            (tol - worst, f"a path sample leaves the relaxed set (residual {worst:.3g})"),
+            _when_failing((tol - end, f"endpoint infeasible (residual {end:.3g})"),
+                          (tol - float(v[-1]),
+                           f"endpoint infeasible (Lyapunov value {v[-1]:.3g})")),
+            (-float(np.max(np.diff(f) - f_slack[:-1])), "cost increases along the path"),
+            _when_failing((-float(np.max(np.diff(v) - v_slack[:-1])),
+                           "Lyapunov value increases along the path"),
+                          (float(v[0] - v[-1] - v_slack[0]),
+                           "Lyapunov value did not strictly decrease end to end")),
+            (float(f[0] - f[-1] - f_slack[0]),
+             f"cost did not strictly decrease (drop {f[0] - f[-1]:.3g})"),
+        ]
+
+
+def _when_failing(listed: tuple[float, str],
+                  extra: tuple[float, str]) -> tuple[float, str]:
+    """``listed``, with ``extra`` folded in if that fails: the lower margin,
+    and ``extra``'s witness if ``listed`` passes."""
+    if extra[0] >= 0:
+        return listed
+    return min(listed[0], extra[0]), listed[1] if listed[0] < 0 else extra[1]
 
 
 def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathCheck:
     """Evaluate a sampled path from ``x`` with one handle call per quantity."""
     if handle.lyapunov is None:
         raise ValueError("the problem carries no Lyapunov function")
-    relaxed = handle.residual_relaxed(trace.points)
-    end_residual = float(handle.residual_feasible(trace.end))
-    f, v = handle.cost(trace.points), handle.lyapunov(trace.points)
     return PathCheck(
         anchor_gap=float(np.max(np.abs(trace.start - x), initial=0.0)),
         anchor_scale=1.0 + float(np.max(np.abs(x), initial=0.0)),
-        relaxed=relaxed, end_residual=end_residual, costs=f, lyapunov=v,
-        cost_rises=np.diff(f) - MONOTONE_SLACK * (1.0 + np.abs(f[:-1])),
-        lyapunov_rises=np.diff(v) - MONOTONE_SLACK * (1.0 + np.abs(v[:-1])),
-        cost_drop=float((f[0] - f[-1]) - MONOTONE_SLACK * (1.0 + abs(f[0]))))
+        relaxed=handle.residual_relaxed(trace.points),
+        end_residual=float(handle.residual_feasible(trace.end)),
+        costs=handle.cost(trace.points), lyapunov=handle.lyapunov(trace.points))
 
 
 def write_trace_csv(

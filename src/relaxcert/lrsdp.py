@@ -508,11 +508,20 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
             for i in range(M.shape[0])]
 
 
+def _count(value, field: str) -> int:
+    """A count field: a finite number with no fractional part (so ``2.0``
+    is 2), never truncated."""
+    number = finite_number(value, field)
+    if not number.is_integer():
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def instance_from_dict(data: dict) -> LrsdpInstance:
     for key in ("n", "m", "r", "C", "A", "b"):
         if key not in data:
             raise ValueError(f"instance: missing field {key!r}")
-    n, m, r = (int(finite_number(data[key], key)) for key in ("n", "m", "r"))
+    n, m, r = (_count(data[key], key) for key in ("n", "m", "r"))
     C = _matrix_from_pairs(data["C"], n, "C")
     if not isinstance(data["A"], list) or len(data["A"]) != m:
         raise ValueError(f"A: expected {m} matrices")

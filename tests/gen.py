@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import relaxcert.restore as restore
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import PathTrace, ProblemHandle
 from relaxcert.distflow import Bus, Line, OpfCost, RadialNetwork, forward_point
@@ -163,3 +164,17 @@ def block_primitive(block, label=""):
         box=(np.zeros(2, complex), np.ones(2, complex)),
         label=label or f"block{block}",
     )
+
+
+def bend_restorations(monkeypatch):
+    """Make every restoration path bulge up by 1 in every voltage at its
+    midpoint, above ``v_max``, so its inner samples leave the relaxed set;
+    the endpoints do not move."""
+    straight = restore._path_points
+
+    def bent(net, x, delta, ts):
+        pts = straight(net, x, delta, ts)
+        pts[:, net.n_bus:2 * net.n_bus] += 4.0 * (ts * (1.0 - ts))[:, None]
+        return pts
+
+    monkeypatch.setattr(restore, "_path_points", bent)

@@ -3,16 +3,20 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import relaxcert.cli as cli
+from gen import bend_restorations
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
 from relaxcert.distflow import load_case, residual_X, sample_relaxed_points
-from relaxcert.lrsdp import LrsdpInstance, instance_to_dict
+from relaxcert.lrsdp import LrsdpInstance, instance_from_dict, instance_to_dict
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -24,6 +28,19 @@ def case(name):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def stub_slack_optimum(monkeypatch):
+    """Make the solver hand back, for ``demo_3bus``, a relaxed point with
+    strict slack on every line (no shipped case ends at a relaxation optimum
+    off the cone); returns the network and that point."""
+    net, cost = load_case(case("demo_3bus.json"))
+    slack = sample_relaxed_points(net, cost, 1, np.random.default_rng(0))[0]
+    assert residual_X(net, cost, slack) > 1e-8
+    solve = cli.solve_opf_relaxation
+    monkeypatch.setattr(cli, "solve_opf_relaxation", lambda *a, **k: (
+        dataclasses.replace(solve(*a, **k), point=slack)))
+    return net, slack
 
 
 class TestOpfCommand:
@@ -114,15 +131,7 @@ class TestOpfCommand:
                      "--samples", "5"]) == 0
 
     def test_infeasible_optimum_is_restored(self, tmp_path, monkeypatch):
-        # no shipped case ends at a relaxation optimum off the cone, so the
-        # solver hands back a relaxed point with strict slack on every line
-        net, cost = load_case(case("demo_3bus.json"))
-        slack = sample_relaxed_points(net, cost, 1, np.random.default_rng(0))[0]
-        assert residual_X(net, cost, slack) > 1e-8
-        solve = cli.solve_opf_relaxation
-        monkeypatch.setattr(cli, "solve_opf_relaxation", lambda *a, **k: (
-            dataclasses.replace(solve(*a, **k), point=slack)))
-
+        net, slack = stub_slack_optimum(monkeypatch)
         out = tmp_path / "run"
         code = main(["opf", case("demo_3bus.json"), "--out", str(out),
                      "--samples", "5"])
@@ -143,6 +152,17 @@ class TestOpfCommand:
             S = complex(last[f"S_{key}_re"], last[f"S_{key}_im"])
             assert abs(S) ** 2 == pytest.approx(
                 last[f"v{ln.tail}"] * last[f"ell_{key}"], abs=1e-8)
+
+    def test_faulty_optimum_restoration_exits_2_with_cause(
+            self, tmp_path, monkeypatch, capsys):
+        stub_slack_optimum(monkeypatch)
+        bend_restorations(monkeypatch)
+
+        code = main(["opf", case("demo_3bus.json"), "--out", str(tmp_path / "run"),
+                     "--samples", "5"])
+        assert code == 2
+        assert ("certificate violation: restoring the relaxation optimum: a path "
+                "sample leaves the relaxed set (residual ") in capsys.readouterr().err
 
     def test_reports_idempotent_modulo_timestamp(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -236,15 +256,15 @@ MALFORMED_FIELDS = [
     ("opf", "demo_3bus.json", ("lines", 1, "l_max"), "lines[1].l_max"),
     ("lrsdp", "demo_lrsdp.json", ("b", 0), "b[0]"),
     ("lrsdp", "demo_lrsdp.json", ("C", 0, 1, 1), "C entry (0,1)[1]"),
+    ("lrsdp", "demo_lrsdp.json", ("n",), "n"),
+    ("lrsdp", "demo_lrsdp.json", ("m",), "m"),
+    ("lrsdp", "demo_lrsdp.json", ("r",), "r"),
 ]
 
 
-@pytest.mark.parametrize("bad", ["0.9", True, float("nan"), float("inf")],
-                         ids=["string", "bool", "nan", "infinity"])
-@pytest.mark.parametrize("command, name, keys, field", MALFORMED_FIELDS,
-                         ids=[f for *_, f in MALFORMED_FIELDS])
-def test_malformed_number_exits_1_naming_the_field(
-        tmp_path, capsys, monkeypatch, command, name, keys, field, bad):
+def run_with_field(tmp_path, capsys, monkeypatch, command, name, keys, value):
+    """Exit code and stderr of ``command`` on case ``name`` with the field at
+    ``keys`` set to ``value``; reaching a solver fails the test."""
     def unreachable(*args, **kwargs):
         raise AssertionError("malformed input reached the solver")
 
@@ -254,12 +274,87 @@ def test_malformed_number_exits_1_naming_the_field(
     target = data
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = bad
+    target[keys[-1]] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
     code = main([command, str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0.9", True, float("nan"), float("inf")],
+                         ids=["string", "bool", "nan", "infinity"])
+@pytest.mark.parametrize("command, name, keys, field", MALFORMED_FIELDS,
+                         ids=[f for *_, f in MALFORMED_FIELDS])
+def test_malformed_number_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, command, name, keys, field, bad):
+    code, err = run_with_field(tmp_path, capsys, monkeypatch,
+                               command, name, keys, bad)
     assert code == 1
-    assert f"{field}: expected a finite number" in capsys.readouterr().err
+    assert f"{field}: expected a finite number" in err
+
+
+COUNTS = [row for row in MALFORMED_FIELDS if row[2][0] in ("n", "m", "r")]
+
+
+@pytest.mark.parametrize("fraction", [2.5, 1.9])
+@pytest.mark.parametrize("command, name, keys, field", COUNTS,
+                         ids=[f for *_, f in COUNTS])
+def test_fractional_count_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, command, name, keys, field, fraction):
+    code, err = run_with_field(tmp_path, capsys, monkeypatch,
+                               command, name, keys, fraction)
+    assert code == 1
+    assert f"{field}: expected an integer, got {fraction}" in err
+
+
+def test_integral_float_counts_are_counts():
+    data = read_json(case("demo_lrsdp.json"))
+    inst = instance_from_dict({**data, "n": 2.0, "m": 1.0, "r": 1.0})
+    assert (inst.n, inst.m, inst.r) == (2, 1, 1)
+    assert isinstance(inst.r, int)
+
+
+def numeric_fields(data, keys=()):
+    """Key paths of every numeric leaf of a parsed JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        numeric = isinstance(data, (int, float)) and not isinstance(data, bool)
+        return [keys] if numeric else []
+    return [path for k, v in items for path in numeric_fields(v, keys + (k,))]
+
+
+def field_name(keys):
+    """The name the schema gives the field at ``keys``, as in
+    ``buses[1].v_min``, ``b[0]`` or ``A[0] entry (1,0)[1]``."""
+    if keys[0] in ("C", "A"):
+        matrix = "C" if keys[0] == "C" else f"A[{keys[1]}]"
+        i, j, part = keys[-3:]
+        return f"{matrix} entry ({i},{j})[{part}]"
+    return keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                             for k in keys[1:])
+
+
+FUZZ_TARGETS = [(command, name, keys)
+                for command, name in (("opf", "demo_3bus.json"),
+                                      ("lrsdp", "demo_lrsdp.json"))
+                for keys in numeric_fields(read_json(case(name)))]
+
+
+@given(target=st.sampled_from(FUZZ_TARGETS),
+       bad=st.one_of(st.text(max_size=4), st.booleans(),
+                     st.sampled_from([math.nan, math.inf, -math.inf])))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_malformed_number_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, target, bad):
+    command, name, keys = target
+    code, err = run_with_field(tmp_path, capsys, monkeypatch,
+                               command, name, keys, bad)
+    assert code == 1
+    assert f"{field_name(keys)}: expected a finite number" in err
 
 
 def test_failed_condition_is_named_on_stderr(capsys):

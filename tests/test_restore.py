@@ -187,6 +187,12 @@ class TestRestorationPath:
         assert np.all(s_samples.real[-1] < s_samples.real[0])
         assert np.all(s_samples.imag[-1] < s_samples.imag[0])
 
+    def test_structural_failure_rejected_by_the_problem(self):
+        net = line_net(z=-0.02 + 0.02j)
+        with pytest.raises(PreconditionError,
+                           match="structural assumptions: impedance_positive"):
+            opf_certified_problem(net, linear_cost(2))
+
     def test_endpoint_inside_certified_box(self):
         rng = np.random.default_rng(10)
         net, cost = random_radial_network(rng, n_bus=4)

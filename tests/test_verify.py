@@ -1,10 +1,15 @@
 """Tests for the batch contract of problem handles and for the path verifier
 behind the monotone-path conditions."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import relaxcert.core as core
+import relaxcert.distflow as distflow
 from gen import (
+    bend_restorations,
     block_primitive,
     box_residual,
     random_feasible_psd,
@@ -86,7 +91,7 @@ class TestBatchContract:
 START = np.array([0.5, 0.5], dtype=complex)
 
 
-def square_problem(knots):
+def square_problem(knots, lyapunov=lambda x: x[..., 1].real):
     def path(x):
         pts = np.array(knots, dtype=complex)
         return PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
@@ -96,7 +101,7 @@ def square_problem(knots):
         cost=lambda x: x[..., 0].real,
         residual_feasible=lambda x: np.maximum(box_residual(x), x[..., 1].real),
         residual_relaxed=box_residual,
-        lyapunov=lambda x: x[..., 1].real,
+        lyapunov=lyapunov,
     )
     return CertifiedProblem(handle=handle, path_factory=path, segment_bound=2,
                             box=(np.zeros(2, complex), np.ones(2, complex)),
@@ -126,6 +131,21 @@ def test_anchor_gap_sets_the_margin():
     assert checks.c3.margin == checks.c1.margin == 1e-9 * 1.5 - abs(0.4 - 0.5)
 
 
+@pytest.mark.parametrize("lyapunov, witness, margin", [
+    # positive at the feasible endpoint (0.4, 0)
+    (lambda x: x[..., 1].real + x[..., 0].real / 4,
+     "sample 0: endpoint infeasible (Lyapunov value 0.1)", 1e-8 - 0.1),
+    # flat, so it never rises but does not strictly decrease either
+    (lambda x: 0.0 * x[..., 0].real,
+     "sample 0: Lyapunov value did not strictly decrease end to end", -1e-12),
+])
+def test_lyapunov_faults_that_count_only_when_failing(lyapunov, witness, margin):
+    checks = check_c1_c3(square_problem([START, [0.4, 0.25], [0.4, 0.0]],
+                                        lyapunov), [START])
+    assert checks.c3.witnesses == checks.c1.witnesses == (witness,)
+    assert checks.c3.margin == checks.c1.margin == pytest.approx(margin, rel=1e-12)
+
+
 def test_flat_cost_fails_only_the_strict_condition():
     checks = check_c1_c3(square_problem([START, [0.5, 0.0]]), [START])
     assert checks.c3.passed
@@ -137,3 +157,50 @@ def test_monotone_path_passes_both():
     checks = check_c1_c3(square_problem([START, [0.4, 0.25], [0.3, 0.0]]), [START])
     assert checks.c3.passed and checks.c1.passed
     assert checks.c3.witnesses == () and checks.c1.witnesses == ()
+
+
+# --- each OPF path is verified once, by the checker --------------------------
+
+def count_calls(monkeypatch, fn):
+    """Record the calls to ``fn`` made through any relaxcert module that
+    binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("relaxcert"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def opf_samples(seed, count):
+    rng = np.random.default_rng(seed)
+    net, cost = random_radial_network(rng, n_bus=6)
+    points = [pack_point(x) for x in sample_relaxed_points(net, cost, count, rng)]
+    return opf_certified_problem(net, cost), points
+
+
+def test_opf_path_verified_once_per_point(monkeypatch):
+    problem, points = opf_samples(4, 5)
+    verified = count_calls(monkeypatch, core.verify_path)
+    validated = count_calls(monkeypatch, distflow.validate_assumptions)
+    checks = check_c1_c3(problem, points)
+    assert checks.c3.passed and checks.c1.passed
+    assert len(verified) == len(points)
+    assert validated == []
+
+
+def test_restoration_off_the_relaxed_set_is_a_c3_witness(monkeypatch):
+    problem, points = opf_samples(5, 3)
+    bend_restorations(monkeypatch)
+    checks = check_c1_c3(problem, points)
+    assert not checks.c3.passed and checks.c3.margin < 0
+    for i in range(len(points)):
+        left = [w for w in checks.c3.witnesses if w.startswith(
+            f"sample {i}: a path sample leaves the relaxed set (residual ")]
+        assert len(left) == 1
