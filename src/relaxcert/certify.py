@@ -39,6 +39,7 @@ from relaxcert.distflow import (
 EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
 ORACLE_POINT_LIMIT = 2 * 10**7
+KKT_ACTIVE_TOL = 1e-6     # slack below which the KKT test counts a constraint active
 
 
 class DimensionGuardError(ValueError):
@@ -383,11 +384,11 @@ class OracleResult:
 
 
 def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
-                       eq_band: float, samples: int = 33) -> bool:
+                       eq_band: float) -> bool:
     """Check that the segment from ``u`` to ``w`` stays feasible with
     non-increasing cost; this puts cheaper feasible points arbitrarily close
     to ``u`` and therefore refutes its local optimality at every scale."""
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, 33)
     seg = u[None, :] + ts[:, None] * (w - u)[None, :]
     ineq = problem.inequalities(seg)
     if ineq.shape[1] and ineq.max() > 1e-9:
@@ -535,11 +536,10 @@ class MultistartOutcome:
         return np.array([r.cost for r in self.runs if r.converged])
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], u: np.ndarray,
-                 h: float = 1e-6) -> np.ndarray:
+def _fd_gradient(fn: Callable[[np.ndarray], float], u: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(u)
     for i in range(len(u)):
-        step = h * max(1.0, abs(u[i]))
+        step = 1e-6 * max(1.0, abs(u[i]))
         up, dn = u.copy(), u.copy()
         up[i] += step
         dn[i] -= step
@@ -547,8 +547,7 @@ def _fd_gradient(fn: Callable[[np.ndarray], float], u: np.ndarray,
     return grad
 
 
-def _kkt_residual(problem: GridProblem, u: np.ndarray,
-                  active_tol: float = 1e-6) -> float:
+def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
     """Stationarity residual via nonnegative least squares over the active
     constraint gradients (equality multipliers are sign-split)."""
     scalar_cost = lambda w: float(problem.cost(w[None, :])[0])
@@ -557,7 +556,7 @@ def _kkt_residual(problem: GridProblem, u: np.ndarray,
     columns: list[np.ndarray] = []
     ineq = problem.inequalities(u[None, :])[0]
     for i, g in enumerate(ineq):
-        if g > -active_tol:
+        if g > -KKT_ACTIVE_TOL:
             gi = lambda w, i=i: float(problem.inequalities(w[None, :])[0][i])
             columns.append(_fd_gradient(gi, u))
     eq = problem.equalities(u[None, :])[0]
@@ -567,11 +566,11 @@ def _kkt_residual(problem: GridProblem, u: np.ndarray,
         columns.append(geq)
         columns.append(-geq)
     for i in range(problem.dim):
-        if u[i] - problem.lower[i] < active_tol:
+        if u[i] - problem.lower[i] < KKT_ACTIVE_TOL:
             e = np.zeros(problem.dim)
             e[i] = -1.0
             columns.append(e)
-        if problem.upper[i] - u[i] < active_tol:
+        if problem.upper[i] - u[i] < KKT_ACTIVE_TOL:
             e = np.zeros(problem.dim)
             e[i] = 1.0
             columns.append(e)

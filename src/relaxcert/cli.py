@@ -122,6 +122,13 @@ def _certificate_exit(report: CertificateReport) -> int:
     return EXIT_OK if report.all_passed else EXIT_CERT_FAIL
 
 
+def _raise_first_fault(conditions: list[tuple[float, str]], what: str) -> None:
+    """Raise the first failed ``(margin, witness)`` pair as a violation."""
+    for margin, witness in conditions:
+        if margin < 0:
+            raise CertificateViolationError(f"{what}: {witness}")
+
+
 def _operating_point_dict(point) -> dict[str, Any]:
     return {
         "s": [[v.real, v.imag] for v in point.s],
@@ -175,10 +182,8 @@ def cmd_opf(args: argparse.Namespace) -> int:
     if residual_X(net, cost, res.point) > args.tol:
         optimum_path = restoration_path(net, cost, res.point, tol=args.tol)
         check = verify_path(problem.handle, optimum, optimum_path)
-        faults = [w for m, w in check.conditions(args.tol) if m < 0]
-        if faults:
-            raise CertificateViolationError(
-                f"restoring the relaxation optimum: {faults[0]}")
+        _raise_first_fault(check.conditions(args.tol),
+                           "restoring the relaxation optimum")
     verdict = check_exactness(problem, optimum, res.optimality_residual,
                               tol=args.tol, path=optimum_path)
 
@@ -256,13 +261,18 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
         print(f"rank reduction stuck: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
 
-    write_reduction_csv(os.path.join(out, "reduction.csv"), inst,
-                        reduction.trace)
-
     problem = lrsdp_certified_problem(inst)
-    verdict = check_exactness(problem, res.point.X.reshape(-1),
-                              res.optimality_residual, tol=args.tol,
-                              path=reduction.trace)
+    optimum = res.point.X.reshape(-1)
+    check = verify_path(problem.handle, optimum, reduction.trace)
+    if reduction.stages:
+        # the reduction keeps the cost: only the non-strict conditions apply
+        _raise_first_fault(check.conditions(args.tol)[:-1],
+                           "reducing the relaxation optimum")
+    write_reduction_csv(os.path.join(out, "reduction.csv"), inst,
+                        reduction.trace, check)
+
+    verdict = check_exactness(problem, optimum, res.optimality_residual,
+                              tol=args.tol, path=reduction.trace)
     proxy = check_c2_proxy(problem, [reduction.trace])
     final_cost = inst.cost(reduction.final.X)
     cost_drift = abs(final_cost - res.objective)

@@ -74,9 +74,9 @@ def _points_between(p: CertifiedProblem, count: int, seed: int) -> np.ndarray:
     return xs[keep]
 
 
-def _trace_gap(t1: PathTrace, t2: PathTrace, grid: int = 33) -> float:
+def _trace_gap(t1: PathTrace, t2: PathTrace) -> float:
     return max(float(np.max(np.abs(t1.evaluate(t) - t2.evaluate(t)), initial=0.0))
-               for t in np.linspace(0.0, 1.0, grid))
+               for t in np.linspace(0.0, 1.0, 33))
 
 
 def _box_intersection(p1: CertifiedProblem, p2: CertifiedProblem):

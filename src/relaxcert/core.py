@@ -14,7 +14,7 @@ Conventions used throughout the package:
   ``residual <= FEAS_TOL`` meaning membership;
 * a sampled path is evaluated once by :func:`verify_path` and judged once
   by :meth:`PathCheck.conditions`; path constructors check only their
-  inputs (rank reduction keeps its own per-stage checks).
+  inputs and what they need to build the path, never its samples.
 """
 
 from __future__ import annotations

@@ -517,10 +517,19 @@ def coordinate_rows(net: RadialNetwork, vec: np.ndarray) -> np.ndarray:
 
 # --- case file schema -------------------------------------------------------
 
-def _require(obj: dict, key: str, context: str) -> Any:
+def _require(obj: Any, key: str, context: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{context}: expected an object, got {obj!r}")
     if key not in obj:
         raise ValueError(f"{context}: missing field {key!r}")
     return obj[key]
+
+
+def _require_list(obj: Any, key: str) -> list:
+    value = _require(obj, key, "case")
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{key}: expected a non-empty list, got {value!r}")
+    return value
 
 
 def _complex_pair(value: Any, context: str) -> complex:
@@ -532,7 +541,7 @@ def _complex_pair(value: Any, context: str) -> complex:
 
 def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
     buses = []
-    for i, raw in enumerate(_require(data, "buses", "case")):
+    for i, raw in enumerate(_require_list(data, "buses")):
         ctx = f"buses[{i}]"
         s_min_raw = _require(raw, "s_min", ctx)
         buses.append(Bus(
@@ -543,7 +552,7 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
             s_max=_complex_pair(_require(raw, "s_max", ctx), f"{ctx}.s_max"),
         ))
     lines = []
-    for i, raw in enumerate(_require(data, "lines", "case")):
+    for i, raw in enumerate(_require_list(data, "lines")):
         ctx = f"lines[{i}]"
         lines.append(Line(
             tail=str(_require(raw, "from", ctx)),

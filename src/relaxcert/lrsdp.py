@@ -17,6 +17,7 @@ from relaxcert.core import (
     MONOTONE_SLACK,
     SEGMENT_SAMPLES,
     CertificateViolationError,
+    PathCheck,
     PathTrace,
     PreconditionError,
     ProblemHandle,
@@ -37,14 +38,14 @@ class ReductionStuckError(RuntimeError):
         self.stage = stage
 
 
-def _check_hermitian(M: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
-    """Check each matrix of an (..., n, n) stack is Hermitian to relative ``tol``."""
+def _check_hermitian(M: np.ndarray, name: str) -> np.ndarray:
+    """Check each matrix of an (..., n, n) stack is Hermitian to relative 1e-9."""
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     gaps = np.abs(M - np.swapaxes(M, -2, -1).conj()).reshape(-1, *M.shape[-2:])
     scales = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1))).reshape(-1)
-    bad = np.flatnonzero(np.max(gaps, axis=(-2, -1)) > tol * scales)
+    bad = np.flatnonzero(np.max(gaps, axis=(-2, -1)) > 1e-9 * scales)
     if len(bad):
         gap = gaps[bad[0]]
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
@@ -138,10 +139,6 @@ class PsdPoint:
                 f"{name} is not positive semidefinite (min eigenvalue {vals[-1]:.3g})")
         return cls(X=X, eigenvalues=vals, eigenvectors=vecs)
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
     def rank(self, tol: float = RANK_TOL) -> int:
         cut = tol * max(1.0, float(self.eigenvalues[0]))
         return int(np.sum(self.eigenvalues >= cut))
@@ -161,12 +158,17 @@ def lyapunov_tail(inst: LrsdpInstance, X: PsdPoint | np.ndarray) -> np.ndarray:
     if isinstance(X, PsdPoint):
         vals = X.eigenvalues
     else:
-        vals = np.linalg.eigh(_check_hermitian(X, "X"))[0][..., ::-1].copy()
+        vals = _spectrum(_check_hermitian(X, "X"))
     low = vals[..., -1] < -1e-9 * np.maximum(1.0, vals[..., 0])
     if np.any(low):
         raise PreconditionError(f"X is not positive semidefinite "
                                 f"(min eigenvalue {vals[..., -1][low].flat[0]:.3g})")
     return _tail(vals, inst.r)
+
+
+def _spectrum(X: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each matrix in a Hermitian (..., n, n) stack."""
+    return np.linalg.eigh(X)[0][..., ::-1].copy()
 
 
 def _tail(vals_desc: np.ndarray, r: int) -> np.ndarray:
@@ -291,7 +293,6 @@ class ReductionResult:
     trace: PathTrace
     final: PsdPoint
     stages: tuple[ReductionStage, ...]
-    dimension_condition: bool
 
 
 def _stage_matrices(Sigma: np.ndarray, Y: np.ndarray, alpha: float,
@@ -310,18 +311,18 @@ def _stage_tails(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
 
 
 def _monotone_side(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
-                   alpha: float, n: int, probes: int = 11) -> tuple[bool, float]:
+                   alpha: float, n: int) -> tuple[bool, float]:
     """Decide whether the tail sum is non-increasing from 0 to alpha.
 
     The tail sum is concave along the stage, so it is non-increasing exactly
     when its initial slope is nonpositive; a tiny forward probe tests the
-    slope and a coarse sweep guards against numerical surprises.  Returns
+    slope and an 11-point sweep guards against numerical surprises.  Returns
     ``(qualified, end_to_end_drop)``.
     """
     v0, v_eps = _stage_tails(inst, Sigma, Y, alpha, n, [0.0, 1e-5])
     if v_eps - v0 > MONOTONE_SLACK * (1.0 + abs(v0)):
         return False, 0.0
-    vals = _stage_tails(inst, Sigma, Y, alpha, n, np.linspace(0.0, 1.0, probes))
+    vals = _stage_tails(inst, Sigma, Y, alpha, n, np.linspace(0.0, 1.0, 11))
     slack = MONOTONE_SLACK * (1.0 + np.abs(vals[:-1]))
     ok = not np.any(np.diff(vals) > slack)
     return ok, float(vals[0] - vals[-1])
@@ -341,6 +342,9 @@ def reduce_rank_path(
     non-increasing (both boundary sides are probed; the in-range guarantee
     comes from concavity of the tail sum).  Raises
     :class:`ReductionStuckError` when no direction exists.
+    Only the input and the construction are checked (a direction, a
+    boundary step, a monotone side and a rank drop per stage); the samples
+    are for :func:`~relaxcert.core.verify_path` to judge.
     """
     start = X0 if isinstance(X0, PsdPoint) else PsdPoint.from_matrix(np.asarray(X0))
     if inst.constraint_residual(start.X) > tol:
@@ -350,13 +354,11 @@ def reduce_rank_path(
 
     n = inst.n
     r0 = start.rank()
-    f0 = inst.cost(start.X)
 
     if r0 <= inst.r:
         trace = PathTrace(params=[0.0, 1.0], points=np.tile(start.X.reshape(-1), (2, 1)),
                           knots=[0, 1])
-        return ReductionResult(trace=trace, final=start, stages=(),
-                               dimension_condition=inst.dimension_condition)
+        return ReductionResult(trace=trace, final=start, stages=())
 
     n_stages = r0 - inst.r
     stage_infos: list[ReductionStage] = []
@@ -394,7 +396,6 @@ def reduce_rank_path(
             X_t = U @ _stage_matrices(sigma, Y, alpha, local_ts) @ U.conj().T
             pts = X_t.reshape(samples_per_stage, n * n)
             end = PsdPoint.from_matrix(X_t[-1], name=f"stage {i} endpoint")
-            _check_stage(inst, pts, f0, i, tol, n)
             if end.rank() >= k_before:
                 raise CertificateViolationError(
                     f"stage {i}: rank did not drop ({k_before} -> {end.rank()})")
@@ -413,36 +414,7 @@ def reduce_rank_path(
     trace = PathTrace(params=np.concatenate(all_params),
                       points=np.concatenate(all_points, axis=0),
                       knots=np.arange(n_stages + 1) * (samples_per_stage - 1))
-    if current.rank() > inst.r:
-        raise CertificateViolationError(
-            f"reduction finished at rank {current.rank()} > target {inst.r}")
-    return ReductionResult(trace=trace, final=current,
-                           stages=tuple(stage_infos),
-                           dimension_condition=inst.dimension_condition)
-
-
-def _check_stage(inst: LrsdpInstance, pts: np.ndarray, f0: float,
-                 stage: int, tol: float, n: int) -> None:
-    """Conservation and monotonicity checks along one stage's samples; the
-    first failing sample is reported, with its first failing check."""
-    X = pts.reshape(-1, n, n)
-    drift = inst.constraint_residual(X)
-    fdrift = np.abs(inst.cost(X) - f0)
-    vals = np.sort(np.linalg.eigvalsh(_hermitian_part(X)), axis=-1)[:, ::-1]
-    faults = np.stack([drift > tol, fdrift > tol * (1.0 + abs(f0)),
-                       vals[:, -1] < -tol], axis=1)
-    if np.any(faults):
-        si, kind = divmod(int(np.argmax(faults)), 3)
-        what = (f"constraint drift {drift[si]:.3g}", f"cost drift {fdrift[si]:.3g}",
-                f"min eigenvalue {vals[si, -1]:.3g}")[kind]
-        raise CertificateViolationError(f"stage {stage}, sample {si}: {what}")
-    tails = _tail(vals, inst.r)
-    rises = np.diff(tails) - MONOTONE_SLACK * (1.0 + np.abs(tails[:-1]))
-    if np.any(rises > 0):
-        si = int(np.argmax(rises))
-        raise CertificateViolationError(
-            f"stage {stage}, sample {si + 1}: tail sum increases by "
-            f"{np.diff(tails)[si]:.3g}")
+    return ReductionResult(trace=trace, final=current, stages=tuple(stage_infos))
 
 
 def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
@@ -475,9 +447,10 @@ def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
     hi = np.full(n * n, bound + 1j * bound)
     return CertifiedProblem(
         handle=ProblemHandle(
-            cost=lambda vec: inst.cost(_unflatten(vec)),
+            # Re tr(C X) is blind to the anti-Hermitian part of X
+            cost=lambda vec: inst.cost(_matrices(vec)),
             residual_feasible=_res_feas, residual_relaxed=_res_relax,
-            lyapunov=lambda vec: lyapunov_tail(inst, _unflatten(vec))),
+            lyapunov=lambda vec: _tail(_spectrum(_unflatten(vec)), inst.r)),
         path_factory=lambda vec: reduce_rank_path(inst, _unflatten(vec)).trace,
         segment_bound=max(1, n - inst.r),
         box=(lo, hi),
@@ -510,14 +483,18 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
 
 def _count(value, field: str) -> int:
     """A count field: a finite number with no fractional part (so ``2.0``
-    is 2), never truncated."""
+    is 2), never truncated, and at least 1."""
     number = finite_number(value, field)
     if not number.is_integer():
         raise ValueError(f"{field}: expected an integer, got {value!r}")
+    if number < 1:
+        raise ValueError(f"{field}: expected at least 1, got {value!r}")
     return int(number)
 
 
 def instance_from_dict(data: dict) -> LrsdpInstance:
+    if not isinstance(data, dict):
+        raise ValueError(f"instance: expected an object, got {data!r}")
     for key in ("n", "m", "r", "C", "A", "b"):
         if key not in data:
             raise ValueError(f"instance: missing field {key!r}")
@@ -548,8 +525,11 @@ def load_instance(path: str) -> LrsdpInstance:
         return instance_from_dict(json.load(fh))
 
 
-def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace) -> None:
-    """Trace CSV with flattened row-major matrix entries."""
+def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace,
+                        check: PathCheck) -> None:
+    """Trace CSV with flattened row-major matrix entries; the ``f`` and ``V``
+    columns are the costs and Lyapunov values that ``check``, the
+    :func:`~relaxcert.core.verify_path` result for ``trace``, measured."""
     n = inst.n
     labels = [f"X{i}{j}_{part}" for i in range(n) for j in range(n)
               for part in ("re", "im")]
@@ -557,6 +537,6 @@ def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace) -> Non
     write_trace_csv(
         path, trace, labels,
         lambda pts: np.ascontiguousarray(pts).view(float),
-        cost=lambda pts: inst.cost(pts.reshape(-1, n, n)),
-        lyapunov=lambda pts: lyapunov_tail(inst, _hermitian_part(pts.reshape(-1, n, n))),
+        cost=lambda pts: check.costs,
+        lyapunov=lambda pts: check.lyapunov,
     )

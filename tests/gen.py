@@ -2,9 +2,10 @@
 
 import numpy as np
 
+import relaxcert.lrsdp as lrsdp
 import relaxcert.restore as restore
 from relaxcert.compose import CertifiedProblem
-from relaxcert.core import PathTrace, ProblemHandle
+from relaxcert.core import SEGMENT_SAMPLES, PathTrace, ProblemHandle
 from relaxcert.distflow import Bus, Line, OpfCost, RadialNetwork, forward_point
 
 
@@ -178,3 +179,20 @@ def bend_restorations(monkeypatch):
         return pts
 
     monkeypatch.setattr(restore, "_path_points", bent)
+
+
+def bend_reductions(monkeypatch):
+    """Make every rank-reduction stage sag by 1 in every eigenvalue at its
+    midpoint, off the PSD cone of a trace-one instance, so its inner samples
+    leave the relaxed set; the endpoints do not move, and neither do the
+    fewer-sample probes that pick each stage's side."""
+    straight = lrsdp._stage_matrices
+
+    def bent(Sigma, Y, alpha, ts):
+        mats = straight(Sigma, Y, alpha, ts)
+        if len(ts) == SEGMENT_SAMPLES:
+            ts = np.asarray(ts)
+            mats = mats - (4.0 * ts * (1.0 - ts))[:, None, None] * np.eye(len(Sigma))
+        return mats
+
+    monkeypatch.setattr(lrsdp, "_stage_matrices", bent)

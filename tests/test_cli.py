@@ -12,11 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relaxcert.cli as cli
-from gen import bend_restorations
+from gen import bend_reductions, bend_restorations, random_spectraplex_instance
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
 from relaxcert.distflow import load_case, residual_X, sample_relaxed_points
-from relaxcert.lrsdp import LrsdpInstance, instance_from_dict, instance_to_dict
+from relaxcert.lrsdp import (
+    LrsdpInstance,
+    instance_from_dict,
+    instance_to_dict,
+    lyapunov_tail,
+)
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -213,6 +218,37 @@ class TestLrsdpCommand:
         assert report["stages"] > 0 and report["exactness"] == "weak"
         assert len(calls) == 1
 
+    def identity_instance(self, tmp_path, seed=3, n=5):
+        inst = random_spectraplex_instance(np.random.default_rng(seed), n=n,
+                                           degenerate=True)
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        return inst, str(path)
+
+    def test_reduction_columns_are_the_measured_values(self, tmp_path):
+        inst, path = self.identity_instance(tmp_path)
+        out = tmp_path / "run"
+        assert main(["lrsdp", path, "--out", str(out)]) == 0
+        with open(out / "reduction.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        table = np.array(rows, dtype=float)
+        assert header[:3] == ["t", "f", "V"] and len(rows) > 2
+        entries = table[:, 3:]
+        X = (entries[:, 0::2] + 1j * entries[:, 1::2]).reshape(-1, inst.n, inst.n)
+        hermitian = (X + np.swapaxes(X, -2, -1).conj()) / 2
+        assert table[:, 1].tobytes() == inst.cost(X).tobytes()
+        assert table[:, 2].tobytes() == lyapunov_tail(inst, hermitian).tobytes()
+
+    def test_faulty_reduction_exits_2_without_trace(self, tmp_path, monkeypatch,
+                                                     capsys):
+        _, path = self.identity_instance(tmp_path)
+        bend_reductions(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lrsdp", path, "--out", str(out)]) == 2
+        assert ("certificate violation: reducing the relaxation optimum: a path "
+                "sample leaves the relaxed set (residual ") in capsys.readouterr().err
+        assert not (out / "reduction.csv").exists()
+
     def test_stuck_reduction_exits_2_with_stage(self, tmp_path):
         out = str(tmp_path / "run")
         code = main(["lrsdp", case("stuck_lrsdp.json"), "--out", out])
@@ -305,6 +341,39 @@ def test_fractional_count_exits_1_naming_the_field(
                                command, name, keys, fraction)
     assert code == 1
     assert f"{field}: expected an integer, got {fraction}" in err
+
+
+STRUCTURE_FIELDS = [
+    # (command, case file, key path into the JSON, value, message on stderr)
+    ("opf", "demo_3bus.json", ("buses",), 5, "buses: expected a non-empty list, got 5"),
+    ("opf", "demo_3bus.json", ("buses", 1), 7, "buses[1]: expected an object, got 7"),
+    ("opf", "demo_3bus.json", ("lines",), [], "lines: expected a non-empty list, got []"),
+    ("opf", "demo_3bus.json", ("lines", 0), 7, "lines[0]: expected an object, got 7"),
+    ("opf", "demo_3bus.json", ("cost",), 5, "cost: expected an object, got 5"),
+    ("lrsdp", "demo_lrsdp.json", ("m",), 0, "m: expected at least 1, got 0"),
+    ("lrsdp", "demo_lrsdp.json", ("n",), -1, "n: expected at least 1, got -1"),
+    ("lrsdp", "demo_lrsdp.json", ("m",), -1, "m: expected at least 1, got -1"),
+    ("lrsdp", "demo_lrsdp.json", ("r",), 0, "r: expected at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command, name, keys, value, message", STRUCTURE_FIELDS,
+                         ids=[f"{'.'.join(map(str, k))}={v!r}"
+                              for _, _, k, v, _ in STRUCTURE_FIELDS])
+def test_malformed_structure_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, command, name, keys, value, message):
+    code, err = run_with_field(tmp_path, capsys, monkeypatch,
+                               command, name, keys, value)
+    assert code == 1
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("command, what", [("opf", "case"), ("lrsdp", "instance")])
+def test_non_object_input_exits_1(tmp_path, capsys, command, what):
+    path = tmp_path / "list.json"
+    path.write_text("[5]")
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {what}: expected an object, got [5]" in capsys.readouterr().err
 
 
 def test_integral_float_counts_are_counts():

@@ -1,6 +1,7 @@
 """Tests for the batch contract of problem handles and for the path verifier
 behind the monotone-path conditions."""
 
+import json
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import relaxcert.core as core
 import relaxcert.distflow as distflow
 from gen import (
+    bend_reductions,
     bend_restorations,
     block_primitive,
     box_residual,
@@ -18,6 +20,7 @@ from gen import (
     threshold_primitive,
 )
 from relaxcert.certify import check_c1_c3
+from relaxcert.cli import main
 from relaxcert.compose import (
     CertifiedProblem,
     compose_cost,
@@ -27,7 +30,7 @@ from relaxcert.compose import (
 )
 from relaxcert.core import PathTrace, ProblemHandle
 from relaxcert.distflow import pack_point, sample_relaxed_points
-from relaxcert.lrsdp import lrsdp_certified_problem, reduce_rank_path
+from relaxcert.lrsdp import instance_to_dict, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
 
 QUANTITIES = ("cost", "residual_feasible", "residual_relaxed", "lyapunov")
@@ -159,7 +162,7 @@ def test_monotone_path_passes_both():
     assert checks.c3.witnesses == () and checks.c1.witnesses == ()
 
 
-# --- each OPF path is verified once, by the checker --------------------------
+# --- each constructed path is verified once, by the checker -------------------
 
 def count_calls(monkeypatch, fn):
     """Record the calls to ``fn`` made through any relaxcert module that
@@ -198,6 +201,45 @@ def test_opf_path_verified_once_per_point(monkeypatch):
 def test_restoration_off_the_relaxed_set_is_a_c3_witness(monkeypatch):
     problem, points = opf_samples(5, 3)
     bend_restorations(monkeypatch)
+    checks = check_c1_c3(problem, points)
+    assert not checks.c3.passed and checks.c3.margin < 0
+    for i in range(len(points)):
+        left = [w for w in checks.c3.witnesses if w.startswith(
+            f"sample {i}: a path sample leaves the relaxed set (residual ")]
+        assert len(left) == 1
+
+
+def lrsdp_samples(seed, count, n=4):
+    """Full-rank trace-one matrices of a rank-one spectraplex instance: in
+    the relaxed set, outside the feasible one."""
+    rng = np.random.default_rng(seed)
+    inst = random_spectraplex_instance(rng, n=n)
+    points = [random_feasible_psd(rng, n).reshape(-1) for _ in range(count)]
+    return inst, lrsdp_certified_problem(inst), points
+
+
+def test_lrsdp_path_verified_once_per_point(monkeypatch):
+    _, problem, points = lrsdp_samples(6, 4)
+    verified = count_calls(monkeypatch, core.verify_path)
+    checks = check_c1_c3(problem, points)
+    assert checks.c3.passed
+    assert len(verified) == len(points)
+
+
+def test_lrsdp_run_verifies_its_reduction_once(tmp_path, monkeypatch):
+    inst = random_spectraplex_instance(np.random.default_rng(7), n=5, degenerate=True)
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    verified = count_calls(monkeypatch, core.verify_path)
+    out = tmp_path / "run"
+    assert main(["lrsdp", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["stages"] > 0
+    assert len(verified) == 1
+
+
+def test_reduction_off_the_psd_cone_is_a_c3_witness(monkeypatch):
+    _, problem, points = lrsdp_samples(8, 3)
+    bend_reductions(monkeypatch)
     checks = check_c1_c3(problem, points)
     assert not checks.c3.passed and checks.c3.margin < 0
     for i in range(len(points)):
