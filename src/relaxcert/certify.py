@@ -29,12 +29,7 @@ from relaxcert.core import (
     check_piecewise_linear_family,
     verify_path,
 )
-from relaxcert.distflow import (
-    OperatingPoint,
-    OpfCost,
-    RadialNetwork,
-    tree_check,
-)
+from relaxcert.distflow import OpfCost, RadialNetwork, tree_check
 
 EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
@@ -270,8 +265,6 @@ class LandscapeGrid:
         tree = scipy.spatial.cKDTree(self.points)
         pairs = tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
         m = len(self.points)
-        if len(pairs) == 0:
-            return scipy.sparse.csr_matrix((m, m))
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         data = np.ones(len(rows), dtype=bool)
@@ -322,11 +315,13 @@ def classify_local_optima(grid: LandscapeGrid,
 class GridProblem:
     """A problem reduced to few real degrees of freedom for scanning.
 
-    ``cost``, ``inequalities`` (feasible iff <= 0) and ``equalities``
-    (feasible iff = 0 at scan tolerance) are vectorized over (M, dim)
-    inputs.  ``anchor`` is a known feasible point used to repair infeasible
-    multistart seeds; ``to_ambient`` lifts a reduced point back to the
-    ambient space for reporting.
+    ``cost`` ``(M,)``, ``inequalities`` ``(M, p)`` (feasible iff <= 0) and
+    ``equalities`` ``(M, q)`` (feasible iff = 0 at scan tolerance) are
+    vectorized over ``(M, dim)`` inputs, so the scan evaluates the whole
+    lattice at once and one call on ``2 * dim`` perturbed points gives a
+    central-difference Jacobian (:func:`_jacobian`) for SLSQP and the KKT
+    test.  ``anchor`` is a known feasible point used to repair infeasible
+    multistart seeds.
     """
 
     dim: int
@@ -337,8 +332,6 @@ class GridProblem:
     equalities: Callable[[np.ndarray], np.ndarray]
     eq_scale: float = 1.0
     anchor: np.ndarray | None = None
-    to_ambient: Callable[[np.ndarray], Any] | None = None
-    label: str = ""
 
     def feasibility_residual(self, U: np.ndarray, eq_tol_len: float) -> np.ndarray:
         """Worst violation per row, with equalities scaled to the grid."""
@@ -383,6 +376,36 @@ class OracleResult:
         }
 
 
+def _jacobian(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian ``(rows, dim)`` of a vectorized
+    :class:`GridProblem` callable at ``u``, from one call on the stack of
+    the ``2 * dim`` perturbed points; a cost gives one row."""
+    step = 1e-6 * np.maximum(1.0, np.abs(u))
+    shift = np.diag(step)
+    vals = fn(np.concatenate([u + shift, u - shift]))
+    d = len(u)
+    return np.atleast_2d((vals[:d] - vals[d:]).T / (2 * step))
+
+
+def _slsqp_model(problem: GridProblem, u: np.ndarray):
+    """SLSQP's view of ``problem``: the scalar cost, its gradient and the
+    constraint dicts, each with its :func:`_jacobian`; ``u`` only sizes the
+    constraint sets."""
+    def cost(w: np.ndarray) -> float:
+        return float(problem.cost(w[None, :])[0])
+
+    cons = []
+    if problem.inequalities(u[None, :]).shape[1]:
+        cons.append({"type": "ineq",
+                     "fun": lambda w: -problem.inequalities(w[None, :])[0],
+                     "jac": lambda w: -_jacobian(problem.inequalities, w)})
+    if problem.equalities(u[None, :]).shape[1]:
+        cons.append({"type": "eq",
+                     "fun": lambda w: problem.equalities(w[None, :])[0],
+                     "jac": lambda w: _jacobian(problem.equalities, w)})
+    return cost, lambda w: _jacobian(problem.cost, w)[0], cons
+
+
 def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
                        eq_band: float) -> bool:
     """Check that the segment from ``u`` to ``w`` stays feasible with
@@ -412,15 +435,7 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
     model reached by a feasible monotone segment witnesses that the
     candidate is such an artifact and not a local optimum of the continuum.
     """
-    scalar_cost = lambda w: float(problem.cost(w[None, :])[0])
-    cons = []
-    if problem.inequalities(u[None, :]).shape[1]:
-        cons.append({"type": "ineq",
-                     "fun": lambda w: -problem.inequalities(w[None, :])[0]})
-    has_eq = problem.equalities(u[None, :]).shape[1] > 0
-    if has_eq:
-        cons.append({"type": "eq",
-                     "fun": lambda w: problem.equalities(w[None, :])[0]})
+    scalar_cost, cost_jac, cons = _slsqp_model(problem, u)
     improve_tol = max(1e-12, 1e-10 * (1.0 + abs(cost_u)))
 
     for scale in (1.0, 2.0, 4.0, 8.0):
@@ -428,8 +443,9 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
         lo = np.maximum(problem.lower, u - r)
         hi = np.minimum(problem.upper, u + r)
         res = scipy.optimize.minimize(
-            scalar_cost, u, method="SLSQP", bounds=list(zip(lo, hi)),
-            constraints=cons, options={"ftol": 1e-14, "maxiter": 120})
+            scalar_cost, u, method="SLSQP", jac=cost_jac,
+            bounds=list(zip(lo, hi)), constraints=cons,
+            options={"ftol": 1e-14, "maxiter": 120})
         w = np.clip(res.x, lo, hi)
         band = max(eq_band, 1e-9)
         feas = problem.feasibility_residual(w[None, :], band)[0] <= 1e-9
@@ -439,19 +455,16 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
     return False
 
 
-def brute_force_oracle(
-    problem: GridProblem,
-    resolution: float,
-    ineq_tol: float = 1e-9,
-    refine_candidates: bool = True,
-) -> OracleResult:
+def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     """Exhaustive grid scan of the feasible set at the given resolution.
 
     Equality constraints are filtered at ``eq_scale * resolution`` since a
-    grid cannot hit a manifold exactly; inequality and box constraints are
-    filtered at ``ineq_tol``.  Non-global local-optimum labels are then
-    re-examined against the smooth model (see
-    :func:`_refute_local_candidate`) unless ``refine_candidates`` is off.
+    grid cannot hit a manifold exactly; inequality constraints are filtered
+    at 1e-9.  Every non-global local-optimum label is then re-examined
+    against the smooth model: an SLSQP solve driven by central-difference
+    Jacobians proposes a cheaper nearby point, and the label becomes
+    ``none`` only when that point passes ``feasibility_residual`` and a
+    sampled monotone segment (:func:`_refute_local_candidate`).
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
@@ -471,7 +484,7 @@ def brute_force_oracle(
     ineq = problem.inequalities(U)
     mask = np.ones(total, dtype=bool)
     if ineq.shape[1]:
-        mask &= ineq.max(axis=1) <= ineq_tol
+        mask &= ineq.max(axis=1) <= 1e-9
     eq = problem.equalities(U)
     if eq.shape[1]:
         mask &= np.abs(eq).max(axis=1) <= problem.eq_scale * resolution
@@ -486,23 +499,18 @@ def brute_force_oracle(
     labels = classify_local_optima(grid, adjacency)
 
     refuted = 0
-    if refine_candidates:
-        eq_band = problem.eq_scale * resolution
-        for i in np.flatnonzero((labels == "genuine") | (labels == "pseudo")):
-            if _refute_local_candidate(problem, pts[i], float(costs[i]),
-                                       radius=1.5 * resolution,
-                                       eq_band=eq_band):
-                labels[i] = "none"
-                refuted += 1
+    eq_band = problem.eq_scale * resolution
+    for i in np.flatnonzero((labels == "genuine") | (labels == "pseudo")):
+        if _refute_local_candidate(problem, pts[i], float(costs[i]),
+                                   radius=1.5 * resolution, eq_band=eq_band):
+            labels[i] = "none"
+            refuted += 1
 
     adj = adjacency.tocoo()
     n_comp, _ = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-    if len(adj.row):
-        dists = np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1)
-        slopes = np.abs(costs[adj.row] - costs[adj.col]) / dists
-        max_slope = float(slopes.max())
-    else:
-        max_slope = 0.0
+    dists = np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1)
+    slopes = np.abs(costs[adj.row] - costs[adj.col]) / dists
+    max_slope = float(slopes.max(initial=0.0))
 
     gmin = float(costs.min())
     gmask = costs <= gmin + EQUAL_COST_TOL
@@ -528,7 +536,6 @@ class LocalSearchRun:
 @dataclass(frozen=True)
 class MultistartOutcome:
     runs: tuple[LocalSearchRun, ...]
-    attempted: int
     note: str = ""
 
     @property
@@ -536,50 +543,21 @@ class MultistartOutcome:
         return np.array([r.cost for r in self.runs if r.converged])
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], u: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(u)
-    for i in range(len(u)):
-        step = 1e-6 * max(1.0, abs(u[i]))
-        up, dn = u.copy(), u.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (fn(up) - fn(dn)) / (2 * step)
-    return grad
-
-
 def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
     """Stationarity residual via nonnegative least squares over the active
     constraint gradients (equality multipliers are sign-split)."""
-    scalar_cost = lambda w: float(problem.cost(w[None, :])[0])
-    grad_f = _fd_gradient(scalar_cost, u)
-
-    columns: list[np.ndarray] = []
-    ineq = problem.inequalities(u[None, :])[0]
-    for i, g in enumerate(ineq):
-        if g > -KKT_ACTIVE_TOL:
-            gi = lambda w, i=i: float(problem.inequalities(w[None, :])[0][i])
-            columns.append(_fd_gradient(gi, u))
-    eq = problem.equalities(u[None, :])[0]
-    for i in range(len(eq)):
-        hi = lambda w, i=i: float(problem.equalities(w[None, :])[0][i])
-        geq = _fd_gradient(hi, u)
-        columns.append(geq)
-        columns.append(-geq)
-    for i in range(problem.dim):
-        if u[i] - problem.lower[i] < KKT_ACTIVE_TOL:
-            e = np.zeros(problem.dim)
-            e[i] = -1.0
-            columns.append(e)
-        if problem.upper[i] - u[i] < KKT_ACTIVE_TOL:
-            e = np.zeros(problem.dim)
-            e[i] = 1.0
-            columns.append(e)
-
-    if not columns:
+    grad_f = _jacobian(problem.cost, u)[0]
+    eq = _jacobian(problem.equalities, u)
+    active = problem.inequalities(u[None, :])[0] > -KKT_ACTIVE_TOL
+    eye = np.eye(problem.dim)
+    rows = np.concatenate([
+        _jacobian(problem.inequalities, u)[active], eq, -eq,
+        -eye[u - problem.lower < KKT_ACTIVE_TOL],
+        eye[problem.upper - u < KKT_ACTIVE_TOL]])
+    if not len(rows):
         return float(np.max(np.abs(grad_f)))
-    M = np.stack(columns, axis=1)
-    lam, _ = scipy.optimize.nnls(M, -grad_f)
-    return float(np.max(np.abs(grad_f + M @ lam)))
+    lam, _ = scipy.optimize.nnls(rows.T, -grad_f)
+    return float(np.max(np.abs(grad_f + rows.T @ lam)))
 
 
 def _repair_start(problem: GridProblem, u: np.ndarray,
@@ -635,19 +613,9 @@ def multistart_local_search(
         note = (f"only {len(seeds)} of {starts} requested starts were "
                 "feasible after repair")
     if not seeds:
-        return MultistartOutcome(runs=(), attempted=0,
-                                 note=note or "no feasible starts found")
+        return MultistartOutcome(runs=(), note=note)
 
-    scalar_cost = lambda w: float(problem.cost(w[None, :])[0])
-    cons = []
-    ineq_dim = problem.inequalities(seeds[0][None, :]).shape[1]
-    if ineq_dim:
-        cons.append({"type": "ineq",
-                     "fun": lambda w: -problem.inequalities(w[None, :])[0]})
-    eq_dim = problem.equalities(seeds[0][None, :]).shape[1]
-    if eq_dim:
-        cons.append({"type": "eq",
-                     "fun": lambda w: problem.equalities(w[None, :])[0]})
+    scalar_cost, cost_jac, cons = _slsqp_model(problem, seeds[0])
     bounds = list(zip(problem.lower, problem.upper))
 
     runs: list[LocalSearchRun] = []
@@ -656,7 +624,7 @@ def multistart_local_search(
             # SLSQP emits a RuntimeWarning whenever it clips to the bounds
             warnings.simplefilter("ignore", RuntimeWarning)
             res = scipy.optimize.minimize(
-                scalar_cost, u0, method="SLSQP", bounds=bounds,
+                scalar_cost, u0, method="SLSQP", jac=cost_jac, bounds=bounds,
                 constraints=cons, options={"ftol": 1e-12, "maxiter": 400})
         u = np.clip(res.x, problem.lower, problem.upper)
         feas = float(problem.feasibility_residual(u[None, :], 0.0)[0])
@@ -668,7 +636,7 @@ def multistart_local_search(
 
     if not any(r.converged for r in runs):
         note = (note + "; " if note else "") + "no run met the convergence test"
-    return MultistartOutcome(runs=tuple(runs), attempted=len(seeds), note=note)
+    return MultistartOutcome(runs=tuple(runs), note=note)
 
 
 # --- eliminated OPF model ------------------------------------------------------
@@ -722,10 +690,10 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
             sq[:, t] += SQ[:, k]
             sp[:, h] += -(SP[:, k] - z.real * ell[:, k])
             sq[:, h] += -(SQ[:, k] - z.imag * ell[:, k])
-        return sp, sq, v, ell, SP, SQ, bad
+        return sp, sq, v, ell, bad
 
     def cost_fn(U: np.ndarray) -> np.ndarray:
-        sp, sq, _, _, _, _, bad = expand(U)
+        sp, sq, _, _, bad = expand(U)
         vals = (sp @ cost.cp + sq @ cost.cq
                 + (sp ** 2) @ cost.qp + (sq ** 2) @ cost.qq)
         vals[bad] = 1e6
@@ -741,7 +709,7 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
     lo_q = np.flatnonzero(np.isfinite(s_min.imag))
 
     def ineq_fn(U: np.ndarray) -> np.ndarray:
-        sp, sq, v, ell, _, _, bad = expand(U)
+        sp, sq, v, ell, bad = expand(U)
         vf = v[:, free_bus]
         cols = [
             net.v_min[None, free_bus] - vf, vf - net.v_max[None, free_bus],
@@ -757,19 +725,13 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
         U = np.atleast_2d(U)
         return np.zeros((len(U), 0))
 
-    def to_ambient(u: np.ndarray) -> OperatingPoint:
-        sp, sq, v, ell, SP, SQ, _ = expand(u[None, :])
-        return OperatingPoint(s=sp[0] + 1j * sq[0], v=v[0], ell=ell[0],
-                              S=SP[0] + 1j * SQ[0])
-
     anchor = np.zeros(dim)
     if not root_pinned:
         anchor[-1] = 0.5 * (net.v_min[root] + net.v_max[root])
 
     return GridProblem(
         dim=dim, lower=lower, upper=upper, cost=cost_fn,
-        inequalities=ineq_fn, equalities=eq_fn, anchor=anchor,
-        to_ambient=to_ambient, label="opf-eliminated")
+        inequalities=ineq_fn, equalities=eq_fn, anchor=anchor)
 
 
 def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
@@ -803,9 +765,6 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
         rows.append((U[:, 0] * U[:, 2] - U[:, 1] ** 2)[:, None])
         return np.concatenate(rows, axis=1)
 
-    def to_ambient(u: np.ndarray) -> np.ndarray:
-        return np.array([[u[0], u[1]], [u[1], u[2]]])
-
     anchor = None
     vals, vecs = np.linalg.eigh(inst.A[0].real)
     for idx in np.argsort(vals)[::-1]:
@@ -819,4 +778,4 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
     return GridProblem(
         dim=3, lower=np.full(3, -B), upper=np.full(3, B), cost=cost_fn,
         inequalities=ineq_fn, equalities=eq_fn, eq_scale=4.0 * B,
-        anchor=anchor, to_ambient=to_ambient, label="psd-slice")
+        anchor=anchor)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,6 +39,8 @@ from relaxcert.core import (
     FEAS_TOL,
     CertificateViolationError,
     PreconditionError,
+    finite_number,
+    finite_numbers,
     verify_path,
 )
 from relaxcert.distflow import (
@@ -92,9 +95,17 @@ def _stamp(data: dict) -> dict:
     return data
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_object(path: str, what: str) -> dict:
+    """A JSON file whose top level must be an object."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected an object, got {data!r}")
+    return data
 
 
 def _solve_summary(res) -> dict[str, Any]:
@@ -302,7 +313,7 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
+    data = _load_object(args.input, "input")
     if "buses" in data:
         return cmd_opf(args)
     if "C" in data:
@@ -312,7 +323,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
+    data = _load_object(args.input, "input")
     if "buses" in data:
         net, cost = case_from_dict(data)
         grid_problem = eliminated_opf_grid(net, cost)
@@ -327,14 +338,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _landscape_from_dict(data: dict) -> LandscapeGrid:
+    """The ``classify`` input: ``points``, a non-empty list of equal-length
+    lists of finite numbers, one finite ``costs`` entry per point and a
+    finite ``radius``; :class:`LandscapeGrid` checks the counts and the
+    radius's sign.  A bad field is named."""
+    points = data.get("points")
+    if not isinstance(points, list) or not points:
+        raise ValueError(f"points: expected a non-empty list, got {points!r}")
+    rows = [finite_numbers(p, f"points[{i}]") for i, p in enumerate(points)]
+    if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("points: expected non-empty lists of one common length")
+    return LandscapeGrid(points=np.array(rows),
+                         costs=np.array(finite_numbers(data.get("costs"), "costs")),
+                         radius=finite_number(data.get("radius"), "radius"))
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    for key in ("points", "costs", "radius"):
-        if key not in data:
-            raise ValueError(f"classify: missing field {key!r}")
-    grid = LandscapeGrid(points=np.asarray(data["points"], dtype=float),
-                         costs=np.asarray(data["costs"], dtype=float),
-                         radius=float(data["radius"]))
+    grid = _landscape_from_dict(_load_object(args.input, "input"))
     labels = classify_local_optima(grid)
     counts = {k: int(np.sum(labels == k))
               for k in ("none", "global", "pseudo", "genuine")}
@@ -379,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     if not args.config:
         return
-    config = _load_json(args.config)
+    config = _load_object(args.config, "config")
     supplied = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, value in config.items():
@@ -390,15 +411,27 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, attr, value)
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Check the numeric flags once, after ``--config`` is applied, so a
+    config value meets the same rules as a flag; a bad value is named."""
+    for name, high in (("tol", math.inf), ("resolution", math.inf),
+                       ("relaxation_parameter", 2.0)):
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if not 0 < finite_number(value, flag) < high:
+            raise ValueError(f"{flag}: expected a number in (0, {high:g}), got {value!r}")
+    for name, low in (("samples", 0), ("seed", 0), ("max_iter", 1)):
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{flag}: expected an integer >= {low}, got {value!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args, argv)
-        for name in ("tol", "resolution"):
-            if getattr(args, name) <= 0:
-                raise ValueError(f"--{name} must be positive")
+        _check_flags(args)
         return args.fn(args)
     except (OSError, json.JSONDecodeError, ValueError, KeyError,
             DimensionGuardError, InfeasibleAtResolutionError,

@@ -1,6 +1,8 @@
 """Tests for condition checkers, landscape classification, the grid oracle
 and multistart search."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from relaxcert.certify import (
     GridProblem,
     InfeasibleAtResolutionError,
     LandscapeGrid,
+    _jacobian,
+    _kkt_residual,
     brute_force_oracle,
     check_c1_c3,
     check_c2_proxy,
@@ -29,7 +33,7 @@ from relaxcert.certify import (
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import PathTrace, PreconditionError
 from relaxcert.distflow import pack_point, residual_X, sample_relaxed_points
-from relaxcert.lrsdp import lrsdp_certified_problem, reduce_rank_path
+from relaxcert.lrsdp import load_instance, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
 from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
 
@@ -46,6 +50,11 @@ def taxonomy_fixture():
 
 
 class TestClassifyLocalOptima:
+    def test_isolated_points_are_local_optima(self):
+        grid = LandscapeGrid(points=[[0.0], [5.0]], costs=[1.0, 2.0], radius=1.0)
+        assert grid.adjacency().nnz == 0
+        assert list(classify_local_optima(grid)) == ["global", "genuine"]
+
     def test_taxonomy_fixture(self):
         labels = classify_local_optima(taxonomy_fixture())
         assert list(labels).count("global") == 1
@@ -274,8 +283,7 @@ class TestMultistart:
 
         empty = lambda U: np.zeros((len(np.atleast_2d(U)), 0))
         gp = GridProblem(dim=1, lower=np.array([-1.6]), upper=np.array([1.6]),
-                         cost=cost, inequalities=empty, equalities=empty,
-                         label="double-well")
+                         cost=cost, inequalities=empty, equalities=empty)
         out = multistart_local_search(gp, starts=8, seed=0)
         conv = [r for r in out.runs if r.converged]
         assert conv
@@ -309,3 +317,69 @@ class TestMultistart:
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.point, rb.point)
             assert ra.cost == rb.cost
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "start repair blends a Sobol point toward the anchor along a line, and "
+        "a point off {tr X = 1, det X = 0} is feasible only at the anchor; the "
+        "slice also states det X = 0 twice (equality and PSD inequality), so "
+        "the constraint gradients are dependent. Every converged cost is "
+        "2.0 = lambda_max(C); the optimum is 1.0 (ROADMAP item 2)"))
+    def test_psd_slice_reaches_the_optimum(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "cases",
+                            "demo_lrsdp.json")
+        gp = psd_slice_grid_problem(load_instance(path))
+        costs = multistart_local_search(gp, starts=20, seed=0).converged_costs
+        assert len(costs) and abs(costs.min() - 1.0) <= 1e-6
+
+
+def per_coordinate_jacobian(fn, u):
+    """Central differences one coordinate at a time, each side its own call,
+    with the step ``1e-6 * max(1, |u_i|)``."""
+    cols = []
+    for i in range(len(u)):
+        step = 1e-6 * max(1.0, abs(u[i]))
+        up, dn = u.copy(), u.copy()
+        up[i] += step
+        dn[i] -= step
+        cols.append((fn(up[None, :])[0] - fn(dn[None, :])[0]) / (2 * step))
+    return np.atleast_2d(np.stack(cols, axis=-1))
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("model", ["two-bus", "two-bus-free-root", "psd-slice"])
+    def test_stacked_jacobian_matches_per_coordinate(self, model):
+        rng = np.random.default_rng(21)
+        if model == "psd-slice":
+            gp = psd_slice_grid_problem(random_spectraplex_instance(rng, n=2))
+        else:
+            gp = eliminated_opf_grid(*two_bus_case(rng, pin_root=model == "two-bus"))
+        points = gp.lower + rng.random((100, gp.dim)) * (gp.upper - gp.lower)
+        rows = 0
+        for u in points:
+            for fn in (gp.cost, gp.inequalities, gp.equalities):
+                ref = per_coordinate_jacobian(fn, u)
+                jac = _jacobian(fn, u)
+                assert jac.shape == ref.shape == (ref.shape[0], gp.dim)
+                assert np.all(np.abs(jac - ref) <= 1e-9 * (1 + np.abs(ref)))
+                rows += len(ref)
+        assert rows >= 100 * 3
+
+    @staticmethod
+    def kkt_problem():
+        """Cost u0 + 3 u1 + (u2 - 1)^2 on the box u0 >= 0, with 1 - u1 u2 <= 0
+        and u2 = u1^2.  At (0, 1, 1) the bound, the inequality and the
+        equality are active, and unit multipliers make it a KKT point."""
+        return GridProblem(
+            dim=3, lower=np.array([0.0, -5.0, -5.0]), upper=np.full(3, 5.0),
+            cost=lambda U: U[:, 0] + 3 * U[:, 1] + (U[:, 2] - 1) ** 2,
+            inequalities=lambda U: (1 - U[:, 1] * U[:, 2])[:, None],
+            equalities=lambda U: (U[:, 2] - U[:, 1] ** 2)[:, None])
+
+    def test_kkt_residual_vanishes_at_the_kkt_point(self):
+        assert _kkt_residual(self.kkt_problem(), np.array([0.0, 1.0, 1.0])) <= 1e-8
+
+    def test_kkt_residual_flags_a_feasible_non_stationary_point(self):
+        gp = self.kkt_problem()
+        u = np.array([1.0, 2.0, 4.0])  # feasible; only the equality is active
+        assert gp.feasibility_residual(u[None, :], 0.0)[0] <= 0.0
+        assert _kkt_residual(gp, u) > 1e-3

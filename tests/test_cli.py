@@ -376,6 +376,76 @@ def test_non_object_input_exits_1(tmp_path, capsys, command, what):
     assert f"error: {what}: expected an object, got [5]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "oracle", "classify"])
+def test_non_object_input_to_dispatching_commands_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: input: expected an object, got 5" in capsys.readouterr().err
+
+
+BAD_OPTIONS = [
+    # (option, value read both as a flag and as a config JSON literal, message)
+    ("tol", "NaN", "--tol: expected a finite number, got nan"),
+    ("tol", "0.0", "--tol: expected a number in (0, inf), got 0.0"),
+    ("resolution", "NaN", "--resolution: expected a finite number, got nan"),
+    ("resolution", "-1.0", "--resolution: expected a number in (0, inf), got -1.0"),
+    ("samples", "-3", "--samples: expected an integer >= 0, got -3"),
+    ("seed", "-1", "--seed: expected an integer >= 0, got -1"),
+    ("max-iter", "0", "--max-iter: expected an integer >= 1, got 0"),
+    ("relaxation-parameter", "2.0",
+     "--relaxation-parameter: expected a number in (0, 2), got 2.0"),
+    ("relaxation-parameter", "NaN", "--relaxation-parameter: expected a finite number, got nan"),
+]
+BAD_CONFIG_ONLY = [
+    # values the command-line parser already refuses
+    ("tol", '"1e-8"', "--tol: expected a finite number, got '1e-8'"),
+    ("samples", "2.5", "--samples: expected an integer >= 0, got 2.5"),
+    ("max-iter", "true", "--max-iter: expected an integer >= 1, got True"),
+    ("seed", '"3"', "--seed: expected an integer >= 0, got '3'"),
+]
+
+
+def run_lrsdp_with(tmp_path, capsys, monkeypatch, extra):
+    """Exit code and stderr of ``relaxcert lrsdp`` on the demo instance with
+    ``extra`` arguments; reaching the solver fails the test."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bad option reached the solver")
+
+    monkeypatch.setattr(cli, "solve_lrsdp_relaxation", unreachable)
+    code = main(["lrsdp", case("demo_lrsdp.json"), "--out", str(tmp_path / "out"),
+                 *extra])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", BAD_OPTIONS,
+                         ids=[f"{o}={v}" for o, v, _ in BAD_OPTIONS])
+def test_bad_numeric_flag_exits_1_naming_it(tmp_path, capsys, monkeypatch,
+                                            option, value, message):
+    code, err = run_lrsdp_with(tmp_path, capsys, monkeypatch, [f"--{option}", value])
+    assert code == 1
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("option, value, message", BAD_OPTIONS + BAD_CONFIG_ONLY,
+                         ids=[f"{o}={v}" for o, v, _ in BAD_OPTIONS + BAD_CONFIG_ONLY])
+def test_bad_numeric_config_value_exits_1_naming_the_flag(
+        tmp_path, capsys, monkeypatch, option, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{option}": {value}}}')
+    code, err = run_lrsdp_with(tmp_path, capsys, monkeypatch, ["--config", str(config)])
+    assert code == 1
+    assert f"error: {message}" in err
+
+
+def test_non_object_config_exits_1(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    code, err = run_lrsdp_with(tmp_path, capsys, monkeypatch, ["--config", str(config)])
+    assert code == 1
+    assert "error: config: expected an object, got [1]" in err
+
+
 def test_integral_float_counts_are_counts():
     data = read_json(case("demo_lrsdp.json"))
     inst = instance_from_dict({**data, "n": 2.0, "m": 1.0, "r": 1.0})
@@ -491,6 +561,35 @@ class TestClassifyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"points": [[0.0]]}))
         assert main(["classify", str(bad), "--out", str(tmp_path / "out")]) == 1
+
+    BAD_FIELDS = [
+        # (field, new value, message on stderr)
+        ("radius", math.nan, "radius: expected a finite number, got nan"),
+        ("radius", True, "radius: expected a finite number, got True"),
+        ("radius", 0, "radius must be positive"),
+        ("costs", [math.nan] + [0.0] * 13, "costs[0]: expected a finite number, got nan"),
+        ("costs", ["1.0"] + [0.0] * 13, "costs[0]: expected a finite number, got '1.0'"),
+        ("costs", [0.0] * 13, "points must be (M, d) with matching costs"),
+        ("points", [[math.inf]] + [[0.0]] * 13, "points[0][0]: expected a finite number, got inf"),
+        ("points", [[0.0, 1.0]] + [[0.0]] * 13,
+         "points: expected non-empty lists of one common length"),
+        ("points", [], "points: expected a non-empty list, got []"),
+        ("points", [5] * 14, "points[0]: expected a list of numbers, got 5"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS,
+                             ids=["radius-nan", "radius-bool", "radius-zero",
+                                  "costs-nan", "costs-string", "costs-short",
+                                  "points-infinity", "points-ragged", "points-empty",
+                                  "points-scalar"])
+    def test_bad_field_exits_1_naming_it(self, tmp_path, capsys, field, value, message):
+        data = read_json(case("demo_landscape.json"))
+        assert len(data["points"]) == 14
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
+        assert main(["classify", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestConfig:
