@@ -9,6 +9,8 @@ models.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -243,11 +245,23 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """Finite sample of a feasible set with costs and radius adjacency."""
+    """Finite sample of a feasible set with costs and radius adjacency.
+
+    ``lattice``, when set, is the boolean feasibility mask of a regular grid
+    whose ``True`` cells are ``points`` in C order, and ``radius`` is 1.5
+    grid spacings (only :func:`brute_force_oracle` builds such a grid).
+    Two cells are then neighbors exactly when their index offset lies in
+    {-1, 0, 1}^d with one or two nonzero entries: those are 1 and sqrt(2)
+    spacings apart, while sqrt(3) and any offset with a +-2 entry lie
+    outside the radius, so :meth:`adjacency` takes its pairs from that
+    stencil.  Without a lattice (arbitrary ``classify`` points) a KD-tree
+    finds the pairs within ``radius``.
+    """
 
     points: np.ndarray
     costs: np.ndarray
     radius: float
+    lattice: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -258,17 +272,50 @@ class LandscapeGrid:
             raise ValueError("grid is empty")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if self.lattice is not None:
+            lattice = np.asarray(self.lattice, dtype=bool)
+            if lattice.ndim != pts.shape[1] or np.count_nonzero(lattice) != len(pts):
+                raise ValueError("lattice must be a d-dimensional mask with one "
+                                 "True cell per point")
+            object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "costs", costs)
 
     def adjacency(self) -> scipy.sparse.csr_matrix:
-        tree = scipy.spatial.cKDTree(self.points)
-        pairs = tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
+        if self.lattice is None:
+            tree = scipy.spatial.cKDTree(self.points)
+            pairs = tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
+        else:
+            pairs = _stencil_pairs(self.lattice)
         m = len(self.points)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         data = np.ones(len(rows), dtype=bool)
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
+
+
+def _stencil_pairs(lattice: np.ndarray) -> np.ndarray:
+    """Point-index pairs of set lattice cells one or two unit steps apart.
+
+    Each offset with a positive first nonzero entry is one shifted-slice
+    comparison of the C-order point index laid out on the lattice.
+    """
+    # int32, the CSR index type, halves the pair arrays
+    index = np.full(lattice.shape, -1,
+                    dtype=np.int32 if lattice.size < 2**31 else np.intp)
+    index[lattice] = np.arange(np.count_nonzero(lattice))
+    pairs = []
+    for offset in itertools.product((-1, 0, 1), repeat=lattice.ndim):
+        steps = [o for o in offset if o]
+        if not 0 < len(steps) <= 2 or steps[0] < 0:
+            continue
+        src = index[tuple(slice(max(0, -o), n - max(0, o))
+                          for o, n in zip(offset, lattice.shape))]
+        dst = index[tuple(slice(max(0, o), n - max(0, -o))
+                          for o, n in zip(offset, lattice.shape))]
+        both = (src >= 0) & (dst >= 0)
+        pairs.append(np.stack([src[both], dst[both]], axis=1))
+    return np.concatenate(pairs)
 
 
 def classify_local_optima(grid: LandscapeGrid,
@@ -455,6 +502,14 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
     return False
 
 
+def _axis_lengths(problem: GridProblem, resolution: float) -> list[int | float]:
+    """Length of each scan axis, computed as ``np.arange`` does, before any
+    axis is allocated; ``inf`` where that length is not a finite number."""
+    with np.errstate(over="ignore"):  # an overflowing span is an infinite axis
+        spans = (problem.upper + resolution / 2 - problem.lower) / resolution
+    return [max(0, math.ceil(s)) if math.isfinite(s) else math.inf for s in spans]
+
+
 def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     """Exhaustive grid scan of the feasible set at the given resolution.
 
@@ -465,36 +520,38 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     Jacobians proposes a cheaper nearby point, and the label becomes
     ``none`` only when that point passes ``feasibility_residual`` and a
     sampled monotone segment (:func:`_refute_local_candidate`).
+
+    The axis lengths are checked against the scan budget before any axis
+    is allocated.  The feasibility mask stays on the grid as the
+    ``LandscapeGrid`` lattice, so the neighbor graph comes from the index
+    stencil, not from a KD-tree over the feasible points.  Distances and
+    cost slopes are taken once per undirected edge.
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
             f"{problem.dim} degrees of freedom exceed the scan guard "
             f"({ORACLE_DIM_LIMIT})")
+    sizes = _axis_lengths(problem, resolution)
+    total = math.prod(sizes)
+    if not total <= ORACLE_POINT_LIMIT:  # also a non-finite total
+        shown = total if total < 10**12 else "over 10^12"
+        raise DimensionGuardError(
+            f"grid of {shown} points exceeds the scan budget; "
+            "coarsen the resolution")
     axes = [np.arange(problem.lower[i], problem.upper[i] + resolution / 2,
                       resolution) for i in range(problem.dim)]
-    sizes = [len(a) for a in axes]
-    total = int(np.prod(sizes))
-    if total > ORACLE_POINT_LIMIT:
-        raise DimensionGuardError(
-            f"grid of {total} points exceeds the scan budget; "
-            "coarsen the resolution")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    U = np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    ineq = problem.inequalities(U)
-    mask = np.ones(total, dtype=bool)
-    if ineq.shape[1]:
-        mask &= ineq.max(axis=1) <= 1e-9
-    eq = problem.equalities(U)
-    if eq.shape[1]:
-        mask &= np.abs(eq).max(axis=1) <= problem.eq_scale * resolution
+    U = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    mask = problem.inequalities(U).max(axis=1, initial=-np.inf) <= 1e-9
+    mask &= (np.abs(problem.equalities(U)).max(axis=1, initial=0.0)
+             <= problem.eq_scale * resolution)
     if not mask.any():
         raise InfeasibleAtResolutionError(
             f"no feasible grid point at resolution {resolution}")
 
     pts = U[mask]
     costs = problem.cost(pts)
-    grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution)
+    grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
+                         lattice=mask.reshape(sizes))
     adjacency = grid.adjacency()
     labels = classify_local_optima(grid, adjacency)
 
@@ -506,10 +563,10 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
             labels[i] = "none"
             refuted += 1
 
-    adj = adjacency.tocoo()
     n_comp, _ = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-    dists = np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1)
-    slopes = np.abs(costs[adj.row] - costs[adj.col]) / dists
+    edges = scipy.sparse.triu(adjacency, k=1, format="coo")  # row < col
+    dists = np.linalg.norm(pts[edges.row] - pts[edges.col], axis=1)
+    slopes = np.abs(costs[edges.row] - costs[edges.col]) / dists
     max_slope = float(slopes.max(initial=0.0))
 
     gmin = float(costs.min())

@@ -1,6 +1,7 @@
 """Tests for condition checkers, landscape classification, the grid oracle
 and multistart search."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -13,12 +14,14 @@ from gen import (
     two_bus_case,
 )
 from relaxcert.certify import (
+    ORACLE_DIM_LIMIT,
     CertificateReport,
     ConditionResult,
     DimensionGuardError,
     GridProblem,
     InfeasibleAtResolutionError,
     LandscapeGrid,
+    _axis_lengths,
     _jacobian,
     _kkt_residual,
     brute_force_oracle,
@@ -32,10 +35,13 @@ from relaxcert.certify import (
 )
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import PathTrace, PreconditionError
-from relaxcert.distflow import pack_point, residual_X, sample_relaxed_points
+from relaxcert.distflow import load_case, pack_point, residual_X, sample_relaxed_points
 from relaxcert.lrsdp import load_instance, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
 from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
+
+
+CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
 
 def taxonomy_fixture():
@@ -93,6 +99,58 @@ class TestClassifyLocalOptima:
                                   costs=np.exp(grid.costs / 3.0),
                                   radius=grid.radius)
         assert list(classify_local_optima(relabeled)) == list(labels)
+
+
+def lattice_grid(mask, lower, resolution):
+    """Scan-style grid: ``np.arange`` axes from ``lower``, feasible cells of
+    ``mask`` in C order, radius 1.5 cells, with and without the lattice."""
+    axes = [np.arange(lo, lo + (n - 0.5) * resolution, resolution)
+            for lo, n in zip(lower, mask.shape)]
+    assert [len(a) for a in axes] == list(mask.shape)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)[mask.reshape(-1)]
+    costs = np.zeros(len(pts))
+    kd = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution)
+    return kd, dataclasses.replace(kd, lattice=mask)
+
+
+def assert_same_csr(a, b):
+    assert a.nnz == b.nnz
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+
+
+class TestLatticeAdjacency:
+    SHAPES = {1: (257,), 2: (23, 31), 3: (9, 11, 7), 4: (5, 6, 4, 7)}
+
+    @pytest.mark.parametrize("resolution", [0.0057, 0.04, 0.3])
+    @pytest.mark.parametrize("dim", range(1, ORACLE_DIM_LIMIT + 1))
+    def test_stencil_matches_kd_tree(self, dim, resolution):
+        rng = np.random.default_rng([dim, int(resolution * 1e4)])
+        lower = rng.uniform(-1.3, 0.4, dim)  # uneven bounds, off the lattice
+        for density in (0.2, 0.6, 0.95):
+            mask = rng.random(self.SHAPES[dim]) < density
+            kd, lattice = lattice_grid(mask, lower, resolution)
+            assert_same_csr(lattice.adjacency(), kd.adjacency())
+
+    def test_sqrt3_corner_is_not_a_neighbor(self):
+        mask = np.zeros((2, 2, 2), dtype=bool)
+        mask[0, 0, 0] = mask[1, 1, 1] = True
+        kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
+        assert kd.adjacency().nnz == 0
+        assert lattice.adjacency().nnz == 0
+        # one face-diagonal step further is a neighbor
+        mask[1, 1, 0] = True
+        kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
+        assert_same_csr(lattice.adjacency(), kd.adjacency())
+        assert lattice.adjacency().nnz == 4
+
+    def test_lattice_must_hold_one_cell_per_point(self):
+        kd, _ = lattice_grid(np.ones((3, 3), dtype=bool), [0.0, 0.0], 0.1)
+        with pytest.raises(ValueError, match="lattice"):
+            dataclasses.replace(kd, lattice=np.ones((3, 2), dtype=bool))
+        with pytest.raises(ValueError, match="lattice"):
+            dataclasses.replace(kd, lattice=np.ones(9, dtype=bool))
 
 
 class TestCheckC1C3:
@@ -273,6 +331,53 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(gp, resolution=0.02)
         bound = 5 * oracle.resolution * (1.0 + oracle.max_slope)
         assert abs(oracle.global_cost - reduced_cost) <= bound
+
+
+def shipped_grid_problem(name):
+    """The grid problem ``relaxcert oracle`` scans for a shipped case."""
+    path = os.path.join(CASES, name + ".json")
+    if name == "demo_lrsdp":
+        return psd_slice_grid_problem(load_instance(path))
+    return eliminated_opf_grid(*load_case(path))
+
+
+class TestOracleLattice:
+    @pytest.mark.parametrize("name, resolution", [("demo_2bus", 0.01),
+                                                  ("demo_lrsdp", 0.04)])
+    def test_lattice_oracle_matches_kd_tree_oracle(self, monkeypatch, name, resolution):
+        gp = shipped_grid_problem(name)
+        oracle = brute_force_oracle(gp, resolution)
+        lattice_adjacency = LandscapeGrid.adjacency
+        with monkeypatch.context() as patch:  # the scan's graph from the KD-tree
+            patch.setattr(LandscapeGrid, "adjacency", lambda grid: lattice_adjacency(
+                dataclasses.replace(grid, lattice=None)))
+            reference = brute_force_oracle(gp, resolution)
+        np.testing.assert_array_equal(oracle.points, reference.points)
+        np.testing.assert_array_equal(oracle.labels, reference.labels)
+        assert oracle.label_counts == reference.label_counts
+        assert oracle.n_components == reference.n_components
+        assert oracle.max_slope == reference.max_slope
+        # one slope per undirected edge keeps the bits of both directions
+        adj = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution).adjacency().tocoo()
+        pts, costs = oracle.points, oracle.costs
+        both = (np.abs(costs[adj.row] - costs[adj.col])
+                / np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1))
+        assert oracle.max_slope == float(both.max())
+
+    @pytest.mark.parametrize("resolution", [0.0057, 0.01, 0.04])
+    @pytest.mark.parametrize("name", ["demo_2bus", "demo_3bus", "bad_current_limit",
+                                      "demo_lrsdp"])
+    def test_axis_lengths_match_arange(self, name, resolution):
+        gp = shipped_grid_problem(name)
+        expected = [len(np.arange(gp.lower[i], gp.upper[i] + resolution / 2, resolution))
+                    for i in range(gp.dim)]
+        assert _axis_lengths(gp, resolution) == expected
+
+    def test_overflowing_axis_is_rejected_before_allocation(self):
+        gp = shipped_grid_problem("demo_2bus")
+        assert _axis_lengths(gp, 5e-324) == [np.inf, np.inf]
+        with pytest.raises(DimensionGuardError, match="scan budget"):
+            brute_force_oracle(gp, 5e-324)
 
 
 class TestMultistart:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,6 +547,20 @@ class TestOracleCommand:
         # demo_3bus has an unpinned root: 5 degrees of freedom
         assert code == 1
         assert "degrees of freedom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resolution", ["1e-300", "1e-7"])
+    def test_scan_budget_is_checked_before_any_axis(self, tmp_path, capsys, resolution):
+        # at 1e-7 each axis alone would hold about 3e7 floats (240 MB)
+        tracemalloc.start()
+        try:
+            code = main(["oracle", case("demo_2bus.json"), "--out",
+                         str(tmp_path / "out"), "--resolution", resolution])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "exceeds the scan budget" in capsys.readouterr().err
+        assert peak < 8 * 2**20
 
 
 class TestClassifyCommand:
