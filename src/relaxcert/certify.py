@@ -31,7 +31,7 @@ from relaxcert.core import (
     check_piecewise_linear_family,
     verify_path,
 )
-from relaxcert.distflow import OpfCost, RadialNetwork, tree_check
+from relaxcert.distflow import OpfCost, RadialNetwork, distflow
 
 EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
@@ -281,26 +281,23 @@ class LandscapeGrid:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "costs", costs)
 
-    def adjacency(self) -> scipy.sparse.csr_matrix:
+    def adjacency(self) -> np.ndarray:
+        """The undirected neighbor graph as an ``(E, 2)`` array of point
+        index pairs ``(i, j)`` with ``i < j``, each edge once."""
         if self.lattice is None:
             tree = scipy.spatial.cKDTree(self.points)
-            pairs = tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
-        else:
-            pairs = _stencil_pairs(self.lattice)
-        m = len(self.points)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        data = np.ones(len(rows), dtype=bool)
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
+            return tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
+        return _stencil_pairs(self.lattice)
 
 
 def _stencil_pairs(lattice: np.ndarray) -> np.ndarray:
     """Point-index pairs of set lattice cells one or two unit steps apart.
 
     Each offset with a positive first nonzero entry is one shifted-slice
-    comparison of the C-order point index laid out on the lattice.
+    comparison of the C-order point index laid out on the lattice; the
+    shifted cell comes later in C order, so every pair has ``i < j``.
     """
-    # int32, the CSR index type, halves the pair arrays
+    # int32 halves the pair arrays
     index = np.full(lattice.shape, -1,
                     dtype=np.int32 if lattice.size < 2**31 else np.intp)
     index[lattice] = np.arange(np.count_nonzero(lattice))
@@ -318,31 +315,36 @@ def _stencil_pairs(lattice: np.ndarray) -> np.ndarray:
     return np.concatenate(pairs)
 
 
+def _components(m: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count and labels of the connected components of the undirected
+    graph on ``m`` points with the edges ``(i[k], j[k])``."""
+    graph = scipy.sparse.csr_matrix((np.ones(len(i)), (i, j)), shape=(m, m))
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)
+
+
 def classify_local_optima(grid: LandscapeGrid,
-                          adjacency: scipy.sparse.csr_matrix | None = None) -> np.ndarray:
+                          edges: np.ndarray | None = None) -> np.ndarray:
     """Label each grid point none / global / pseudo / genuine.
 
     A discrete local optimum has no strictly cheaper neighbor; a plateau
     (equal-cost connected component) that reaches a non-local-optimum point
     turns its local optima into pseudo ones; local optima that are neither
-    global nor pseudo are genuine.  ``adjacency`` is ``grid.adjacency()``
-    when the caller has built it already.
+    global nor pseudo are genuine.  ``edges`` is ``grid.adjacency()`` when
+    the caller has built it already.
     """
-    adj = (grid.adjacency() if adjacency is None else adjacency).tocoo()
+    i, j = (grid.adjacency() if edges is None else edges).T
     m = len(grid.points)
     costs = grid.costs
 
     neighbor_min = np.full(m, np.inf)
-    np.minimum.at(neighbor_min, adj.row, costs[adj.col])
+    np.minimum.at(neighbor_min, i, costs[j])
+    np.minimum.at(neighbor_min, j, costs[i])
     local = costs <= neighbor_min + EQUAL_COST_TOL
 
     global_opt = costs <= costs.min() + EQUAL_COST_TOL
 
-    flat = np.abs(costs[adj.row] - costs[adj.col]) <= EQUAL_COST_TOL
-    flat_graph = scipy.sparse.csr_matrix(
-        (np.ones(int(flat.sum()), dtype=bool),
-         (adj.row[flat], adj.col[flat])), shape=(m, m))
-    _, comp = scipy.sparse.csgraph.connected_components(flat_graph, directed=False)
+    flat = np.abs(costs[i] - costs[j]) <= EQUAL_COST_TOL
+    _, comp = _components(m, i[flat], j[flat])
     comp_has_nonlocal = np.zeros(comp.max() + 1, dtype=bool)
     np.logical_or.at(comp_has_nonlocal, comp[~local], True)
 
@@ -552,8 +554,8 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     costs = problem.cost(pts)
     grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
                          lattice=mask.reshape(sizes))
-    adjacency = grid.adjacency()
-    labels = classify_local_optima(grid, adjacency)
+    edges = grid.adjacency()
+    labels = classify_local_optima(grid, edges)
 
     refuted = 0
     eq_band = problem.eq_scale * resolution
@@ -563,10 +565,10 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
             labels[i] = "none"
             refuted += 1
 
-    n_comp, _ = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-    edges = scipy.sparse.triu(adjacency, k=1, format="coo")  # row < col
-    dists = np.linalg.norm(pts[edges.row] - pts[edges.col], axis=1)
-    slopes = np.abs(costs[edges.row] - costs[edges.col]) / dists
+    i, j = edges.T
+    n_comp, _ = _components(len(pts), i, j)
+    dists = np.linalg.norm(pts[i] - pts[j], axis=1)
+    slopes = np.abs(costs[i] - costs[j]) / dists
     max_slope = float(slopes.max(initial=0.0))
 
     gmin = float(costs.min())
@@ -702,17 +704,14 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
     """Reduce a radial instance to line-power degrees of freedom.
 
     The root voltage and every line's complex sending-end power determine
-    the whole operating point through the power-flow recursion with the
-    cone held at equality; boxes become smooth inequalities of the reduced
-    variables.  The root voltage is a degree of freedom unless its box is
-    degenerate.
+    the whole operating point through the power-flow recursion
+    :func:`~relaxcert.distflow.distflow` with the cone held at equality;
+    boxes become smooth inequalities of the reduced variables.  The root
+    voltage is a degree of freedom unless its box is degenerate.
     """
-    ok, problem = tree_check(net)
-    if not ok:
-        raise PreconditionError(f"network is not radial: {problem}")
     n, e = net.n_bus, net.n_line
     root = net.bus_index[net.root]
-    order = net.topological_lines()
+    lines = sorted(net.line_table)  # line order, the order of the injection sums
     root_pinned = net.v_max[root] - net.v_min[root] <= 1e-12
     dim = 2 * e + (0 if root_pinned else 1)
 
@@ -724,30 +723,19 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
 
     def expand(U: np.ndarray):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        M = len(U)
-        SP, SQ = U[:, :e], U[:, e:2 * e]
-        v = np.empty((M, n))
-        v[:, root] = net.v_min[root] if root_pinned else U[:, -1]
-        ell = np.empty((M, e))
-        bad = np.zeros(M, dtype=bool)
-        for k in order:
-            t, h = int(net.tail_idx[k]), int(net.head_idx[k])
-            z = net.z[k]
-            vt = np.maximum(v[:, t], 1e-9)
-            bad |= v[:, t] <= 1e-9
-            ell[:, k] = (SP[:, k] ** 2 + SQ[:, k] ** 2) / vt
-            v[:, h] = (v[:, t] - 2.0 * (z.real * SP[:, k] + z.imag * SQ[:, k])
-                       + abs(z) ** 2 * ell[:, k])
-        sp = np.zeros((M, n))
-        sq = np.zeros((M, n))
-        for k in range(e):
-            t, h = int(net.tail_idx[k]), int(net.head_idx[k])
-            z = net.z[k]
-            sp[:, t] += SP[:, k]
-            sq[:, t] += SQ[:, k]
-            sp[:, h] += -(SP[:, k] - z.real * ell[:, k])
-            sq[:, h] += -(SQ[:, k] - z.imag * ell[:, k])
-        return sp, sq, v, ell, bad
+        P, Q = U[:, :e].T, U[:, e:2 * e].T
+        root_v = np.full(len(U), net.v_min[root]) if root_pinned else U[:, -1]
+        v, ell, bad = distflow(net, root_v, P, Q, P ** 2 + Q ** 2, floor=1e-9)
+        if bad.any():  # rejected rows; keep their injections finite
+            ell[:, bad] = 0.0
+        sp = np.zeros((len(U), n))
+        sq = np.zeros((len(U), n))
+        for k, t, h, zr, zi, _ in lines:
+            sp[:, t] += P[k]
+            sq[:, t] += Q[k]
+            sp[:, h] -= P[k] - zr * ell[k]
+            sq[:, h] -= Q[k] - zi * ell[k]
+        return sp, sq, v.T, ell.T, bad
 
     def cost_fn(U: np.ndarray) -> np.ndarray:
         sp, sq, _, _, bad = expand(U)
@@ -756,23 +744,23 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
         vals[bad] = 1e6
         return vals
 
-    s_min, s_max = net.s_min, net.s_max
     # the root voltage is either a boxed variable or a constant; its box
     # rows would be identically zero and only degrade the local solves
     free_bus = np.array([j for j in range(n) if j != root or not root_pinned],
                         dtype=int)
+    v_min, v_max = net.v_min[free_bus], net.v_max[free_bus]
     # unbounded injections have no lower-bound rows
-    lo_p = np.flatnonzero(np.isfinite(s_min.real))
-    lo_q = np.flatnonzero(np.isfinite(s_min.imag))
+    lo_p = np.flatnonzero(np.isfinite(net.s_min.real))
+    lo_q = np.flatnonzero(np.isfinite(net.s_min.imag))
+    p_min, q_min = net.s_min.real[lo_p], net.s_min.imag[lo_q]
 
     def ineq_fn(U: np.ndarray) -> np.ndarray:
         sp, sq, v, ell, bad = expand(U)
         vf = v[:, free_bus]
         cols = [
-            net.v_min[None, free_bus] - vf, vf - net.v_max[None, free_bus],
-            ell - net.l_max[None, :],
-            s_min.real[None, lo_p] - sp[:, lo_p], sp - s_max.real[None, :],
-            s_min.imag[None, lo_q] - sq[:, lo_q], sq - s_max.imag[None, :],
+            v_min - vf, vf - v_max, ell - net.l_max,
+            p_min - sp[:, lo_p], sp - net.s_max.real,
+            q_min - sq[:, lo_q], sq - net.s_max.imag,
         ]
         out = np.concatenate(cols, axis=1)
         out[bad] = 1e6

@@ -70,6 +70,8 @@ from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERT_FAIL = 2
+CONFIG_KEYS = ("out", "tol", "seed", "samples", "resolution", "max_iter",
+               "relaxation_parameter")  # the flag options a config file may set
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -405,15 +407,17 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
                 for a in argv if a.startswith("--")}
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in CONFIG_KEYS:
             raise ValueError(f"config: unknown option {key!r}")
         if attr not in supplied:
             setattr(args, attr, value)
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Check the numeric flags once, after ``--config`` is applied, so a
-    config value meets the same rules as a flag; a bad value is named."""
+    """Check the flags once, after ``--config`` is applied, so a config
+    value meets the same rules as a flag; a bad value is named."""
+    if not isinstance(args.out, str):
+        raise ValueError(f"--out: expected a string, got {args.out!r}")
     for name, high in (("tol", math.inf), ("resolution", math.inf),
                        ("relaxation_parameter", 2.0)):
         flag, value = "--" + name.replace("_", "-"), getattr(args, name)

@@ -17,6 +17,8 @@ import numpy as np
 
 from relaxcert.core import FEAS_TOL, PreconditionError, finite_number, finite_numbers
 
+SAMPLE_SLACK_RANGE = (0.05, 0.5)  # current slack drawn per line, before the draw scale
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -109,50 +111,43 @@ class RadialNetwork:
     def s_max(self) -> np.ndarray:
         return np.array([b.s_max for b in self.buses], dtype=complex)
 
-    def topological_lines(self) -> list[int]:
-        """Line indices ordered so each line's tail was already reached.
+    @cached_property
+    def tree(self) -> tuple[list[tuple[int, int, int, float, float, float]], str]:
+        """Root-first ``(line, tail, head, Re z, Im z, |z|^2)`` rows and tree
+        verdict (``""``, or the first failed condition and no rows), one walk."""
+        n, root = self.n_bus, self.bus_index[self.root]
+        indeg = np.bincount(self.head_idx, minlength=n)
+        if indeg[root] != 0:
+            return [], f"root bus {self.root!r} has an incoming line"
+        for i, b in enumerate(self.buses):
+            if i != root and indeg[i] != 1:
+                return [], f"bus {b.id!r} has in-degree {indeg[i]} (expected 1)"
+        if self.n_line != n - 1:
+            return [], f"{self.n_line} lines for {n} buses (expected {n - 1})"
+        children: list[list[int]] = [[] for _ in range(n)]
+        for e, t in enumerate(self.tail_idx.tolist()):
+            children[t].append(e)
+        table, stack = [], [root]
+        while stack:  # in-degree one below the root: each line once
+            t = stack.pop()
+            for e in children[t]:
+                h, z = int(self.head_idx[e]), complex(self.lines[e].z)
+                table.append((e, t, h, z.real, z.imag, abs(z) ** 2))
+                stack.append(h)
+        # in-degrees are right, so any unreachable bus implies a directed cycle
+        seen = {root, *(row[2] for row in table)}
+        if len(seen) != n:
+            cyc = [b.id for i, b in enumerate(self.buses) if i not in seen]
+            return [], f"buses {cyc} unreachable from root (cycle present)"
+        return table, ""
 
-        Requires the directed edges to form a tree rooted at ``root``.
-        """
-        ok, problem = tree_check(self)
-        if not ok:
-            raise PreconditionError(f"network is not a tree rooted at root: {problem}")
-        return _lines_from_root(self)
-
-
-def _lines_from_root(net: RadialNetwork) -> list[int]:
-    """Depth-first order of the lines reachable from the root, each after
-    the line into its tail; needs in-degree one at every other bus."""
-    out_lines: dict[int, list[int]] = {i: [] for i in range(net.n_bus)}
-    for e, t in enumerate(net.tail_idx):
-        out_lines[int(t)].append(e)
-    order: list[int] = []
-    stack = [net.bus_index[net.root]]
-    while stack:
-        for e in out_lines[stack.pop()]:
-            order.append(e)
-            stack.append(int(net.head_idx[e]))
-    return order
-
-
-def tree_check(net: RadialNetwork) -> tuple[bool, str]:
-    """Check the directed lines form a tree rooted at ``net.root``."""
-    n = net.n_bus
-    root = net.bus_index[net.root]
-    indeg = np.bincount(net.head_idx, minlength=n)
-    if indeg[root] != 0:
-        return False, f"root bus {net.root!r} has an incoming line"
-    for i, b in enumerate(net.buses):
-        if i != root and indeg[i] != 1:
-            return False, f"bus {b.id!r} has in-degree {indeg[i]} (expected 1)"
-    if net.n_line != n - 1:
-        return False, f"{net.n_line} lines for {n} buses (expected {n - 1})"
-    # in-degrees are right, so any unreachable bus implies a directed cycle
-    seen = {root, *(int(net.head_idx[e]) for e in _lines_from_root(net))}
-    if len(seen) != n:
-        cyc = [b.id for i, b in enumerate(net.buses) if i not in seen]
-        return False, f"buses {cyc} unreachable from root (cycle present)"
-    return True, ""
+    @property
+    def line_table(self) -> list[tuple[int, int, int, float, float, float]]:
+        """The rows of :attr:`tree`; a failed verdict raises PreconditionError."""
+        table, problem = self.tree
+        if problem:
+            raise PreconditionError(f"network is not radial: {problem}")
+        return table
 
 
 @dataclass(frozen=True)
@@ -326,8 +321,7 @@ def validate_assumptions(net: RadialNetwork, cost: OpfCost) -> AssumptionReport:
     """Check the structural assumptions; feasibility is deferred to the solver."""
     checks: list[AssumptionCheck] = []
 
-    ok, problem = tree_check(net)
-    checks.append(AssumptionCheck("tree", ok, problem))
+    checks.append(AssumptionCheck("tree", not net.tree[1], net.tree[1]))
 
     bad = [ln for ln in net.lines if not (ln.z.real > 0 and ln.z.imag > 0)]
     checks.append(AssumptionCheck(
@@ -386,6 +380,28 @@ def validate_assumptions(net: RadialNetwork, cost: OpfCost) -> AssumptionReport:
     return AssumptionReport(checks=tuple(checks))
 
 
+def distflow(net: RadialNetwork, root_v, P, Q, S2, extra=None, floor=0.0):
+    """Forward DistFlow recursion (Baran & Wu, 1989) down ``net.line_table``.
+
+    Per line ``k``, ``P[k]``, ``Q[k]`` (sending-end power), ``S2[k]`` (its
+    squared magnitude) and the optional ``extra[k]`` (current slack) are
+    scalars or stacks shaped like ``root_v``.  Returns bus-major ``v``,
+    line-major ``ell`` and ``low``, true where a tail voltage is at most
+    ``floor``; below a nonpositive one the values mean nothing (no warning).
+    """
+    v = np.empty((net.n_bus, *np.shape(root_v)))
+    ell = np.empty((net.n_line, *v.shape[1:]))
+    v[net.bus_index[net.root]] = root_v
+    low = np.False_
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k, t, h, zr, zi, z2 in net.line_table:
+            vt = v[t]
+            low = low | (vt <= floor)
+            ell[k] = ell_k = S2[k] / vt if extra is None else S2[k] / vt + extra[k]
+            v[h] = vt - 2.0 * (zr * P[k] + zi * Q[k]) + z2 * ell_k
+    return v, ell, low
+
+
 def forward_point(
     net: RadialNetwork,
     root_v: float,
@@ -409,17 +425,13 @@ def forward_point(
     if np.any(extra < 0):
         raise ValueError("extra_ell must be nonnegative")
 
-    v = np.zeros(net.n_bus)
-    ell = np.zeros(net.n_line)
-    v[net.bus_index[net.root]] = root_v
-    for e in net.topological_lines():
-        t, h = int(net.tail_idx[e]), int(net.head_idx[e])
-        if v[t] <= 0:
-            raise ValueError(f"nonpositive voltage at bus {net.buses[t].id} "
-                             "during forward substitution")
-        z = net.z[e]
-        ell[e] = abs(S[e]) ** 2 / v[t] + extra[e]
-        v[h] = v[t] - 2.0 * (z * np.conj(S[e])).real + abs(z) ** 2 * ell[e]
+    # scalar abs: numpy's array abs of complex128 can differ in the last bit
+    v, ell, low = distflow(net, root_v, S.real.tolist(), S.imag.tolist(),
+                           [abs(x) ** 2 for x in S.tolist()], extra.tolist())
+    if low:  # root first, the first such tail is computed exactly
+        t = next(t for _, t, *_ in net.line_table if v[t] <= 0)
+        raise ValueError(f"nonpositive voltage at bus {net.buses[t].id} "
+                         "during forward substitution")
 
     s = np.zeros(net.n_bus, dtype=complex)
     np.add.at(s, net.tail_idx, S)
@@ -432,13 +444,13 @@ def sample_relaxed_points(
     cost: OpfCost,
     count: int,
     rng: np.random.Generator,
-    slack_range: tuple[float, float] = (0.05, 0.5),
     tol: float = FEAS_TOL,
 ) -> list[OperatingPoint]:
     """Draw points of the relaxed set with strict cone slack on every line.
 
-    Uses forward substitution with inflated currents, shrinking the draw
-    scale until the point clears every box of the instance.
+    Uses forward substitution with inflated currents (slack drawn from
+    ``SAMPLE_SLACK_RANGE``), shrinking the draw scale until the point clears
+    every box of the instance.
     """
     root_i = net.bus_index[net.root]
     root_v = 0.5 * (net.v_min[root_i] + net.v_max[root_i])
@@ -448,7 +460,7 @@ def sample_relaxed_points(
         for attempt in range(60):
             S = scale * (rng.normal(0, 0.3, net.n_line)
                          + 1j * rng.normal(0, 0.3, net.n_line))
-            slack = rng.uniform(*slack_range, net.n_line) * scale
+            slack = rng.uniform(*SAMPLE_SLACK_RANGE, net.n_line) * scale
             try:
                 x = forward_point(net, root_v, S, extra_ell=slack)
             except ValueError:

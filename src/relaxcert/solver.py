@@ -26,12 +26,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from relaxcert.core import PreconditionError
-from relaxcert.distflow import (
-    OperatingPoint,
-    OpfCost,
-    RadialNetwork,
-    tree_check,
-)
+from relaxcert.distflow import OperatingPoint, OpfCost, RadialNetwork
 from relaxcert.lrsdp import LrsdpInstance, PsdPoint
 
 DEFAULT_OPTIONS: dict[str, Any] = {
@@ -521,9 +516,7 @@ def build_opf_program(net: RadialNetwork, cost: OpfCost) -> tuple[ConicProgram, 
 def solve_opf_relaxation(net: RadialNetwork, cost: OpfCost,
                          options: dict[str, Any] | None = None) -> SolveResult:
     """Solve the second-order-cone relaxation of the OPF instance."""
-    ok, problem = tree_check(net)
-    if not ok:
-        raise PreconditionError(f"network is not radial: {problem}")
+    net.line_table  # raises PreconditionError unless the lines form a tree
     if len(cost.cp) != net.n_bus:
         raise PreconditionError("cost dimension does not match the network")
 

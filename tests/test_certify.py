@@ -58,7 +58,7 @@ def taxonomy_fixture():
 class TestClassifyLocalOptima:
     def test_isolated_points_are_local_optima(self):
         grid = LandscapeGrid(points=[[0.0], [5.0]], costs=[1.0, 2.0], radius=1.0)
-        assert grid.adjacency().nnz == 0
+        assert grid.adjacency().shape == (0, 2)
         assert list(classify_local_optima(grid)) == ["global", "genuine"]
 
     def test_taxonomy_fixture(self):
@@ -114,10 +114,19 @@ def lattice_grid(mask, lower, resolution):
     return kd, dataclasses.replace(kd, lattice=mask)
 
 
-def assert_same_csr(a, b):
-    assert a.nnz == b.nnz
-    np.testing.assert_array_equal(a.indptr, b.indptr)
-    np.testing.assert_array_equal(a.indices, b.indices)
+def assert_edge_list(pairs, m):
+    """``pairs`` is an ``(E, 2)`` edge list of ``m`` points: ``i < j`` in
+    every row and no undirected edge twice."""
+    assert pairs.ndim == 2 and pairs.shape[1] == 2
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+    assert np.all((0 <= pairs) & (pairs < m))
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+
+
+def assert_same_edges(a, b):
+    """Equal edge lists up to row order."""
+    assert len(a) == len(b)
+    np.testing.assert_array_equal(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])])
 
 
 class TestLatticeAdjacency:
@@ -131,19 +140,21 @@ class TestLatticeAdjacency:
         for density in (0.2, 0.6, 0.95):
             mask = rng.random(self.SHAPES[dim]) < density
             kd, lattice = lattice_grid(mask, lower, resolution)
-            assert_same_csr(lattice.adjacency(), kd.adjacency())
+            for grid in (kd, lattice):
+                assert_edge_list(grid.adjacency(), len(grid.points))
+            assert_same_edges(lattice.adjacency(), kd.adjacency())
 
     def test_sqrt3_corner_is_not_a_neighbor(self):
         mask = np.zeros((2, 2, 2), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 1] = True
         kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
-        assert kd.adjacency().nnz == 0
-        assert lattice.adjacency().nnz == 0
+        assert len(kd.adjacency()) == 0
+        assert len(lattice.adjacency()) == 0
         # one face-diagonal step further is a neighbor
         mask[1, 1, 0] = True
         kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
-        assert_same_csr(lattice.adjacency(), kd.adjacency())
-        assert lattice.adjacency().nnz == 4
+        assert_same_edges(lattice.adjacency(), kd.adjacency())
+        assert len(lattice.adjacency()) == 2
 
     def test_lattice_must_hold_one_cell_per_point(self):
         kd, _ = lattice_grid(np.ones((3, 3), dtype=bool), [0.0, 0.0], 0.1)
@@ -358,10 +369,11 @@ class TestOracleLattice:
         assert oracle.n_components == reference.n_components
         assert oracle.max_slope == reference.max_slope
         # one slope per undirected edge keeps the bits of both directions
-        adj = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution).adjacency().tocoo()
+        edges = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution).adjacency()
+        row, col = np.concatenate([edges, edges[:, ::-1]]).T
         pts, costs = oracle.points, oracle.costs
-        both = (np.abs(costs[adj.row] - costs[adj.col])
-                / np.linalg.norm(pts[adj.row] - pts[adj.col], axis=1))
+        both = (np.abs(costs[row] - costs[col])
+                / np.linalg.norm(pts[row] - pts[col], axis=1))
         assert oracle.max_slope == float(both.max())
 
     @pytest.mark.parametrize("resolution", [0.0057, 0.01, 0.04])

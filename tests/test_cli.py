@@ -625,3 +625,24 @@ class TestConfig:
         code = main(["opf", case("demo_2bus.json"), "--out",
                      str(tmp_path / "out"), "--config", str(config)])
         assert code == 1
+
+    @pytest.mark.parametrize("entry, message", [
+        # parser attributes that are not flag options
+        ({"input": case("demo_3bus.json")}, "config: unknown option 'input'"),
+        ({"fn": 1}, "config: unknown option 'fn'"),
+        ({"command": "lrsdp"}, "config: unknown option 'command'"),
+        ({"config": "other.json"}, "config: unknown option 'config'"),
+        ({"out": 5}, "--out: expected a string, got 5"),
+    ], ids=["input", "fn", "command", "config", "out"])
+    def test_config_sets_only_flag_options(self, tmp_path, capsys, monkeypatch,
+                                           entry, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad config entry reached the solver")
+
+        monkeypatch.setattr(cli, "solve_opf_relaxation", unreachable)
+        monkeypatch.chdir(tmp_path)  # no --out flag, so the config's out applies
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        code = main(["opf", case("demo_2bus.json"), "--config", str(config)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err

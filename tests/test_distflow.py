@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gen import random_radial_network
+from relaxcert.core import PreconditionError
 from relaxcert.distflow import (
     Bus,
     Line,
@@ -293,3 +295,91 @@ def test_sample_relaxed_points_land_between_the_sets():
     for x in pts:
         assert residual_Xhat(net, cost, x) <= 1e-8
         assert residual_X(net, cost, x) > 1e-6
+
+
+def cycle_net():
+    """Three buses whose lines 1->2 and 2->1 close a directed cycle."""
+    buses = tuple(Bus(id=str(i), v_min=0.9, v_max=1.1, s_min=None,
+                      s_max=complex(1, 1)) for i in range(3))
+    lines = (
+        Line(tail="0", head="1", z=0.01 + 0.01j, l_max=1.0),
+        Line(tail="1", head="2", z=0.01 + 0.01j, l_max=1.0),
+        Line(tail="2", head="1", z=0.01 + 0.01j, l_max=1.0),
+    )
+    return RadialNetwork(buses=buses, lines=lines, root="0")
+
+
+def two_parent_net():
+    """Bus 2 fed by both bus 0 and bus 1."""
+    net = cycle_net()
+    lines = (*net.lines[:2], dataclasses.replace(net.lines[0], head="2"))
+    return RadialNetwork(buses=net.buses, lines=lines, root="0")
+
+
+class TestLineTable:
+    def test_forward_point_ignores_line_listing_order(self):
+        rng = np.random.default_rng(12)
+        net, _ = random_radial_network(rng, n_bus=9)
+        S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
+        extra = rng.uniform(0.0, 0.3, net.n_line)
+        leaves_first = dataclasses.replace(net, lines=net.lines[::-1])
+        assert leaves_first.line_table[0][0] != 0  # walked from the root
+        x = forward_point(net, 1.0, S, extra)
+        y = forward_point(leaves_first, 1.0, S[::-1], extra[::-1])
+        np.testing.assert_array_equal(y.v, x.v)
+        np.testing.assert_array_equal(y.ell, x.ell[::-1])
+        np.testing.assert_array_equal(y.S, x.S[::-1])
+        # only the order of each bus's injection sum may change
+        np.testing.assert_allclose(y.s, x.s, rtol=0, atol=1e-14)
+
+    def test_table_rows_follow_the_lines(self):
+        rng = np.random.default_rng(13)
+        net, _ = random_radial_network(rng, n_bus=7)
+        reached = {net.bus_index[net.root]}
+        for k, t, h, zr, zi, z2 in net.line_table:
+            assert (t, h) == (net.tail_idx[k], net.head_idx[k])
+            assert t in reached  # root first
+            reached.add(h)
+            assert complex(zr, zi) == net.lines[k].z and z2 == abs(net.lines[k].z) ** 2
+        assert sorted(k for k, *_ in net.line_table) == list(range(net.n_line))
+
+    @pytest.mark.parametrize("make", [cycle_net, two_parent_net])
+    def test_non_tree_is_refused_naming_the_witness(self, make):
+        from relaxcert.certify import eliminated_opf_grid
+
+        net = make()
+        table, witness = net.tree
+        assert table == [] and witness
+        assert validate_assumptions(net, linear_cost(net.n_bus))["tree"].witness == witness
+        with pytest.raises(PreconditionError, match=re.escape(witness)):
+            forward_point(net, 1.0, np.full(net.n_line, 0.1 + 0.05j))
+        with pytest.raises(PreconditionError, match=re.escape(witness)):
+            eliminated_opf_grid(net, linear_cost(net.n_bus))
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    def test_eliminated_model_agrees_with_forward_point(self, pinned):
+        from relaxcert.certify import eliminated_opf_grid
+
+        rng = np.random.default_rng(14)
+        net, cost = random_radial_network(rng, n_bus=5, pin_root_voltage=pinned,
+                                          finite_s_box=True)
+        gp = eliminated_opf_grid(net, cost)
+        root = net.bus_index[net.root]
+        free = [j for j in range(net.n_bus) if j != root or not pinned]
+        rows, costs, ineqs = [], [], []
+        for _ in range(12):
+            S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
+            root_v = rng.uniform(net.v_min[root], net.v_max[root])
+            x = forward_point(net, root_v, S)
+            rows.append(np.concatenate([S.real, S.imag, [] if pinned else [root_v]]))
+            costs.append(cost.value(x.s))
+            p, q = x.s.real, x.s.imag
+            ineqs.append(np.concatenate([
+                net.v_min[free] - x.v[free], x.v[free] - net.v_max[free],
+                x.ell - net.l_max,
+                net.s_min.real - p, p - net.s_max.real,
+                net.s_min.imag - q, q - net.s_max.imag]))
+        U = np.array(rows)
+        assert gp.dim == U.shape[1]
+        np.testing.assert_allclose(gp.cost(U), costs, rtol=1e-12)
+        np.testing.assert_allclose(gp.inequalities(U), ineqs, rtol=1e-12, atol=1e-12)
