@@ -219,8 +219,8 @@ def check_piecewise_linear_family(
     Passes iff every trace declares at most ``max_segments`` segments, every
     sample lies within ``tol`` (scaled by the magnitude of the trace's data)
     of the chord of its declared segment, and all samples fit in one finite
-    bounding box.  One O(K d) pass per trace; an empty family passes
-    vacuously.
+    bounding box.  One O(K d) pass per trace, one knot segment at a time;
+    an empty family passes vacuously.
     """
     traces = list(traces)
     if not traces:
@@ -230,33 +230,40 @@ def check_piecewise_linear_family(
         raise ValueError("traces must share the ambient dimension")
 
     worst = 0.0
+    lows, highs = [], []
     for idx, tr in enumerate(traces):
         if tr.segments > max_segments:
             return PwlFamilyReport(
                 False, None, 0.0,
                 f"trace {idx} declares {tr.segments} segments > {max_segments}")
         # every sample but the last (a knot) against the chord of its own
-        # segment, as the largest complex modulus over coordinates; the
-        # deviation at a knot is exactly 0
-        pts, ts, knots = tr.points, tr.params, tr.knots
-        seg = np.searchsorted(knots, np.arange(len(ts) - 1), side="right") - 1
-        lo, hi = knots[seg], knots[seg + 1]
-        w = (ts[:-1] - ts[lo]) / (ts[hi] - ts[lo])
-        dev = np.max(np.abs(pts[lo] + w[:, None] * (pts[hi] - pts[lo]) - pts[:-1]),
-                      axis=1)
-        i = int(np.argmax(dev))
-        tol_abs = tol * max(1.0, float(np.max(np.abs(pts.real))),
-                            float(np.max(np.abs(pts.imag))))
-        if dev[i] > tol_abs:
+        # segment, as the largest complex modulus over coordinates, one
+        # segment at a time; the deviation at a knot is exactly 0, and the
+        # first sample of the largest deviation is reported
+        ts, knots = tr.params, tr.knots.tolist()
+        i, seg_i, dev_i, scale = 0, 0, -1.0, 1.0
+        for seg, (lo, hi) in enumerate(zip(knots[:-1], knots[1:])):
+            run = tr.points[lo:hi + 1]
+            w = (ts[lo:hi] - ts[lo]) / (ts[hi] - ts[lo])
+            dev = np.max(np.abs(run[0] + w[:, None] * (run[-1] - run[0]) - run[:-1]),
+                         axis=1)
+            j = int(np.argmax(dev))
+            if dev[j] > dev_i:
+                i, seg_i, dev_i = lo + j, seg, float(dev[j])
+            scale = max(scale, float(np.max(np.abs(run.real))),
+                        float(np.max(np.abs(run.imag))))
+        tol_abs = tol * scale
+        if dev_i > tol_abs:
             return PwlFamilyReport(
-                False, None, float(dev[i]),
-                f"trace {idx}, segment {seg[i]}: sample {i} lies {dev[i]:.3g} "
+                False, None, dev_i,
+                f"trace {idx}, segment {seg_i}: sample {i} lies {dev_i:.3g} "
                 f"off the chord (tol {tol_abs:.3g}); the {tr.segments} declared "
                 "affine runs do not fit the samples")
-        worst = max(worst, float(dev[i]))
+        worst = max(worst, dev_i)
+        lows.append(tr.points.min(axis=0))
+        highs.append(tr.points.max(axis=0))
 
-    stacked = np.concatenate([tr.points for tr in traces], axis=0)
-    box = (stacked.min(axis=0), stacked.max(axis=0))
+    box = (np.min(lows, axis=0), np.max(highs, axis=0))
     return PwlFamilyReport(True, box, worst)
 
 
@@ -332,15 +339,20 @@ def _when_failing(listed: tuple[float, str],
 
 
 def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathCheck:
-    """Evaluate a sampled path from ``x`` with one handle call per quantity."""
+    """Evaluate a sampled path from ``x`` one knot segment at a time, with
+    one handle call per quantity and segment; a knot shared by two
+    segments is evaluated with the earlier one."""
     if handle.lyapunov is None:
         raise ValueError("the problem carries no Lyapunov function")
+    blocks = np.split(trace.points, trace.knots[1:-1] + 1)
+    relaxed, costs, lyapunov = (np.concatenate(values) for values in zip(*(
+        (handle.residual_relaxed(b), handle.cost(b), handle.lyapunov(b))
+        for b in blocks)))
     return PathCheck(
         anchor_gap=float(np.max(np.abs(trace.start - x), initial=0.0)),
         anchor_scale=1.0 + float(np.max(np.abs(x), initial=0.0)),
-        relaxed=handle.residual_relaxed(trace.points),
-        end_residual=float(handle.residual_feasible(trace.end)),
-        costs=handle.cost(trace.points), lyapunov=handle.lyapunov(trace.points))
+        relaxed=relaxed, end_residual=float(handle.residual_feasible(trace.end)),
+        costs=costs, lyapunov=lyapunov)
 
 
 def write_trace_csv(
@@ -356,14 +368,33 @@ def write_trace_csv(
     Each callable maps the ``(K, d)`` sample matrix to one row (or value)
     per sample; ``coordinate_rows`` gives the real values matching
     ``coordinate_labels``, whose order callers fix so files are
-    deterministic and diffable.
+    deterministic and diffable.  The table is written one knot segment at
+    a time, and a cell is formatted only where its float64 bits differ from
+    the cell above; elsewhere it reuses that cell's text.
     """
     pts = trace.points
-    columns = zip(trace.params.tolist(), cost(pts).tolist(),
-                  lyapunov(pts).tolist(), coordinate_rows(pts))
+    columns = (trace.params, cost(pts), lyapunov(pts), coordinate_rows(pts))
+    knots = trace.knots.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["t", "f", "V", *coordinate_labels])
-        # the rows hold Python numbers only: repr round-trips them exactly and
-        # needs no quoting, so joining gives csv.writer's bytes, faster
-        fh.writelines(",".join(map(repr, [t, f, v, *row.tolist()])) + "\r\n"
-                      for t, f, v, row in columns)
+        above = None  # the text of the last row written
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            # the knot row lo opens the block; after the first segment it
+            # was written already, as the last row of the one before
+            block = np.column_stack([c[lo:hi + 1] for c in columns])
+            bits = block.view(np.uint64)  # -0.0 and 0.0 differ here
+            fresh = np.ones(block.shape, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+            text = np.empty(block.shape, dtype=object)
+            if above is not None:
+                fresh[0], text[0] = False, above
+            # repr round-trips every Python float exactly and needs no
+            # quoting, so joining gives csv.writer's bytes, faster
+            text[fresh] = list(map(repr, block[fresh].tolist()))
+            # each cell takes the text of the nearest fresh cell above it
+            source = np.where(fresh, np.arange(len(block))[:, None], 0)
+            np.maximum.accumulate(source, axis=0, out=source)
+            text = text[source, np.arange(block.shape[1])]
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in text[0 if above is None else 1:].tolist())
+            above = text[-1]

@@ -361,16 +361,21 @@ def reduce_rank_path(
         return ReductionResult(trace=trace, final=start, stages=())
 
     n_stages = r0 - inst.r
+    step = samples_per_stage - 1
+    local_ts = np.linspace(0.0, 1.0, samples_per_stage)
+    params = np.empty(n_stages * step + 1)
+    points = np.empty((len(params), n * n), dtype=complex)
     stage_infos: list[ReductionStage] = []
-    all_params: list[np.ndarray] = []
-    all_points: list[np.ndarray] = []
     current = start
 
     for i in range(1, n_stages + 1):
         k_before = current.rank()
-        local_ts = np.linspace(0.0, 1.0, samples_per_stage)
+        # stage i spans rows (i-1)*step .. i*step; after the first stage,
+        # its first sample is the previous stage's last and is not rewritten
+        first = 0 if i == 1 else 1
+        rows = slice((i - 1) * step + first, i * step + 1)
         if k_before <= r0 - i:
-            pts = np.tile(current.X.reshape(-1), (samples_per_stage, 1))
+            points[rows] = current.X.reshape(-1)
             stage_infos.append(ReductionStage(
                 index=i, constant=True, rank_before=k_before, rank_after=k_before))
         else:
@@ -394,7 +399,7 @@ def reduce_rank_path(
             _, alpha = max(candidates)
 
             X_t = U @ _stage_matrices(sigma, Y, alpha, local_ts) @ U.conj().T
-            pts = X_t.reshape(samples_per_stage, n * n)
+            points[rows] = X_t.reshape(samples_per_stage, n * n)[first:]
             end = PsdPoint.from_matrix(X_t[-1], name=f"stage {i} endpoint")
             if end.rank() >= k_before:
                 raise CertificateViolationError(
@@ -403,17 +408,10 @@ def reduce_rank_path(
                 index=i, constant=False, rank_before=k_before,
                 rank_after=end.rank(), alpha=float(alpha)))
             current = end
+        params[rows] = ((i - 1) / n_stages + local_ts / n_stages)[first:]
 
-        offset = (i - 1) / n_stages
-        params = offset + local_ts / n_stages
-        if all_params:
-            params, pts = params[1:], pts[1:]
-        all_params.append(params)
-        all_points.append(pts)
-
-    trace = PathTrace(params=np.concatenate(all_params),
-                      points=np.concatenate(all_points, axis=0),
-                      knots=np.arange(n_stages + 1) * (samples_per_stage - 1))
+    trace = PathTrace(params=params, points=points,
+                      knots=np.arange(n_stages + 1) * step)
     return ReductionResult(trace=trace, final=current, stages=tuple(stage_infos))
 
 
@@ -430,17 +428,31 @@ def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
     def _unflatten(vec: np.ndarray) -> np.ndarray:
         return _hermitian_part(_matrices(vec))
 
+    last = [(None, None)]  # the last stack's shape and bytes, its decomposition
+
+    def _decomposed(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitian parts of a stack and their descending spectra,
+        from one ``eigh`` per matrix; the residuals and the Lyapunov value
+        of a stack share it."""
+        vec = np.asarray(vec, dtype=complex)
+        key = (vec.shape, vec.tobytes())
+        seen, decomposition = last[0]
+        if seen != key:
+            X = _unflatten(vec)
+            decomposition = X, _spectrum(X)
+            last[0] = key, decomposition
+        return decomposition
+
     def _res_relax(vec: np.ndarray) -> np.ndarray:
-        raw, X = _matrices(vec), _unflatten(vec)
+        raw, (X, vals) = _matrices(vec), _decomposed(vec)
         gap = np.abs(raw - np.swapaxes(raw, -2, -1).conj())
         hermiticity = np.max(gap, axis=(-2, -1)) / 2
-        lam_min = np.min(np.linalg.eigvalsh(X), axis=-1)
-        worst = np.maximum(np.maximum(hermiticity, inst.constraint_residual(X)), -lam_min)
+        worst = np.maximum(np.maximum(hermiticity, inst.constraint_residual(X)),
+                           -vals[..., -1])
         return np.maximum(worst, 0.0)
 
     def _res_feas(vec: np.ndarray) -> np.ndarray:
-        vals = np.sort(np.linalg.eigvalsh(_unflatten(vec)), axis=-1)[..., ::-1]
-        return np.maximum(_res_relax(vec), _tail(vals, inst.r))
+        return np.maximum(_res_relax(vec), _tail(_decomposed(vec)[1], inst.r))
 
     bound = 1.0 + float(np.max(np.abs(inst.b)))
     lo = np.full(n * n, -bound - 1j * bound)
@@ -450,7 +462,7 @@ def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
             # Re tr(C X) is blind to the anti-Hermitian part of X
             cost=lambda vec: inst.cost(_matrices(vec)),
             residual_feasible=_res_feas, residual_relaxed=_res_relax,
-            lyapunov=lambda vec: _tail(_spectrum(_unflatten(vec)), inst.r)),
+            lyapunov=lambda vec: _tail(_decomposed(vec)[1], inst.r)),
         path_factory=lambda vec: reduce_rank_path(inst, _unflatten(vec)).trace,
         segment_bound=max(1, n - inst.r),
         box=(lo, hi),

@@ -270,6 +270,66 @@ class TestDeclaredKnots:
         assert rep.worst_deviation > 1e-3
 
 
+class TestFamilyCheckPerSegment:
+    """The check runs one knot segment at a time; its report is the one a
+    whole-trace evaluation gives."""
+
+    @staticmethod
+    def whole_trace(traces, tol=1e-9):
+        """Per trace: the deviations of all samples but the last from the
+        chords of their segments in one array, and the tolerance."""
+        out = []
+        for tr in traces:
+            pts, ts, knots = tr.points, tr.params, tr.knots
+            seg = np.searchsorted(knots, np.arange(len(ts) - 1), side="right") - 1
+            lo, hi = knots[seg], knots[seg + 1]
+            w = (ts[:-1] - ts[lo]) / (ts[hi] - ts[lo])
+            dev = np.max(np.abs(pts[lo] + w[:, None] * (pts[hi] - pts[lo]) - pts[:-1]),
+                         axis=1)
+            out.append((dev, tol * max(1.0, float(np.max(np.abs(pts.real))),
+                                       float(np.max(np.abs(pts.imag))))))
+        return out
+
+    def family(self, seed, bend=0.0):
+        rng = np.random.default_rng(seed)
+        traces = []
+        for k in range(3):
+            verts = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+            verts.real[:, 2] = 0.0 if k == 1 else -0.0  # ties of signed zeros in the box
+            tr = dense_polyline(verts)
+            pts = tr.points.copy()
+            pts[1:-1] += bend * rng.normal(size=pts[1:-1].shape)
+            traces.append(PathTrace(params=tr.params, points=pts, knots=tr.knots))
+        return traces
+
+    def test_passing_family_matches_the_whole_trace_evaluation(self):
+        traces = self.family(3)
+        rep = check_piecewise_linear_family(traces, max_segments=4)
+        assert rep.passed
+        assert rep.worst_deviation == max(float(np.max(d)) for d, _ in self.whole_trace(traces))
+        stacked = np.concatenate([tr.points for tr in traces])
+        for got, want in zip(rep.bounding_box, (stacked.min(axis=0), stacked.max(axis=0))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_failing_family_names_the_whole_trace_worst_sample(self):
+        traces = self.family(4, bend=1e-6)
+        rep = check_piecewise_linear_family(traces, max_segments=4)
+        dev, tol_abs = self.whole_trace(traces)[0]
+        i = int(np.argmax(dev))
+        assert not rep.passed
+        assert rep.worst_deviation == float(dev[i])
+        assert rep.note.startswith(f"trace 0, segment {i // 20}: sample {i} lies "
+                                   f"{dev[i]:.3g} off the chord (tol {tol_abs:.3g})")
+
+    def test_tie_across_segments_names_the_first_sample(self):
+        tr = polyline_trace([[0], [1], [0], [1], [0]], knots=[0, 2, 4])
+        rep = check_piecewise_linear_family([tr], max_segments=2)
+        (dev, _), = self.whole_trace([tr])
+        assert dev.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert rep.worst_deviation == 1.0
+        assert rep.note.startswith("trace 0, segment 0: sample 1 lies 1 off the chord")
+
+
 def test_as_complex_vector_rejects_inf():
     with pytest.raises(ValueError):
         as_complex_vector([1.0, np.inf])
@@ -277,28 +337,91 @@ def test_as_complex_vector_rejects_inf():
         as_complex_vector([[1.0, 2.0]])
 
 
+def csv_coordinates(x):
+    return np.concatenate([x.real, x.imag], axis=-1)
+
+
+def csv_cost(x):
+    return x[..., 0].real
+
+
+def csv_lyapunov(x):
+    return -x[..., -1].imag
+
+
+def assert_csv_matches_the_csv_module(directory, trace):
+    """``write_trace_csv`` gives the bytes of ``csv.writer`` fed with the
+    same Python floats, row by row; returns those bytes."""
+    labels = [f"c{i}" for i in range(2 * trace.dim)]
+    path = directory / "trace.csv"
+    write_trace_csv(str(path), trace, labels, csv_coordinates, csv_cost, csv_lyapunov)
+    reference = directory / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "f", "V", *labels])
+        for t, x in zip(trace.params.tolist(), trace.points):
+            writer.writerow([t, csv_cost(x).item(), csv_lyapunov(x).item(),
+                             *csv_coordinates(x).tolist()])
+    written = path.read_bytes()
+    assert written == reference.read_bytes()
+    return written
+
+
 def test_trace_csv_matches_the_csv_module(tmp_path):
     pts = np.array([[-0.0, 1e-300 + 1e16j], [0.1, -2.5 - 1e-300j],
                     [1e16, 1 / 3 + 0.0j]], dtype=complex)
     trace = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, knots=[0, 1, 2])
+    written = assert_csv_matches_the_csv_module(tmp_path, trace)
+    assert b"-0.0," in written and b"1e-300" in written
 
-    def coordinates(x):
-        return np.concatenate([x.real, x.imag], axis=-1)
 
-    def cost(x):
-        return x[..., 0].real
+def test_trace_csv_reuses_text_only_for_equal_bits(tmp_path):
+    """Many segments of repeated rows: a constant stage, a column constant
+    across a knot, 0.0 then -0.0 in one column, subnormals and values near
+    the ends of the float range."""
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    # real and imaginary part of each of two coordinates, per sample
+    cells = [
+        [0.0, 0.0, 1e300, 7.25],
+        [-0.0, 0.0, 1e300, 7.25],          # 0.0 then -0.0
+        [-0.0, 0.0, 1e300, 7.25],          # a repeated row
+        [0.0, 1e-300, -1e-300, 7.25],
+        [0.0, 1e-300, -1e-300, 7.25],      # knot: 7.25 runs across it
+        [tiny, 1e-300, -1e-300, 7.25],
+        [tiny, -1e300, 0.0, 7.25],
+        [2.2250738585072014e-308, -1e300, -0.0, 1 / 3],
+        [1e-310, huge, 0.0, 1 / 3],        # knot: a constant stage follows
+        [1e-310, huge, 0.0, 1 / 3],
+        [1e-310, huge, 0.0, 1 / 3],
+        [1e-310, huge, 0.0, 1 / 3],        # knot
+        [-tiny, -0.0, -huge, 0.0],
+        [-0.0, -0.0, -huge, -0.0],
+        [0.1, 0.2, 0.3, 0.0],
+    ]
+    pts = np.array(cells).view(complex)
+    trace = PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
+                      knots=[0, 4, 8, 11, 14])
+    written = assert_csv_matches_the_csv_module(tmp_path, trace)
+    lines = written.split(b"\r\n")
+    assert len(lines) == len(pts) + 2  # header, one line per sample, the final break
+    assert lines[1].split(b",")[3] == b"0.0" and lines[2].split(b",")[3] == b"-0.0"
+    assert b"5e-324" in written and b"1e-310" in written
+    assert b"1.7976931348623157e+308" in written
 
-    def lyapunov(x):
-        return -x[..., 1].imag
 
-    path = tmp_path / "trace.csv"
-    write_trace_csv(str(path), trace, ["a", "b", "c", "d"], coordinates, cost, lyapunov)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f", "V", "a", "b", "c", "d"])
-        for t, x in zip(trace.params.tolist(), pts):
-            writer.writerow([t, cost(x).item(), lyapunov(x).item(),
-                             *coordinates(x).tolist()])
-    assert path.read_bytes() == reference.read_bytes()
-    assert b"-0.0," in path.read_bytes() and b"1e-300" in path.read_bytes()
+POOL = [0.0, -0.0, 1.0, -1.0, 1 / 3, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.5]
+
+
+@given(st.integers(min_value=2, max_value=40).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.sampled_from(POOL), min_size=4, max_size=4),
+             min_size=k, max_size=k),
+    st.lists(st.booleans(), min_size=k - 2, max_size=k - 2))))
+@settings(max_examples=60, deadline=None)
+def test_trace_csv_of_repeating_values_matches_the_csv_module(tmp_path_factory, drawn):
+    """Values from a small pool, so most cells repeat the one above, on
+    traces cut into segments at random knots."""
+    cells, is_knot = drawn
+    knots = [0, *(i + 1 for i, knot in enumerate(is_knot) if knot), len(cells) - 1]
+    trace = PathTrace(params=np.linspace(0.0, 1.0, len(cells)),
+                      points=np.array(cells).view(complex), knots=knots)
+    assert_csv_matches_the_csv_module(tmp_path_factory.mktemp("csv"), trace)

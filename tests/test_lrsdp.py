@@ -178,6 +178,21 @@ class TestReduceRankPath:
         np.testing.assert_allclose(trace.params[trace.knots],
                                    np.arange(n_stages + 1) / n_stages, atol=1e-15)
 
+    def test_each_knot_sample_ends_its_stage(self):
+        """The parameters are the stage grids joined end to end, each knot
+        kept from the stage it ends, and the last sample is the final
+        matrix."""
+        rng = np.random.default_rng(10)
+        inst = random_spectraplex_instance(rng, n=6, degenerate=True)
+        result = reduce_rank_path(inst, random_feasible_psd(rng, 6), samples_per_stage=11)
+        n_stages = len(result.stages)
+        assert n_stages == 5
+        ts = np.linspace(0.0, 1.0, 11)
+        grid = np.concatenate([((i - 1) / n_stages + ts / n_stages)[min(i - 1, 1):]
+                               for i in range(1, n_stages + 1)])
+        assert result.trace.params.tobytes() == grid.tobytes()
+        assert result.trace.points[-1].tobytes() == result.final.X.reshape(-1).tobytes()
+
     def test_two_by_two_demo(self):
         inst = tiny_instance()  # C = diag(1, 2), spectraplex
         result = reduce_rank_path(inst, np.eye(2) / 2)

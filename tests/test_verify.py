@@ -246,3 +246,67 @@ def test_reduction_off_the_psd_cone_is_a_c3_witness(monkeypatch):
         left = [w for w in checks.c3.witnesses if w.startswith(
             f"sample {i}: a path sample leaves the relaxed set (residual ")]
         assert len(left) == 1
+
+
+# --- one knot segment at a time ------------------------------------------------
+
+def assert_per_segment_matches_whole_trace(handle, x, trace):
+    """``verify_path`` evaluates one knot segment at a time; its costs,
+    Lyapunov values and relaxed residuals are those of one call on the
+    whole sample stack, bit for bit."""
+    check = core.verify_path(handle, x, trace)
+    for got, fn in ((check.costs, handle.cost), (check.lyapunov, handle.lyapunov),
+                    (check.relaxed, handle.residual_relaxed)):
+        assert got.tobytes() == fn(trace.points).tobytes()
+
+
+def test_reduction_verified_stage_by_stage():
+    rng = np.random.default_rng(12)
+    inst = random_spectraplex_instance(rng, n=5, degenerate=True)
+    X0 = random_feasible_psd(rng, 5)
+    reduction = reduce_rank_path(inst, X0)
+    assert reduction.trace.segments >= 3
+    assert_per_segment_matches_whole_trace(
+        lrsdp_certified_problem(inst).handle, X0.reshape(-1), reduction.trace)
+
+
+def test_restoration_verified_as_one_segment():
+    problem, points = opf_samples(4, 1)
+    trace = problem.path_factory(points[0])
+    assert trace.segments == 1
+    assert_per_segment_matches_whole_trace(problem.handle, points[0], trace)
+
+
+def test_lrsdp_residuals_match_eigvalsh():
+    """The residuals read the Lyapunov value's ``eigh`` spectrum; they stay
+    within 1e-15 of the ``eigvalsh`` values, on and off the cone."""
+    rng = np.random.default_rng(13)
+    inst = random_spectraplex_instance(rng, n=5, degenerate=True)
+    handle = lrsdp_certified_problem(inst).handle
+    trace = reduce_rank_path(inst, random_feasible_psd(rng, 5)).trace
+    near = trace.points[::10]
+    noise = (rng.normal(size=near.shape) + 1j * rng.normal(size=near.shape)) / 10
+    pts = np.concatenate([trace.points, near + noise])
+    raw = pts.reshape(-1, 5, 5)
+    X = (raw + np.swapaxes(raw, -2, -1).conj()) / 2
+    vals = np.linalg.eigvalsh(X)
+    relaxed = np.maximum.reduce([
+        np.max(np.abs(raw - np.swapaxes(raw, -2, -1).conj()), axis=(-2, -1)) / 2,
+        inst.constraint_residual(X), -vals[:, 0], np.zeros(len(pts))])
+    feasible = np.maximum(relaxed, np.maximum(np.sum(vals[:, :-1], axis=-1), 0.0))
+    np.testing.assert_allclose(handle.residual_relaxed(pts), relaxed, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(handle.residual_feasible(pts), feasible, rtol=0, atol=1e-15)
+    assert np.max(relaxed) > 0.1 and np.max(feasible) > 0.1
+
+
+def test_lrsdp_spectrum_follows_the_stack_bytes():
+    """A stack changed in place is decomposed again."""
+    rng = np.random.default_rng(14)
+    inst = random_spectraplex_instance(rng, n=4)
+    handle = lrsdp_certified_problem(inst).handle
+    pts = np.stack([random_feasible_psd(rng, 4).reshape(-1) for _ in range(3)]).astype(complex)
+    before = handle.lyapunov(pts)
+    pts[1] = random_feasible_psd(rng, 4, rank=1).reshape(-1)
+    after = handle.lyapunov(pts)
+    assert after[1] != before[1] and after[1] <= 1e-12
+    assert after.tobytes() == lrsdp_certified_problem(inst).handle.lyapunov(pts).tobytes()
