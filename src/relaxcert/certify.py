@@ -60,7 +60,9 @@ class ConditionResult:
     note: str = ""
 
     def as_dict(self) -> dict[str, Any]:
-        return {"passed": self.passed, "margin": self.margin,
+        # a vacuous check (no samples, no traces) has no finite margin
+        margin = self.margin if np.isfinite(self.margin) else None
+        return {"passed": self.passed, "margin": margin,
                 "witnesses": list(self.witnesses), "note": self.note}
 
 

@@ -89,7 +89,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, data: dict) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _stamp(data: dict) -> dict:
@@ -111,18 +112,9 @@ def _load_object(path: str, what: str) -> dict:
 
 
 def _solve_summary(res) -> dict[str, Any]:
-    return {
-        "status": res.status,
-        "iterations": res.iterations,
-        "objective": None if np.isnan(res.objective) else res.objective,
-        "primal_obj": None if np.isnan(res.primal_obj) else res.primal_obj,
-        "dual_obj": None if np.isnan(res.dual_obj) else res.dual_obj,
-        "primal_residual": res.primal_residual,
-        "dual_residual": res.dual_residual,
-        "gap": None if np.isnan(res.gap) else res.gap,
-        "options": {k: res.options[k] for k in sorted(res.options)},
-        "note": res.note,
-    }
+    return {key: getattr(res, key) for key in (
+        "status", "iterations", "objective", "primal_obj", "dual_obj",
+        "primal_residual", "dual_residual", "gap", "options", "note")}
 
 
 def _certificate_exit(report: CertificateReport) -> int:

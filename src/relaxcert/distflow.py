@@ -265,6 +265,15 @@ def _worst(*violations: np.ndarray) -> np.ndarray:
     return np.max(np.concatenate(violations, axis=-1), axis=-1, initial=0.0)
 
 
+def _relaxed_violation(net: RadialNetwork, x: OperatingPoint,
+                       res: PfResiduals) -> np.ndarray:
+    return _worst(
+        np.abs(res.ohm), np.abs(res.balance), -res.cone_eq,
+        net.v_min - x.v, x.v - net.v_max, x.ell - net.l_max,
+        net.s_min.real - x.s.real, net.s_min.imag - x.s.imag,
+        x.s.real - net.s_max.real, x.s.imag - net.s_max.imag)
+
+
 def residual_Xhat(net: RadialNetwork, cost: OpfCost | None,
                   x: OperatingPoint) -> np.ndarray:
     """Worst violation of the relaxed set: DistFlow affine equations, boxes,
@@ -273,18 +282,13 @@ def residual_Xhat(net: RadialNetwork, cost: OpfCost | None,
     The cost argument does not enter the set; it is accepted so solve,
     restore and certify call sites can share one calling convention.
     """
-    res = pf_residuals(net, x)
-    return _worst(
-        np.abs(res.ohm), np.abs(res.balance), -res.cone_eq,
-        net.v_min - x.v, x.v - net.v_max, x.ell - net.l_max,
-        net.s_min.real - x.s.real, net.s_min.imag - x.s.imag,
-        x.s.real - net.s_max.real, x.s.imag - net.s_max.imag)
+    return _relaxed_violation(net, x, pf_residuals(net, x))
 
 
 def residual_X(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -> np.ndarray:
     """Worst violation of the original feasible set (cone held at equality)."""
     res = pf_residuals(net, x)
-    return np.maximum(residual_Xhat(net, cost, x), _worst(np.abs(res.cone_eq)))
+    return np.maximum(_relaxed_violation(net, x, res), _worst(np.abs(res.cone_eq)))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,19 @@ Schur complement of the embedding's KKT matrix, and the cone projections
 treat all rotated cones of one dimension in a single call; over-relaxation
 and Ruiz equilibration complete the method.  Infeasibility and unboundedness
 are reported through the embedding's certificates.
+
+Every exit of :func:`solve_conic` builds one :class:`SolveResult` with status
+``optimal``, ``infeasible``, ``unbounded`` or ``max_iter``.  A certificate
+carries no iterate; ``max_iter`` carries the best checked iterate if the loop
+checked one.  A value the run did not produce is ``None``, never NaN or
+``inf``.  The OPF and LRSDP front-ends return a result without an iterate as
+it is and otherwise only map its iterate to a point and an objective, so a
+point exists exactly when an iterate does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Any
 
@@ -183,21 +191,41 @@ class ConicProgram:
 
 
 @dataclass(frozen=True)
-class RawSolution:
-    x: np.ndarray | None
-    y: np.ndarray | None
-    s: np.ndarray | None
-    status: str
+class SolveResult:
+    """Outcome of one solve: ``x`` and ``s`` are the unscaled primal iterate
+    and slack, which a front-end maps to ``point`` and ``objective``; a value
+    the run did not produce is ``None``."""
+
+    status: str               # optimal, infeasible, unbounded or max_iter
     iterations: int
-    primal_residual: float
-    dual_residual: float
-    primal_obj: float
-    dual_obj: float
+    options: dict[str, Any]
+    x: np.ndarray | None = None
+    s: np.ndarray | None = None
+    primal_residual: float | None = None
+    dual_residual: float | None = None
+    primal_obj: float | None = None
+    dual_obj: float | None = None
+    point: Any = None
+    objective: float | None = None
     note: str = ""
 
+    @property
+    def gap(self) -> float | None:
+        if self.primal_obj is None:
+            return None
+        return abs(self.primal_obj - self.dual_obj)
 
-def _equilibrate(prog: ConicProgram, iters: int = 15):
-    """Ruiz scaling with uniform scalars inside each cone block."""
+    @property
+    def optimality_residual(self) -> float | None:
+        if self.gap is None:
+            return None
+        rel_gap = self.gap / (1.0 + abs(self.primal_obj) + abs(self.dual_obj))
+        return max(self.primal_residual, self.dual_residual, rel_gap)
+
+
+def _equilibrate(prog: ConicProgram):
+    """Fifteen passes of Ruiz scaling with uniform scalars inside each cone
+    block."""
     A = prog.A.copy()
     m, n = A.shape
     row_len = np.diff(A.indptr)
@@ -208,7 +236,7 @@ def _equilibrate(prog: ConicProgram, iters: int = 15):
     sizes = np.diff(starts, append=m)
     d = np.ones(m)
     e = np.ones(n)
-    for _ in range(iters):
+    for _ in range(15):
         absA = np.abs(A.data)
         row = np.zeros(m)
         row[filled] = np.maximum.reduceat(absA, row_starts)
@@ -255,11 +283,10 @@ def _kkt_solver(A: scipy.sparse.csr_array, c: np.ndarray, b: np.ndarray):
     return solve
 
 
-def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> RawSolution:
-    """Run the splitting loop; returns unscaled primal/dual iterates."""
-    opts = dict(DEFAULT_OPTIONS)
-    if options:
-        opts.update(options)
+def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> SolveResult:
+    """Run the splitting loop on ``options`` over :data:`DEFAULT_OPTIONS`;
+    the result records the merged options."""
+    opts = {**DEFAULT_OPTIONS, **(options or {})}
     tol = float(opts["tol"])
     max_iter = int(opts["max_iter"])
     alpha = float(opts["relaxation_parameter"])
@@ -314,7 +341,7 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             worst = max(pres, dres, gap)
             if best is None or worst < best[0]:
-                best = (worst, x, y, s, pres, dres, pobj, dobj, it)
+                best = (worst, x, s, pres, dres, pobj, dobj)
             if worst <= tol:
                 status = "optimal"
                 break
@@ -328,21 +355,13 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
             by = float(prog.b @ dy)
             if by < -1e-12:
                 if np.linalg.norm(prog.A.T @ dy) <= cert_tol * (-by):
-                    return RawSolution(
-                        x=None, y=dy / (-by), s=None, status="infeasible",
-                        iterations=it, primal_residual=np.inf,
-                        dual_residual=np.inf, primal_obj=np.nan,
-                        dual_obj=np.nan)
+                    return SolveResult("infeasible", it, opts)
             dx = e * du[:n]
             cx = float(prog.c @ dx)
             if cx < -1e-12:
                 s_cand = _project_primal_cone(-prog.A @ dx, prog.cones)
                 if np.linalg.norm(prog.A @ dx + s_cand) <= cert_tol * (-cx):
-                    return RawSolution(
-                        x=dx / (-cx), y=None, s=None, status="unbounded",
-                        iterations=it, primal_residual=np.inf,
-                        dual_residual=np.inf, primal_obj=np.nan,
-                        dual_obj=np.nan)
+                    return SolveResult("unbounded", it, opts)
 
     ray_note = ""
     if ut <= 1e-6 * max(1.0, np.linalg.norm(uz)):
@@ -350,40 +369,14 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> Ra
                     "likely infeasible or unbounded")
 
     if best is None:
-        return RawSolution(x=None, y=None, s=None, status="max_iter",
-                           iterations=it, primal_residual=np.inf,
-                           dual_residual=np.inf, primal_obj=np.nan,
-                           dual_obj=np.nan, note=ray_note)
+        return SolveResult("max_iter", it, opts, note=ray_note)
 
-    worst, x, y, s, pres, dres, pobj, dobj, _ = best
+    worst, x, s, pres, dres, pobj, dobj = best
     if status != "optimal":
         status = "optimal" if worst <= float(opts["accept_tol"]) else "max_iter"
-    return RawSolution(x=x, y=y, s=s, status=status, iterations=it,
-                       primal_residual=pres, dual_residual=dres,
-                       primal_obj=pobj, dual_obj=dobj,
+    return SolveResult(status, it, opts, x=x, s=s, primal_residual=pres,
+                       dual_residual=dres, primal_obj=pobj, dual_obj=dobj,
                        note=ray_note if status != "optimal" else "")
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Solver outcome: the recovered point plus optimality diagnostics."""
-
-    point: Any
-    objective: float
-    primal_obj: float
-    dual_obj: float
-    primal_residual: float
-    dual_residual: float
-    gap: float
-    status: str
-    iterations: int
-    options: dict[str, Any] = field(default_factory=dict)
-    note: str = ""
-
-    @property
-    def optimality_residual(self) -> float:
-        rel_gap = self.gap / (1.0 + abs(self.primal_obj) + abs(self.dual_obj))
-        return max(self.primal_residual, self.dual_residual, rel_gap)
 
 
 # --- OPF front-end -----------------------------------------------------------
@@ -520,40 +513,24 @@ def solve_opf_relaxation(net: RadialNetwork, cost: OpfCost,
     if len(cost.cp) != net.n_bus:
         raise PreconditionError("cost dimension does not match the network")
 
-    opts = dict(DEFAULT_OPTIONS)
-    if options:
-        opts.update(options)
     empty = _empty_box(net)
     if empty:
-        return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,
-                           dual_obj=np.nan, primal_residual=np.inf,
-                           dual_residual=np.inf, gap=np.nan,
-                           status="infeasible", iterations=0, options=opts,
+        return SolveResult("infeasible", 0, {**DEFAULT_OPTIONS, **(options or {})},
                            note=empty)
 
     prog, vm = build_opf_program(net, cost)
-    raw = solve_conic(prog, opts)
-
-    if raw.status in ("infeasible", "unbounded", "max_iter") and raw.x is None:
-        return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,
-                           dual_obj=np.nan, primal_residual=raw.primal_residual,
-                           dual_residual=raw.dual_residual, gap=np.nan,
-                           status=raw.status, iterations=raw.iterations,
-                           options=opts, note=raw.note)
+    res = solve_conic(prog, options)
+    if res.x is None:
+        return res
 
     n, e = net.n_bus, net.n_line
-    x = raw.x
+    x = res.x
     s = x[vm.sp:vm.sp + n] + 1j * x[vm.sq:vm.sq + n]
     v = np.maximum(x[vm.v:vm.v + n], 0.0)
     ell = np.maximum(x[vm.ell:vm.ell + e], 0.0)
     S = x[vm.Sp:vm.Sp + e] + 1j * x[vm.Sq:vm.Sq + e]
     point = OperatingPoint(s=s, v=v, ell=ell, S=S)
-    return SolveResult(
-        point=point, objective=cost.value(s),
-        primal_obj=raw.primal_obj, dual_obj=raw.dual_obj,
-        primal_residual=raw.primal_residual, dual_residual=raw.dual_residual,
-        gap=abs(raw.primal_obj - raw.dual_obj), status=raw.status,
-        iterations=raw.iterations, options=opts, note=raw.note)
+    return replace(res, point=point, objective=cost.value(s))
 
 
 # --- LRSDP front-end ---------------------------------------------------------
@@ -573,25 +550,11 @@ def build_lrsdp_program(inst: LrsdpInstance) -> ConicProgram:
 def solve_lrsdp_relaxation(inst: LrsdpInstance,
                            options: dict[str, Any] | None = None) -> SolveResult:
     """Solve the SDP relaxation (rank constraint dropped)."""
-    prog = build_lrsdp_program(inst)
-    raw = solve_conic(prog, options)
-    opts = dict(DEFAULT_OPTIONS)
-    if options:
-        opts.update(options)
-
-    if raw.x is None:
-        return SolveResult(point=None, objective=np.nan, primal_obj=np.nan,
-                           dual_obj=np.nan, primal_residual=raw.primal_residual,
-                           dual_residual=raw.dual_residual, gap=np.nan,
-                           status=raw.status, iterations=raw.iterations,
-                           options=opts, note=raw.note)
+    res = solve_conic(build_lrsdp_program(inst), options)
+    if res.x is None:
+        return res
 
     # the cone block of s is exactly PSD; it matches x up to the residual
-    X = rvec_to_hermitian(raw.s[inst.m:], inst.n)
+    X = rvec_to_hermitian(res.s[inst.m:], inst.n)
     point = PsdPoint.from_matrix(X, name="relaxation optimum")
-    return SolveResult(
-        point=point, objective=inst.cost(point.X),
-        primal_obj=raw.primal_obj, dual_obj=raw.dual_obj,
-        primal_residual=raw.primal_residual, dual_residual=raw.dual_residual,
-        gap=abs(raw.primal_obj - raw.dual_obj), status=raw.status,
-        iterations=raw.iterations, options=opts, note=raw.note)
+    return replace(res, point=point, objective=inst.cost(point.X))

@@ -36,6 +36,23 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_strict_json(path):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{path}: non-JSON token {token}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
+ZERO_ROW_INSTANCE = {  # tr(0 X) = 1 has no solution
+    "n": 2, "m": 1, "r": 1,
+    "C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "A": [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]],
+    "b": [1.0],
+}
+
+
 def stub_slack_optimum(monkeypatch):
     """Make the solver hand back, for ``demo_3bus``, a relaxed point with
     strict slack on every line (no shipped case ends at a relaxation optimum
@@ -270,19 +287,59 @@ class TestLrsdpCommand:
         assert "(0,1)" in capsys.readouterr().err
 
     def test_infeasible_instance_exits_2(self, tmp_path, capsys):
-        data = {
-            "n": 2, "m": 1, "r": 1,
-            "C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-            "A": [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]],
-            "b": [1.0],
-        }
         bad = tmp_path / "infeasible.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(ZERO_ROW_INSTANCE))
         out = str(tmp_path / "run")
         code = main(["lrsdp", str(bad), "--out", out])
         assert code == 2
         assert read_json(os.path.join(out, "report.json"))["verdict"] == "infeasible"
         assert "relaxation infeasible" in capsys.readouterr().err
+
+    def test_unbounded_relaxation_exits_1_with_cause(self, tmp_path, capsys):
+        # X = t I meets tr(diag(1, -1) X) = 0 for every t >= 0 at cost -2t
+        data = {
+            "n": 2, "m": 1, "r": 1,
+            "C": [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+            "A": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
+            "b": [0.0],
+        }
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["lrsdp", str(path), "--out", str(out)]) == 1
+        assert ("solver did not converge (status unbounded)"
+                in capsys.readouterr().err)
+        assert os.listdir(out) == ["solve.json"]
+        assert read_strict_json(out / "solve.json")["status"] == "unbounded"
+
+
+class TestStrictJson:
+    def test_vacuous_margins_are_null(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["opf", case("demo_2bus.json"), "--out", str(out),
+                     "--samples", "0"]) == 0
+        conditions = read_strict_json(out / "report.json")["conditions"]
+        for name in ("c1", "c3", "cprime"):
+            assert conditions[name]["margin"] is None, name
+            assert conditions[name]["passed"] is True, name
+        read_strict_json(out / "solve.json")
+
+    def test_values_of_a_run_without_an_iterate_are_null(self, tmp_path):
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(ZERO_ROW_INSTANCE))
+        out = tmp_path / "run"
+        assert main(["lrsdp", str(path), "--out", str(out)]) == 2
+        solve = read_strict_json(out / "solve.json")
+        assert solve["status"] == "infeasible"
+        for key in ("objective", "primal_obj", "dual_obj", "primal_residual",
+                    "dual_residual", "gap"):
+            assert solve[key] is None, key
+        read_strict_json(out / "report.json")
+
+    def test_a_non_finite_value_is_never_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(str(tmp_path / "x.json"), {"margin": math.inf})
+        assert not os.path.exists(tmp_path / "x.json")
 
 
 MALFORMED_FIELDS = [

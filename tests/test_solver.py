@@ -21,6 +21,7 @@ from relaxcert.distflow import (
 )
 from relaxcert.lrsdp import LrsdpInstance
 from relaxcert.solver import (
+    DEFAULT_OPTIONS,
     _kkt_solver,
     _project_rsoc,
     build_lrsdp_program,
@@ -271,3 +272,60 @@ class TestLrsdpSolve:
         assert res.status == "optimal"
         assert res.point.eigenvalues[-1] >= -1e-10
         assert inst.constraint_residual(res.point.X) <= 1e-7
+
+    def test_unbounded_relaxation_has_no_point(self):
+        # X = t I meets tr(diag(1, -1) X) = 0 for every t >= 0 at cost -2t
+        inst = LrsdpInstance(C=np.diag([-1.0, -1.0]), A=[np.diag([1.0, -1.0])],
+                             b=[0.0], r=1)
+        res = solve_lrsdp_relaxation(inst)
+        assert res.status == "unbounded"
+        assert res.point is None
+
+
+def no_iterate_results():
+    """One solve for each way a run can end without an iterate."""
+    net, cost, _ = fixed_load_case()
+    empty = RadialNetwork(
+        buses=(dataclasses.replace(net.buses[0], v_min=1.2, v_max=1.1),
+               net.buses[1]), lines=net.lines, root=net.root)
+    overload, overload_cost, _ = fixed_load_case(load=10.0 + 0.0j)
+    return {
+        "empty box": solve_opf_relaxation(empty, cost, {"max_iter": 7}),
+        "max_iter": solve_opf_relaxation(overload, overload_cost,
+                                         {"max_iter": 2000}),
+        "infeasible": solve_lrsdp_relaxation(
+            LrsdpInstance(C=np.eye(2), A=[np.zeros((2, 2))], b=[1.0], r=1),
+            {"max_iter": 7000}),
+        "unbounded": solve_lrsdp_relaxation(
+            LrsdpInstance(C=-np.eye(2), A=[np.diag([1.0, -1.0])], b=[0.0], r=1),
+            {"max_iter": 7000}),
+    }
+
+
+class TestSolveResult:
+    def test_a_run_without_an_iterate_leaves_every_value_none(self):
+        results = no_iterate_results()
+        assert {k: r.status for k, r in results.items()} == {
+            "empty box": "infeasible", "max_iter": "max_iter",
+            "infeasible": "infeasible", "unbounded": "unbounded"}
+        for name, res in results.items():
+            values = (res.x, res.s, res.point, res.objective, res.primal_obj,
+                      res.dual_obj, res.primal_residual, res.dual_residual,
+                      res.gap, res.optimality_residual)
+            assert all(v is None for v in values), name
+            assert res.options == {**DEFAULT_OPTIONS,
+                                   "max_iter": res.options["max_iter"]}, name
+        assert [r.options["max_iter"] for r in results.values()] == [
+            7, 2000, 7000, 7000]
+
+    def test_a_point_exists_exactly_when_an_iterate_does(self):
+        net, cost = load_case(os.path.join(CASES, "demo_3bus.json"))
+        res = solve_opf_relaxation(net, cost, {"max_iter": 30})
+        assert res.status == "max_iter"
+        assert res.x is not None and res.point is not None
+        assert res.objective == cost.value(res.point.s)
+        assert res.gap == abs(res.primal_obj - res.dual_obj)
+        inst = LrsdpInstance(C=np.diag([1.0, 2.0]), A=[np.eye(2)], b=[1.0], r=1)
+        res = solve_lrsdp_relaxation(inst, {"max_iter": 30})
+        assert res.status == "max_iter"
+        assert res.s is not None and res.point is not None
