@@ -5,6 +5,10 @@ verified on finitely many relaxed points, uniform regularity through the
 bounded-segment proxy, and global statements through an exhaustive grid
 oracle plus deterministic multistart local search on eliminated low-dimension
 models.
+
+The scipy modules that only the landscape layer uses here (``scipy.optimize``,
+``scipy.spatial``, ``scipy.stats``) are imported inside the functions that
+call them, so ``relaxcert opf``, ``lrsdp`` and ``certify`` never load them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.spatial
 
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import (
@@ -287,6 +289,8 @@ class LandscapeGrid:
         """The undirected neighbor graph as an ``(E, 2)`` array of point
         index pairs ``(i, j)`` with ``i < j``, each edge once."""
         if self.lattice is None:
+            import scipy.spatial  # slow to import; only classify input needs it
+
             tree = scipy.spatial.cKDTree(self.points)
             return tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
         return _stencil_pairs(self.lattice)
@@ -486,6 +490,8 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
     model reached by a feasible monotone segment witnesses that the
     candidate is such an artifact and not a local optimum of the continuum.
     """
+    import scipy.optimize  # slow to import; only the landscape layer needs it
+
     scalar_cost, cost_jac, cons = _slsqp_model(problem, u)
     improve_tol = max(1e-12, 1e-10 * (1.0 + abs(cost_u)))
 
@@ -617,6 +623,8 @@ def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
         eye[problem.upper - u < KKT_ACTIVE_TOL]])
     if not len(rows):
         return float(np.max(np.abs(grad_f)))
+    import scipy.optimize  # slow to import; only the landscape layer needs it
+
     lam, _ = scipy.optimize.nnls(rows.T, -grad_f)
     return float(np.max(np.abs(grad_f + rows.T @ lam)))
 
@@ -656,6 +664,7 @@ def multistart_local_search(
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    import scipy.optimize  # slow to import; only the landscape layer needs it
     from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
 
     sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=seed)

@@ -360,7 +360,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: bool = True) -> argparse.ArgumentParser:
+    """The command-line parser; with ``defaults=False`` an option the
+    command line does not give is absent from the parse."""
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
     parser = argparse.ArgumentParser(
         prog="relaxcert",
         description="Restore feasibility from convex-relaxed solutions and "
@@ -374,18 +379,18 @@ def _build_parser() -> argparse.ArgumentParser:
             ("classify", cmd_classify)):
         p = sub.add_parser(name)
         p.add_argument("input", help="input JSON file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=FEAS_TOL,
+        p.add_argument("--out", default=default("out"), help="output directory")
+        p.add_argument("--tol", type=float, default=default(FEAS_TOL),
                        help="membership tolerance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=25,
+        p.add_argument("--seed", type=int, default=default(0))
+        p.add_argument("--samples", type=int, default=default(25),
                        help="sampled relaxed points for condition checks")
-        p.add_argument("--resolution", type=float, default=0.01,
+        p.add_argument("--resolution", type=float, default=default(0.01),
                        help="grid resolution for the oracle scan")
-        p.add_argument("--max-iter", type=int, default=200_000)
-        p.add_argument("--relaxation-parameter", type=float, default=1.6,
+        p.add_argument("--max-iter", type=int, default=default(200_000))
+        p.add_argument("--relaxation-parameter", type=float, default=default(1.6),
                        help="over-relaxation factor of the conic solver")
-        p.add_argument("--config", default=None,
+        p.add_argument("--config", default=default(None),
                        help="JSON file with defaults; explicit flags win")
         p.set_defaults(fn=fn)
     return parser
@@ -395,8 +400,9 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     if not args.config:
         return
     config = _load_object(args.config, "config")
-    supplied = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+    # a parse without defaults names the options given, under every
+    # spelling argparse accepts (``--samp`` for ``--samples``)
+    supplied = vars(_build_parser(defaults=False).parse_args(argv))
     for key, value in config.items():
         attr = key.replace("-", "_")
         if attr not in CONFIG_KEYS:

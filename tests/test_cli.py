@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -43,6 +45,15 @@ def read_strict_json(path):
 
     with open(path, "r", encoding="utf-8") as fh:
         return json.loads(fh.read(), parse_constant=reject)
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this
+    checkout's ``relaxcert``; nothing is loaded that the run does not load."""
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
 
 
 ZERO_ROW_INSTANCE = {  # tr(0 X) = 1 has no solution
@@ -703,3 +714,61 @@ class TestConfig:
         code = main(["opf", case("demo_2bus.json"), "--config", str(config)])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--samp", "3"], ["--samples=3"]],
+                             ids=["abbreviated", "joined"])
+    def test_a_flag_wins_under_any_spelling_argparse_accepts(self, tmp_path, flag):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": 0}))
+        out = str(tmp_path / "run")
+        code = main(["opf", case("demo_2bus.json"), "--out", out, *flag,
+                     "--config", str(config)])
+        assert code == 0
+        assert read_json(os.path.join(out, "report.json"))["sample_count"] == 3
+
+
+LOADED_AFTER_EACH_STEP = """
+import json, sys
+import relaxcert.cli
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.spatial", "scipy.stats")
+                  if m in sys.modules)
+
+steps = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], relaxcert.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+class TestFreshInterpreter:
+    """Each command in a new interpreter, as a user runs it; in-process
+    tests cannot see what a command imports, since other tests have
+    already loaded it."""
+
+    def test_only_the_landscape_layer_loads_the_optimizer(self, tmp_path):
+        out = str(tmp_path / "run")
+        commands = [["opf", case("demo_2bus.json"), "--out", out],
+                    ["lrsdp", case("demo_lrsdp.json"), "--out", out],
+                    ["certify", case("demo_2bus.json"), "--out", out]]
+        run = fresh_python("-c", LOADED_AFTER_EACH_STEP, json.dumps(commands))
+        assert run.returncode == 0, run.stderr
+        steps = json.loads(run.stdout.splitlines()[-1])
+        assert steps == [["import", 0, []], ["opf", 0, []], ["lrsdp", 0, []],
+                         ["certify", 0, []]]
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["oracle", case("demo_2bus.json"), "--resolution", "0.02"], "oracle.json"),
+        (["classify", case("demo_landscape.json")], "labels.json"),
+    ], ids=["oracle", "classify"])
+    def test_a_cold_landscape_command_matches_the_in_process_run(
+            self, tmp_path, argv, artifact):
+        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+        run = fresh_python("-m", "relaxcert.cli", *argv, "--out", cold)
+        assert run.returncode == 0, run.stderr
+        assert main([*argv, "--out", warm]) == 0
+        a, b = (read_json(os.path.join(d, artifact)) for d in (cold, warm))
+        a.pop("generated_at")
+        b.pop("generated_at")
+        assert a == b
