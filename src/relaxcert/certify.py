@@ -17,7 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -257,9 +257,11 @@ class LandscapeGrid:
     Two cells are then neighbors exactly when their index offset lies in
     {-1, 0, 1}^d with one or two nonzero entries: those are 1 and sqrt(2)
     spacings apart, while sqrt(3) and any offset with a +-2 entry lie
-    outside the radius, so :meth:`adjacency` takes its pairs from that
-    stencil.  Without a lattice (arbitrary ``classify`` points) a KD-tree
-    finds the pairs within ``radius``.
+    outside the radius.  :meth:`adjacency` takes its pairs from that
+    stencil, and :func:`classify_local_optima` compares shifted slices of
+    the cost lattice along it instead of gathering over those pairs.
+    Without a lattice (arbitrary ``classify`` points) a KD-tree finds the
+    pairs within ``radius``.
     """
 
     points: np.ndarray
@@ -293,32 +295,83 @@ class LandscapeGrid:
 
             tree = scipy.spatial.cKDTree(self.points)
             return tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
-        return _stencil_pairs(self.lattice)
+        index = _lattice_index(self.lattice)
+        pairs = []
+        for _, src, dst in _stencil(self.lattice.shape):
+            both = (index[src] >= 0) & (index[dst] >= 0)
+            pairs.append(np.stack([index[src][both], index[dst][both]], axis=1))
+        return np.concatenate(pairs)
 
 
-def _stencil_pairs(lattice: np.ndarray) -> np.ndarray:
-    """Point-index pairs of set lattice cells one or two unit steps apart.
+def _stencil(shape: tuple[int, ...]) -> Iterator[tuple]:
+    """Yield ``(offset, src, dst)`` for each lattice offset one or two unit
+    steps long whose first nonzero entry is positive: ``src`` and ``dst``
+    slice a lattice of ``shape`` so that ``dst`` holds the cell ``offset``
+    away from the one ``src`` holds, later in C order.  Each undirected
+    neighbor pair appears under exactly one offset."""
+    for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
+        steps = [o for o in offset if o]
+        if not 0 < len(steps) <= 2 or steps[0] < 0:
+            continue
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
+        yield offset, src, dst
 
-    Each offset with a positive first nonzero entry is one shifted-slice
-    comparison of the C-order point index laid out on the lattice; the
-    shifted cell comes later in C order, so every pair has ``i < j``.
-    """
+
+def _lattice_index(lattice: np.ndarray) -> np.ndarray:
+    """The C-order point index of each set cell, ``-1`` elsewhere."""
     # int32 halves the pair arrays
     index = np.full(lattice.shape, -1,
                     dtype=np.int32 if lattice.size < 2**31 else np.intp)
     index[lattice] = np.arange(np.count_nonzero(lattice))
-    pairs = []
-    for offset in itertools.product((-1, 0, 1), repeat=lattice.ndim):
-        steps = [o for o in offset if o]
-        if not 0 < len(steps) <= 2 or steps[0] < 0:
-            continue
-        src = index[tuple(slice(max(0, -o), n - max(0, o))
-                          for o, n in zip(offset, lattice.shape))]
-        dst = index[tuple(slice(max(0, o), n - max(0, -o))
-                          for o, n in zip(offset, lattice.shape))]
-        both = (src >= 0) & (dst >= 0)
-        pairs.append(np.stack([src[both], dst[both]], axis=1))
-    return np.concatenate(pairs)
+    return index
+
+
+def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """One pass over the stencil of a lattice grid.
+
+    Returns each point's cheapest neighbor cost (``inf`` without
+    neighbors), the ``(P, 2)`` point pairs of neighbors whose costs differ
+    by at most ``EQUAL_COST_TOL``, and the largest cost slope over all
+    neighbor pairs (0 without any).  Each offset compares two shifted
+    slices of the cost lattice, ``inf`` off the mask.  A pair's distance
+    sums, in axis order, the squares of its axis differences and takes the
+    square root: the operations ``np.linalg.norm`` applies to the
+    difference of the two points, on the same operands, so every slope
+    keeps its bits.
+    """
+    lattice, ndim = grid.lattice, grid.lattice.ndim
+    cost = np.full(lattice.shape, np.inf)
+    cost[lattice] = grid.costs
+    # each axis's coordinate at every index some point occupies; both cells
+    # of a neighbor pair are points, so their axis differences are exact
+    axes = []
+    for k, cells in enumerate(np.nonzero(lattice)):
+        axis = np.full(lattice.shape[k], np.nan)
+        axis[cells] = grid.points[:, k]
+        axes.append(axis)
+    index = _lattice_index(lattice)
+    neighbor_min = np.full(lattice.shape, np.inf)
+    plateau = []
+    max_slope = 0.0
+    for offset, src, dst in _stencil(lattice.shape):
+        a, b = cost[src], cost[dst]
+        np.minimum(neighbor_min[src], b, out=neighbor_min[src])
+        np.minimum(neighbor_min[dst], a, out=neighbor_min[dst])
+        with np.errstate(invalid="ignore"):  # inf - inf off the mask
+            gap = np.abs(a - b)
+        flat = gap <= EQUAL_COST_TOL
+        plateau.append(np.stack([index[src][flat], index[dst][flat]], axis=1))
+        squares = 0.0
+        for k, o in enumerate(offset):
+            if o:
+                diff = axes[k][src[k]] - axes[k][dst[k]]
+                squares = squares + (diff * diff).reshape(
+                    [-1 if m == k else 1 for m in range(ndim)])
+        slopes = gap / np.sqrt(squares)
+        both = lattice[src] & lattice[dst]
+        max_slope = max(max_slope, float(slopes.max(initial=0.0, where=both)))
+    return neighbor_min[lattice], np.concatenate(plateau), max_slope
 
 
 def _components(m: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
@@ -328,40 +381,46 @@ def _components(m: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
     return scipy.sparse.csgraph.connected_components(graph, directed=False)
 
 
-def classify_local_optima(grid: LandscapeGrid,
-                          edges: np.ndarray | None = None) -> np.ndarray:
+# The landscape labels; a label code is an index into this array.
+LABELS = np.array(["none", "global", "pseudo", "genuine"], dtype=object)
+
+
+def _label_codes(costs: np.ndarray, neighbor_min: np.ndarray,
+                 plateau: np.ndarray) -> np.ndarray:
+    """Label code of each point, by the rule :func:`classify_local_optima`
+    states, from its cost, its cheapest neighbor's cost and the ``(P, 2)``
+    equal-cost neighbor pairs."""
+    local = costs <= neighbor_min + EQUAL_COST_TOL
+    global_opt = costs <= costs.min() + EQUAL_COST_TOL
+    _, comp = _components(len(costs), *plateau.T)
+    comp_has_nonlocal = np.zeros(comp.max() + 1, dtype=bool)
+    comp_has_nonlocal[comp[~local]] = True
+    codes = np.where(global_opt, 1, np.where(comp_has_nonlocal[comp], 2, 3))
+    codes[~local] = 0
+    return codes
+
+
+def classify_local_optima(grid: LandscapeGrid) -> np.ndarray:
     """Label each grid point none / global / pseudo / genuine.
 
     A discrete local optimum has no strictly cheaper neighbor; a plateau
     (equal-cost connected component) that reaches a non-local-optimum point
     turns its local optima into pseudo ones; local optima that are neither
-    global nor pseudo are genuine.  ``edges`` is ``grid.adjacency()`` when
-    the caller has built it already.
+    global nor pseudo are genuine.  A lattice grid takes neighbor minima and
+    plateau pairs from one stencil sweep (:func:`_lattice_sweep`); other
+    grids gather them over the KD-tree edge list.
     """
-    i, j = (grid.adjacency() if edges is None else edges).T
-    m = len(grid.points)
     costs = grid.costs
-
-    neighbor_min = np.full(m, np.inf)
-    np.minimum.at(neighbor_min, i, costs[j])
-    np.minimum.at(neighbor_min, j, costs[i])
-    local = costs <= neighbor_min + EQUAL_COST_TOL
-
-    global_opt = costs <= costs.min() + EQUAL_COST_TOL
-
-    flat = np.abs(costs[i] - costs[j]) <= EQUAL_COST_TOL
-    _, comp = _components(m, i[flat], j[flat])
-    comp_has_nonlocal = np.zeros(comp.max() + 1, dtype=bool)
-    np.logical_or.at(comp_has_nonlocal, comp[~local], True)
-
-    pseudo = local & ~global_opt & comp_has_nonlocal[comp]
-    genuine = local & ~global_opt & ~pseudo
-
-    labels = np.full(m, "none", dtype=object)
-    labels[global_opt & local] = "global"
-    labels[pseudo] = "pseudo"
-    labels[genuine] = "genuine"
-    return labels
+    if grid.lattice is not None:
+        neighbor_min, plateau, _ = _lattice_sweep(grid)
+    else:
+        edges = grid.adjacency()
+        i, j = edges.T
+        neighbor_min = np.full(len(costs), np.inf)
+        np.minimum.at(neighbor_min, i, costs[j])
+        np.minimum.at(neighbor_min, j, costs[i])
+        plateau = edges[np.abs(costs[i] - costs[j]) <= EQUAL_COST_TOL]
+    return LABELS[_label_codes(costs, neighbor_min, plateau)]
 
 
 # --- eliminated low-dimension models ------------------------------------------
@@ -532,10 +591,11 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     sampled monotone segment (:func:`_refute_local_candidate`).
 
     The axis lengths are checked against the scan budget before any axis
-    is allocated.  The feasibility mask stays on the grid as the
-    ``LandscapeGrid`` lattice, so the neighbor graph comes from the index
-    stencil, not from a KD-tree over the feasible points.  Distances and
-    cost slopes are taken once per undirected edge.
+    is allocated.  The feasibility mask, cut to the bounding box of its
+    feasible cells, stays on the grid as the ``LandscapeGrid`` lattice: one
+    sweep over its stencil offsets gives the neighbor minima, the plateau
+    pairs and the slope bound (:func:`_lattice_sweep`), and the component
+    count reads the stencil's edge list (:meth:`LandscapeGrid.adjacency`).
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
@@ -551,8 +611,8 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     axes = [np.arange(problem.lower[i], problem.upper[i] + resolution / 2,
                       resolution) for i in range(problem.dim)]
     U = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    mask = problem.inequalities(U).max(axis=1, initial=-np.inf) <= 1e-9
-    mask &= (np.abs(problem.equalities(U)).max(axis=1, initial=0.0)
+    mask = _row_max(problem.inequalities(U), -np.inf) <= 1e-9
+    mask &= (_row_max(np.abs(problem.equalities(U)), 0.0)
              <= problem.eq_scale * resolution)
     if not mask.any():
         raise InfeasibleAtResolutionError(
@@ -561,32 +621,46 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     pts = U[mask]
     costs = problem.cost(pts)
     grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
-                         lattice=mask.reshape(sizes))
-    edges = grid.adjacency()
-    labels = classify_local_optima(grid, edges)
+                         lattice=_bounding_box(mask.reshape(sizes)))
+    neighbor_min, plateau, max_slope = _lattice_sweep(grid)
+    codes = _label_codes(costs, neighbor_min, plateau)
 
     refuted = 0
     eq_band = problem.eq_scale * resolution
-    for i in np.flatnonzero((labels == "genuine") | (labels == "pseudo")):
+    for i in np.flatnonzero(codes >= 2):  # pseudo and genuine
         if _refute_local_candidate(problem, pts[i], float(costs[i]),
                                    radius=1.5 * resolution, eq_band=eq_band):
-            labels[i] = "none"
+            codes[i] = 0
             refuted += 1
 
-    i, j = edges.T
-    n_comp, _ = _components(len(pts), i, j)
-    dists = np.linalg.norm(pts[i] - pts[j], axis=1)
-    slopes = np.abs(costs[i] - costs[j]) / dists
-    max_slope = float(slopes.max(initial=0.0))
-
+    n_comp, _ = _components(len(pts), *grid.adjacency().T)
     gmin = float(costs.min())
     gmask = costs <= gmin + EQUAL_COST_TOL
-    counts = {k: int(np.sum(labels == k))
-              for k in ("none", "global", "pseudo", "genuine")}
+    counts = dict(zip(LABELS, np.bincount(codes, minlength=len(LABELS)).tolist()))
     return OracleResult(
-        global_cost=gmin, global_points=pts[gmask], labels=labels,
+        global_cost=gmin, global_points=pts[gmask], labels=LABELS[codes],
         label_counts=counts, points=pts, costs=costs, n_components=int(n_comp),
         max_slope=max_slope, resolution=resolution, artifacts_refuted=refuted)
+
+
+def _bounding_box(mask: np.ndarray) -> np.ndarray:
+    """The smallest box of ``mask`` that holds all its set cells, which
+    keep their C order and their neighbor pairs there."""
+    box = []
+    for k in range(mask.ndim):
+        others = tuple(m for m in range(mask.ndim) if m != k)
+        hit = np.flatnonzero(mask.any(axis=others))
+        box.append(slice(hit[0], hit[-1] + 1))
+    return mask[tuple(box)]
+
+
+def _row_max(values: np.ndarray, initial: float) -> np.ndarray:
+    """Row maxima of an ``(M, p)`` array, ``initial`` when ``p == 0``; one
+    column at a time, which beats ``max(axis=1)`` on short rows."""
+    out = np.full(len(values), initial)
+    for column in values.T:
+        np.maximum(out, column, out=out)
+    return out
 
 
 # --- multistart local search ---------------------------------------------------
@@ -808,18 +882,25 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
         U = np.atleast_2d(U)
         return (C[0, 0] * U[:, 0] + 2 * C[0, 1] * U[:, 1] + C[1, 1] * U[:, 2])
 
+    # one row (A00, 2 A01, A11, b) per trace constraint
+    coef = np.array([(Ai[0, 0].real, 2 * Ai[0, 1].real, Ai[1, 1].real, bi)
+                     for Ai, bi in zip(inst.A, inst.b)])
+
     def ineq_fn(U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(U)
-        return np.stack([-U[:, 0], -U[:, 2],
-                         U[:, 1] ** 2 - U[:, 0] * U[:, 2]], axis=1)
+        out = np.empty((len(U), 3))
+        out[:, 0] = -U[:, 0]
+        out[:, 1] = -U[:, 2]
+        out[:, 2] = U[:, 1] ** 2 - U[:, 0] * U[:, 2]
+        return out
 
     def eq_fn(U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(U)
-        rows = [np.stack([Ai[0, 0].real * U[:, 0] + 2 * Ai[0, 1].real * U[:, 1]
-                          + Ai[1, 1].real * U[:, 2] - bi
-                          for Ai, bi in zip(inst.A, inst.b)], axis=1)]
-        rows.append((U[:, 0] * U[:, 2] - U[:, 1] ** 2)[:, None])
-        return np.concatenate(rows, axis=1)
+        out = np.empty((len(U), len(coef) + 1))
+        for k, (a00, a01x2, a11, bk) in enumerate(coef):
+            out[:, k] = a00 * U[:, 0] + a01x2 * U[:, 1] + a11 * U[:, 2] - bk
+        out[:, -1] = U[:, 0] * U[:, 2] - U[:, 1] ** 2
+        return out
 
     anchor = None
     vals, vecs = np.linalg.eigh(inst.A[0].real)

@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from relaxcert.certify import (
+    LABELS,
     CertificateReport,
     ConditionResult,
     DimensionGuardError,
@@ -351,8 +352,7 @@ def _landscape_from_dict(data: dict) -> LandscapeGrid:
 def cmd_classify(args: argparse.Namespace) -> int:
     grid = _landscape_from_dict(_load_object(args.input, "input"))
     labels = classify_local_optima(grid)
-    counts = {k: int(np.sum(labels == k))
-              for k in ("none", "global", "pseudo", "genuine")}
+    counts = {k: int(np.sum(labels == k)) for k in LABELS}
     _write_json(os.path.join(args.out, "labels.json"), _stamp({
         "labels": list(labels),
         "counts": counts,

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from gen import (
     random_feasible_psd,
@@ -352,11 +354,52 @@ def shipped_grid_problem(name):
     return eliminated_opf_grid(*load_case(path))
 
 
+def scan_problem(name):
+    """A shipped case, or ``two_bus_case-<seed>``: a :func:`gen.two_bus_case`
+    feeder, whose box bounds put the scan axes off any round spacing."""
+    if name.startswith("two_bus_case-"):
+        rng = np.random.default_rng(int(name.split("-")[1]))
+        return eliminated_opf_grid(*two_bus_case(rng))
+    return shipped_grid_problem(name)
+
+
+def kd_tree_references(oracle):
+    """The scan's labels before refutation, its component count and its
+    slope bound, each from the KD-tree graph of its points and without the
+    lattice sweep: :func:`classify_local_optima` on the grid without its
+    lattice, csgraph components of the KD-tree edges, and the largest slope
+    over both directions of every edge."""
+    grid = LandscapeGrid(oracle.points, oracle.costs, 1.5 * oracle.resolution)
+    labels = classify_local_optima(grid)
+    edges = grid.adjacency()
+    n_comp, _ = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.coo_matrix((np.ones(len(edges)), tuple(edges.T)),
+                                shape=(len(grid.points),) * 2), directed=False)
+    row, col = np.concatenate([edges, edges[:, ::-1]]).T
+    pts, costs = oracle.points, oracle.costs
+    both = (np.abs(costs[row] - costs[col])
+            / np.linalg.norm(pts[row] - pts[col], axis=1))
+    return labels, n_comp, float(both.max(initial=0.0))
+
+
+def assert_matches_kd_tree(oracle, labels, n_comp, max_slope):
+    """The scan's labels are the KD-tree labels with exactly the refuted
+    candidates turned to ``none``; components and slope bound are equal."""
+    refuted = oracle.labels != labels
+    assert np.count_nonzero(refuted) == oracle.artifacts_refuted
+    assert set(oracle.labels[refuted]) <= {"none"}
+    assert set(labels[refuted]) <= {"pseudo", "genuine"}
+    assert oracle.n_components == n_comp
+    assert oracle.max_slope == max_slope
+
+
 class TestOracleLattice:
-    @pytest.mark.parametrize("name, resolution", [("demo_2bus", 0.01),
-                                                  ("demo_lrsdp", 0.04)])
+    @pytest.mark.parametrize("name, resolution", [
+        ("demo_2bus", 0.01), ("demo_lrsdp", 0.04), ("demo_lrsdp", 0.02),
+        ("demo_lrsdp", 0.05), ("bad_current_limit", 0.02),
+        ("two_bus_case-8", 0.0057), ("two_bus_case-21", 0.0057)])
     def test_lattice_oracle_matches_kd_tree_oracle(self, monkeypatch, name, resolution):
-        gp = shipped_grid_problem(name)
+        gp = scan_problem(name)
         oracle = brute_force_oracle(gp, resolution)
         lattice_adjacency = LandscapeGrid.adjacency
         with monkeypatch.context() as patch:  # the scan's graph from the KD-tree
@@ -368,13 +411,18 @@ class TestOracleLattice:
         assert oracle.label_counts == reference.label_counts
         assert oracle.n_components == reference.n_components
         assert oracle.max_slope == reference.max_slope
-        # one slope per undirected edge keeps the bits of both directions
-        edges = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution).adjacency()
-        row, col = np.concatenate([edges, edges[:, ::-1]]).T
-        pts, costs = oracle.points, oracle.costs
-        both = (np.abs(costs[row] - costs[col])
-                / np.linalg.norm(pts[row] - pts[col], axis=1))
-        assert oracle.max_slope == float(both.max())
+        # the labels and the slope bound come from the stencil sweep, which
+        # the patch above does not reach: compare with the KD-tree as well
+        assert_matches_kd_tree(oracle, *kd_tree_references(oracle))
+        # the lattice route of classify_local_optima on the scan's own mask
+        cells = np.rint((oracle.points - gp.lower) / resolution).astype(int)
+        mask = np.zeros(_axis_lengths(gp, resolution), dtype=bool)
+        mask[tuple(cells.T)] = True
+        lattice = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution,
+                                lattice=mask)
+        np.testing.assert_array_equal(
+            classify_local_optima(lattice),
+            classify_local_optima(dataclasses.replace(lattice, lattice=None)))
 
     @pytest.mark.parametrize("resolution", [0.0057, 0.01, 0.04])
     @pytest.mark.parametrize("name", ["demo_2bus", "demo_3bus", "bad_current_limit",
@@ -390,6 +438,85 @@ class TestOracleLattice:
         assert _axis_lengths(gp, 5e-324) == [np.inf, np.inf]
         with pytest.raises(DimensionGuardError, match="scan budget"):
             brute_force_oracle(gp, 5e-324)
+
+
+def box_problem(dim, cost, inequalities=None):
+    """Scan model on [0, 8]^dim, whose unit-resolution lattice is the
+    integer points; no equalities, and no inequalities unless given."""
+    def none(U):
+        return np.zeros((len(np.atleast_2d(U)), 0))
+
+    return GridProblem(dim=dim, lower=np.zeros(dim), upper=np.full(dim, 8.0),
+                       cost=cost, inequalities=inequalities or none,
+                       equalities=none)
+
+
+class TestLatticeScanEdgeCases:
+    """Small lattices where every label class, an isolated point and an
+    offset with no feasible pair occur; each scan must agree with the
+    KD-tree references and refute nothing."""
+
+    @staticmethod
+    def scan(problem):
+        oracle = brute_force_oracle(problem, resolution=1.0)
+        assert oracle.artifacts_refuted == 0
+        labels, n_comp, max_slope = kd_tree_references(oracle)
+        np.testing.assert_array_equal(oracle.labels, labels)
+        assert_matches_kd_tree(oracle, labels, n_comp, max_slope)
+        return oracle
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_single_feasible_point(self, dim):
+        oracle = self.scan(box_problem(
+            dim, lambda U: np.atleast_2d(U).sum(axis=1),
+            lambda U: (np.sum((np.atleast_2d(U) - 3.0) ** 2, axis=1) - 0.09)[:, None]))
+        assert len(oracle.points) == 1
+        assert oracle.max_slope == 0.0
+        assert oracle.n_components == 1
+        assert list(oracle.labels) == ["global"]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plateau_touching_a_descent_is_pseudo(self, dim):
+        # cost 2 for u0 <= 3, then falling to its minimum at u0 = 8: the
+        # plateau's u0 = 3 face has a cheaper neighbor
+        oracle = self.scan(box_problem(
+            dim, lambda U: np.minimum(2.0, 5.5 - np.atleast_2d(U)[:, 0])))
+        u0 = oracle.points[:, 0]
+        assert np.all(oracle.labels[u0 <= 2] == "pseudo")
+        assert np.all(oracle.labels[(u0 >= 3) & (u0 <= 7)] == "none")
+        assert np.all(oracle.labels[u0 == 8] == "global")
+        assert oracle.n_components == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_isolated_basin_is_genuine(self, dim):
+        a, b = np.full(dim, 1.0), np.full(dim, 6.0)
+
+        def sq(U, c):
+            return np.sum((np.atleast_2d(U) - c) ** 2, axis=1)
+
+        # one lattice point in a ball around a, a bowl of cost 1 at its
+        # center; the global minimum at b, in a ball of radius 1.5
+        oracle = self.scan(box_problem(
+            dim, lambda U: np.minimum(sq(U, a) + 1.0, sq(U, b)),
+            lambda U: np.minimum(sq(U, a) - 0.25, sq(U, b) - 2.25)[:, None]))
+        assert oracle.n_components == 2
+        genuine = oracle.points[oracle.labels == "genuine"]
+        np.testing.assert_array_equal(genuine, a[None, :])
+        np.testing.assert_array_equal(oracle.global_points, b[None, :])
+        assert oracle.label_counts["pseudo"] == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_line_without_diagonal_pairs(self, dim):
+        # the feasible set is the u0 axis through (., 4, 4): the diagonal
+        # offsets of the stencil join no two feasible cells
+        oracle = self.scan(box_problem(
+            dim, lambda U: (np.atleast_2d(U)[:, 0] - 5.0) ** 2,
+            lambda U: np.abs(np.atleast_2d(U)[:, 1:] - 4.0) - 0.25))
+        assert len(oracle.points) == 9
+        assert oracle.n_components == 1
+        assert oracle.max_slope == 9.0  # between u0 = 0 and u0 = 1
+        assert oracle.label_counts == {"none": 8, "global": 1, "pseudo": 0,
+                                       "genuine": 0}
 
 
 class TestMultistart:
