@@ -28,6 +28,7 @@ from relaxcert.core import (
     FEAS_TOL,
     MONOTONE_SLACK,
     CertificateViolationError,
+    PathCheck,
     PathTrace,
     PreconditionError,
     check_piecewise_linear_family,
@@ -153,7 +154,7 @@ def check_exactness(
     optimality_residual: float,
     unique_certificate: bool = False,
     tol: float = FEAS_TOL,
-    path: PathTrace | None = None,
+    check: PathCheck | None = None,
 ) -> ExactnessResult:
     """Judge relaxation exactness from one relaxation optimum.
 
@@ -161,9 +162,10 @@ def check_exactness(
     uniqueness certificate, since strong exactness quantifies over every
     optimum).  An infeasible optimum whose restoration path preserves cost
     also confirms weak exactness; a strictly decreasing restoration refutes
-    the claimed optimality instead.  ``path`` is the optimum's restoration
-    path when the caller has built it already; otherwise the problem's
-    factory builds it.  Only its end costs are read: the caller verifies it.
+    the claimed optimality instead.  ``check`` is the caller's
+    :func:`~relaxcert.core.verify_path` result for the optimum's path;
+    without it the factory's path is verified here.  Only its end costs
+    are read: the caller judges the path.
     """
     if optimality_residual > tol:
         raise PreconditionError(
@@ -178,8 +180,9 @@ def check_exactness(
             "weak", note="optimum is feasible; strong exactness needs a "
                          "uniqueness certificate")
 
-    trace = problem.path_factory(x) if path is None else path
-    f0, f1 = handle.cost(trace.points[[0, -1]])
+    if check is None:
+        check = verify_path(handle, x, problem.path_factory(x))
+    f0, f1 = check.costs[[0, -1]]
     if abs(f1 - f0) <= 1e-8 * (1.0 + abs(f0)):
         return ExactnessResult(
             "weak", note="restoration reaches a feasible point at equal cost")
@@ -447,19 +450,21 @@ class GridProblem:
     eq_scale: float = 1.0
     anchor: np.ndarray | None = None
 
+    def worst_inequality(self, U: np.ndarray) -> np.ndarray:
+        """Each row's largest inequality value, ``-inf`` with none."""
+        return _row_max(self.inequalities(U), -np.inf)
+
+    def worst_equality(self, U: np.ndarray) -> np.ndarray:
+        """Each row's largest equality modulus, 0 with none."""
+        return _row_max(np.abs(self.equalities(U)), 0.0)
+
     def feasibility_residual(self, U: np.ndarray, eq_tol_len: float) -> np.ndarray:
         """Worst violation per row, with equalities scaled to the grid."""
         U = np.atleast_2d(U)
-        viol = np.zeros(len(U))
-        ineq = self.inequalities(U)
-        if ineq.shape[1]:
-            viol = np.maximum(viol, ineq.max(axis=1))
-        eq = self.equalities(U)
-        if eq.shape[1]:
-            viol = np.maximum(viol, np.abs(eq).max(axis=1) - eq_tol_len)
         box = np.maximum(self.lower[None, :] - U, U - self.upper[None, :])
-        viol = np.maximum(viol, box.max(axis=1))
-        return viol
+        return np.maximum.reduce([np.zeros(len(U)), self.worst_inequality(U),
+                                  self.worst_equality(U) - eq_tol_len,
+                                  box.max(axis=1)])
 
 
 @dataclass(frozen=True)
@@ -527,11 +532,8 @@ def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
     to ``u`` and therefore refutes its local optimality at every scale."""
     ts = np.linspace(0.0, 1.0, 33)
     seg = u[None, :] + ts[:, None] * (w - u)[None, :]
-    ineq = problem.inequalities(seg)
-    if ineq.shape[1] and ineq.max() > 1e-9:
-        return False
-    eq = problem.equalities(seg)
-    if eq.shape[1] and np.abs(eq).max() > eq_band:
+    if (problem.worst_inequality(seg).max() > 1e-9
+            or problem.worst_equality(seg).max() > eq_band):
         return False
     costs = problem.cost(seg)
     slack = MONOTONE_SLACK * (1.0 + np.abs(costs[:-1]))
@@ -611,9 +613,9 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     axes = [np.arange(problem.lower[i], problem.upper[i] + resolution / 2,
                       resolution) for i in range(problem.dim)]
     U = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    mask = _row_max(problem.inequalities(U), -np.inf) <= 1e-9
-    mask &= (_row_max(np.abs(problem.equalities(U)), 0.0)
-             <= problem.eq_scale * resolution)
+    eq_band = problem.eq_scale * resolution
+    mask = problem.worst_inequality(U) <= 1e-9
+    mask &= problem.worst_equality(U) <= eq_band
     if not mask.any():
         raise InfeasibleAtResolutionError(
             f"no feasible grid point at resolution {resolution}")
@@ -626,7 +628,6 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     codes = _label_codes(costs, neighbor_min, plateau)
 
     refuted = 0
-    eq_band = problem.eq_scale * resolution
     for i in np.flatnonzero(codes >= 2):  # pseudo and genuine
         if _refute_local_candidate(problem, pts[i], float(costs[i]),
                                    radius=1.5 * resolution, eq_band=eq_band):
@@ -655,8 +656,11 @@ def _bounding_box(mask: np.ndarray) -> np.ndarray:
 
 
 def _row_max(values: np.ndarray, initial: float) -> np.ndarray:
-    """Row maxima of an ``(M, p)`` array, ``initial`` when ``p == 0``; one
-    column at a time, which beats ``max(axis=1)`` on short rows."""
+    """Row maxima of an ``(M, p)`` array, ``initial`` when ``p == 0``; from
+    64 rows on (a scan, not a local solve) one column at a time, which beats
+    ``max(axis=1)`` on short rows there."""
+    if len(values) < 64:
+        return values.max(axis=1, initial=initial)
     out = np.full(len(values), initial)
     for column in values.T:
         np.maximum(out, column, out=out)

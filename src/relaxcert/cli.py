@@ -48,6 +48,7 @@ from relaxcert.distflow import (
     case_from_dict,
     pack_point,
     residual_X,
+    residual_Xhat,
     sample_relaxed_points,
     validate_assumptions,
 )
@@ -184,14 +185,19 @@ def cmd_opf(args: argparse.Namespace) -> int:
 
     problem = opf_certified_problem(net, cost)
     optimum = pack_point(res.point)
-    optimum_path = None
+    optimum_path = check = None
     if residual_X(net, cost, res.point) > args.tol:
-        optimum_path = restoration_path(net, cost, res.point, tol=args.tol)
+        # the optimum's one membership test: restoration_path judges nothing
+        r_hat = residual_Xhat(net, cost, res.point)
+        if r_hat > args.tol:
+            raise PreconditionError(f"point is not relaxed-feasible "
+                                    f"(residual {r_hat:.3g} > {args.tol:.1g})")
+        optimum_path = restoration_path(net, res.point)
         check = verify_path(problem.handle, optimum, optimum_path)
         _raise_first_fault(check.conditions(args.tol),
                            "restoring the relaxation optimum")
     verdict = check_exactness(problem, optimum, res.optimality_residual,
-                              tol=args.tol, path=optimum_path)
+                              tol=args.tol, check=check)
 
     rng = np.random.default_rng(args.seed)
     samples = [pack_point(x) for x in
@@ -278,7 +284,7 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
                         reduction.trace, check)
 
     verdict = check_exactness(problem, optimum, res.optimality_residual,
-                              tol=args.tol, path=reduction.trace)
+                              tol=args.tol, check=check)
     proxy = check_c2_proxy(problem, [reduction.trace])
     final_cost = inst.cost(reduction.final.X)
     cost_drift = abs(final_cost - res.objective)

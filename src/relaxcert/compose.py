@@ -79,22 +79,33 @@ def _trace_gap(t1: PathTrace, t2: PathTrace) -> float:
                for t in np.linspace(0.0, 1.0, 33))
 
 
-def _box_intersection(p1: CertifiedProblem, p2: CertifiedProblem):
-    lo1, hi1 = p1.box
-    lo2, hi2 = p2.box
+def _pair_parts(p1: CertifiedProblem, p2: CertifiedProblem, mode: str,
+                lam: float):
+    """Check the dimensions, cost mode and weight of a union or
+    intersection; return the common box, the combined cost (``lam``-weighted
+    sum or max) and the relaxed residual (the worse of the two)."""
+    if p1.dim != p2.dim:
+        raise CompositionError("primitives live in different ambient spaces")
+    if mode not in ("sum", "max"):
+        raise CompositionError(f"unknown cost mode {mode!r}")
+    if mode == "sum" and not 0.0 < lam < 1.0:
+        raise CompositionError("sum mode needs lam strictly inside (0, 1)")
+    (lo1, hi1), (lo2, hi2) = p1.box, p2.box
     lo = np.maximum(lo1.real, lo2.real) + 1j * np.maximum(lo1.imag, lo2.imag)
     hi = np.minimum(hi1.real, hi2.real) + 1j * np.minimum(hi1.imag, hi2.imag)
     if np.any(lo.real > hi.real) or np.any(lo.imag > hi.imag):
         raise CompositionError("problem boxes do not intersect")
-    return lo, hi
+    h1, h2 = p1.handle, p2.handle
 
+    def cost(x):
+        if mode == "sum":
+            return lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
+        return np.maximum(h1.cost(x), h2.cost(x))
 
-def _combined_cost(h1: ProblemHandle, h2: ProblemHandle, mode: str,
-                   lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Cost of a union or intersection: the ``lam``-weighted sum or the max."""
-    if mode == "sum":
-        return lambda x: lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
-    return lambda x: np.maximum(h1.cost(x), h2.cost(x))
+    def residual_relaxed(x):
+        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
+
+    return (lo, hi), cost, residual_relaxed
 
 
 def compose_cost(
@@ -148,18 +159,8 @@ def union_feasible(
     coincide on the relaxed-but-infeasible region, which is checked on
     sampled points.
     """
-    if p1.dim != p2.dim:
-        raise CompositionError("primitives live in different ambient spaces")
-    if mode not in ("sum", "max"):
-        raise CompositionError(f"unknown cost mode {mode!r}")
-    if mode == "sum" and not 0.0 < lam < 1.0:
-        raise CompositionError("sum mode needs lam strictly inside (0, 1)")
-
-    box = _box_intersection(p1, p2)
+    box, cost, residual_relaxed = _pair_parts(p1, p2, mode, lam)
     h1, h2 = p1.handle, p2.handle
-
-    def residual_relaxed(x):
-        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
 
     def residual_feasible(x):
         return np.maximum(np.minimum(h1.residual_feasible(x), h2.residual_feasible(x)),
@@ -169,7 +170,7 @@ def union_feasible(
         return h1.lyapunov(x) * h2.lyapunov(x)
 
     composite = CertifiedProblem(
-        handle=ProblemHandle(cost=_combined_cost(h1, h2, mode, lam),
+        handle=ProblemHandle(cost=cost,
                              residual_feasible=residual_feasible,
                              residual_relaxed=residual_relaxed, lyapunov=lyapunov),
         path_factory=p1.path_factory,
@@ -203,16 +204,12 @@ def intersect_feasible(
     The new Lyapunov function is the sum; paths fix one block at a time,
     concatenating when both blocks start infeasible.
     """
-    if p1.dim != p2.dim:
-        raise CompositionError("primitives live in different ambient spaces")
-    if mode not in ("sum", "max"):
-        raise CompositionError(f"unknown cost mode {mode!r}")
+    box, cost, residual_relaxed = _pair_parts(p1, p2, mode, lam)
     blk1 = np.asarray(split[0], dtype=int)
     blk2 = np.asarray(split[1], dtype=int)
     if sorted([*blk1, *blk2]) != list(range(p1.dim)):
         raise CompositionError("split blocks must partition the coordinates")
 
-    box = _box_intersection(p1, p2)
     h1, h2 = p1.handle, p2.handle
     xs = sample_box(box, samples, seed)
 
@@ -245,9 +242,6 @@ def intersect_feasible(
                     f"{p.label or 'primitive'}: path moves the foreign block by "
                     f"{drift:.3g} (witness {x})")
 
-    def residual_relaxed(x):
-        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
-
     def residual_feasible(x):
         return np.maximum(h1.residual_feasible(x), h2.residual_feasible(x))
 
@@ -273,7 +267,7 @@ def intersect_feasible(
         return PathTrace(params=params, points=points, knots=knots)
 
     return CertifiedProblem(
-        handle=ProblemHandle(cost=_combined_cost(h1, h2, mode, lam),
+        handle=ProblemHandle(cost=cost,
                              residual_feasible=residual_feasible,
                              residual_relaxed=residual_relaxed, lyapunov=lyapunov),
         path_factory=path_factory,

@@ -13,8 +13,10 @@ Conventions used throughout the package:
 * feasibility is always expressed through nonnegative residuals, with
   ``residual <= FEAS_TOL`` meaning membership;
 * a sampled path is evaluated once by :func:`verify_path` and judged once
-  by :meth:`PathCheck.conditions`; path constructors check only their
-  inputs and what they need to build the path, never its samples.
+  by :meth:`PathCheck.conditions`; a path's starting point is tested for
+  membership once, by its caller, before the path is built; path
+  constructors check only what they need to build the path, never its
+  samples.
 """
 
 from __future__ import annotations

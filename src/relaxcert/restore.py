@@ -109,29 +109,19 @@ def _path_points(net: RadialNetwork, x: OperatingPoint, delta: np.ndarray,
                            x.S - 0.5 * t * zd], axis=1)
 
 
-def restoration_path(
-    net: RadialNetwork,
-    cost: OpfCost,
-    x: OperatingPoint,
-    samples: int = SEGMENT_SAMPLES,
-    tol: float = FEAS_TOL,
-) -> PathTrace:
+def restoration_path(net: RadialNetwork, x: OperatingPoint,
+                     samples: int = SEGMENT_SAMPLES) -> PathTrace:
     """Linear path from a relaxed infeasible point onto the feasible set.
 
     Per line, the current drops by the gap root and the sending-end power by
     half the impedance times the root; the affected bus injections absorb
     the difference so the affine DistFlow equations hold along the way.
-    Voltages never move.  Only the input is checked here (relaxed-feasible,
-    not yet feasible); the path itself is judged by its callers through
-    :func:`~relaxcert.core.verify_path`.
+    Voltages never move.  Nothing is judged here: the caller has tested
+    that ``x`` is relaxed-feasible and not feasible (``check_c1_c3`` for
+    sampled points, ``relaxcert opf`` for the solver optimum), and
+    :func:`~relaxcert.core.verify_path` judges the path.  Only the
+    current-limit guard that the roots need (:func:`edge_deltas`) raises.
     """
-    r_hat = residual_Xhat(net, cost, x)
-    if r_hat > tol:
-        raise PreconditionError(
-            f"point is not relaxed-feasible (residual {r_hat:.3g} > {tol:.1g})")
-    if residual_X(net, cost, x) <= tol:
-        raise PreconditionError("point is already feasible; nothing to restore")
-
     delta, _ = edge_deltas(net, x)
     ts = np.linspace(0.0, 1.0, samples)
     return PathTrace(params=ts, points=_path_points(net, x, delta, ts),
@@ -235,7 +225,7 @@ def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem
     ])
     return CertifiedProblem(
         handle=_opf_handle(net, cost),
-        path_factory=lambda vec: restoration_path(net, cost, unpack_point(net, vec)),
+        path_factory=lambda vec: restoration_path(net, unpack_point(net, vec)),
         segment_bound=1,
         box=(lo, hi),
         label="opf",

@@ -70,7 +70,7 @@ def test_criterion_1_restoration_soundness():
     start = time.time()
     count = 0
     for seed, net, cost, x in _restoration_instances():
-        trace = restoration_path(net, cost, x, samples=101)
+        trace = restoration_path(net, x, samples=101)
         end = unpack_point(net, trace.end)
         assert residual_X(net, cost, end) <= 1e-8, f"seed {seed}"
 
@@ -131,7 +131,7 @@ def test_criterion_2_no_spurious_optima_at_desk_scale(two_bus_suite):
 
 def test_criterion_3_proportional_decrease_margin():
     for seed, net, cost, x in _restoration_instances():
-        trace = restoration_path(net, cost, x, samples=101)
+        trace = restoration_path(net, x, samples=101)
         res = cprime_margin(net, cost, trace)
         assert res.margin > 0, f"seed {seed}"
         assert res.margin >= 0.5 * res.analytic, (

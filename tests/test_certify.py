@@ -567,7 +567,7 @@ class TestMultistart:
         "a point off {tr X = 1, det X = 0} is feasible only at the anchor; the "
         "slice also states det X = 0 twice (equality and PSD inequality), so "
         "the constraint gradients are dependent. Every converged cost is "
-        "2.0 = lambda_max(C); the optimum is 1.0 (ROADMAP item 2)"))
+        "2.0 = lambda_max(C); the optimum is 1.0 (ROADMAP item 1)"))
     def test_psd_slice_reaches_the_optimum(self):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "cases",
                             "demo_lrsdp.json")

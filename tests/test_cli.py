@@ -18,7 +18,12 @@ import relaxcert.cli as cli
 from gen import bend_reductions, bend_restorations, random_spectraplex_instance
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
-from relaxcert.distflow import load_case, residual_X, sample_relaxed_points
+from relaxcert.distflow import (
+    load_case,
+    residual_X,
+    residual_Xhat,
+    sample_relaxed_points,
+)
 from relaxcert.lrsdp import (
     LrsdpInstance,
     instance_from_dict,
@@ -197,6 +202,28 @@ class TestOpfCommand:
         assert code == 2
         assert ("certificate violation: restoring the relaxation optimum: a path "
                 "sample leaves the relaxed set (residual ") in capsys.readouterr().err
+
+    def test_optimum_outside_the_relaxed_set_exits_1(
+            self, tmp_path, monkeypatch, capsys):
+        # every voltage raised by 0.5 keeps the DistFlow equations and the
+        # cone but leaves the voltage box, so the optimum is judged once, in
+        # cmd_opf, before any restoration
+        net, cost = load_case(case("demo_3bus.json"))
+        solve, seen = cli.solve_opf_relaxation, []
+
+        def raised(*a, **k):
+            res = solve(*a, **k)
+            seen.append(dataclasses.replace(res.point, v=res.point.v + 0.5))
+            return dataclasses.replace(res, point=seen[-1])
+
+        monkeypatch.setattr(cli, "solve_opf_relaxation", raised)
+        code = main(["opf", case("demo_3bus.json"), "--out", str(tmp_path / "run"),
+                     "--samples", "5"])
+        assert code == 1
+        r = residual_Xhat(net, cost, seen[0])
+        assert r > 1e-8
+        assert capsys.readouterr().err == (
+            f"error: point is not relaxed-feasible (residual {r:.3g} > 1e-08)\n")
 
     def test_reports_idempotent_modulo_timestamp(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

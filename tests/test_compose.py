@@ -198,3 +198,19 @@ def test_compose_then_union_commutes_with_union_then_compose():
     b = union_feasible(compose_cost(p1, g), compose_cost(p2, g))
     for x in sample_box(a.box, 50, seed=6):
         assert a.handle.cost(x) == pytest.approx(b.handle.cost(x), abs=1e-12)
+
+
+@pytest.mark.parametrize("combine", [
+    union_feasible,
+    lambda p1, p2, **kw: intersect_feasible(p1, p2, split=([0], [1]), **kw),
+], ids=["union", "intersect"])
+@pytest.mark.parametrize("second, kwargs, message", [
+    (block_primitive(1), {"lam": 0.0}, "lam strictly inside"),
+    (block_primitive(1), {"lam": 1.0}, "lam strictly inside"),
+    (block_primitive(1), {"mode": "sum", "lam": 3.0}, "lam strictly inside"),
+    (block_primitive(1), {"mode": "min"}, "unknown cost mode"),
+    (threshold_primitive(0.5), {}, "different ambient spaces"),
+], ids=["lam-0", "lam-1", "lam-3", "unknown-mode", "dimension-mismatch"])
+def test_combinators_reject_bad_arguments_alike(combine, second, kwargs, message):
+    with pytest.raises(CompositionError, match=message):
+        combine(block_primitive(0), second, **kwargs)

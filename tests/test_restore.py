@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gen import random_radial_network
-from relaxcert.core import PathTrace, PreconditionError
+from relaxcert.certify import check_c1_c3
+from relaxcert.core import PathTrace, PreconditionError, verify_path
 from relaxcert.distflow import (
     Bus,
     Line,
@@ -12,6 +13,7 @@ from relaxcert.distflow import (
     OpfCost,
     RadialNetwork,
     forward_point,
+    pack_point,
     pf_residuals,
     residual_X,
     unpack_point,
@@ -128,17 +130,28 @@ class TestEdgeDelta:
 
 class TestRestorationPath:
     def test_already_feasible_is_rejected(self):
+        # the constructor judges nothing; the batch membership test refuses
+        # a feasible sample, and the verifier fails the constant path it
+        # would build on the strict cost drop
         net = line_net()
         cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.4 + 0.2j])
-        with pytest.raises(PreconditionError):
-            restoration_path(net, cost, x)
+        problem = opf_certified_problem(net, cost)
+        with pytest.raises(PreconditionError, match="relaxed-minus-feasible"):
+            check_c1_c3(problem, [pack_point(x)])
+
+        trace = restoration_path(net, x)
+        np.testing.assert_array_equal(trace.points, np.tile(pack_point(x), (len(trace), 1)))
+        *_, (drop, witness) = verify_path(problem.handle, pack_point(x),
+                                          trace).conditions()
+        assert drop < 0
+        assert witness.startswith("cost did not strictly decrease")
 
     def test_two_bus_endpoint_and_decrease(self):
         net = line_net(z=0.02 + 0.02j)
         cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.5 + 0.2j], extra_ell=[0.3])
-        trace = restoration_path(net, cost, x)
+        trace = restoration_path(net, x)
         assert trace.segments == 1
 
         end = unpack_point(net, trace.end)
@@ -155,7 +168,7 @@ class TestRestorationPath:
         net = line_net(z=0.02 + 0.02j)
         cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.5 + 0.2j], extra_ell=[0.3])
-        trace = restoration_path(net, cost, x, samples=101)
+        trace = restoration_path(net, x, samples=101)
         f = [cost.value(unpack_point(net, p).s) for p in trace.points]
         V = [lyapunov_V(net, unpack_point(net, p)) for p in trace.points]
         assert np.all(np.diff(f) < 0)
@@ -166,7 +179,7 @@ class TestRestorationPath:
         net, cost = random_radial_network(rng, n_bus=6)
         S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
         x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.3, net.n_line))
-        trace = restoration_path(net, cost, x)
+        trace = restoration_path(net, x)
         for p in trace.points:
             xi = unpack_point(net, p)
             np.testing.assert_allclose(xi.v, x.v, atol=1e-14)
@@ -179,7 +192,7 @@ class TestRestorationPath:
         net, cost = random_radial_network(rng, n_bus=5)
         S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
         x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.3, net.n_line))
-        trace = restoration_path(net, cost, x)
+        trace = restoration_path(net, x)
         s_samples = np.array([unpack_point(net, p).s for p in trace.points])
         assert np.all(np.diff(s_samples.real, axis=0) <= 1e-14)
         assert np.all(np.diff(s_samples.imag, axis=0) <= 1e-14)
@@ -198,7 +211,7 @@ class TestRestorationPath:
         net, cost = random_radial_network(rng, n_bus=4)
         S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
         x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.3, net.n_line))
-        trace = restoration_path(net, cost, x)
+        trace = restoration_path(net, x)
         lo, hi = opf_certified_problem(net, cost).box
         assert np.all(np.isfinite(lo.view(float)))
         end = trace.end
@@ -216,7 +229,7 @@ class TestCprimeMargin:
         net = line_net(z=0.02 + 0.02j)
         cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.5 + 0.2j], extra_ell=[0.3])
-        trace = restoration_path(net, cost, x)
+        trace = restoration_path(net, x)
         res = cprime_margin(net, cost, trace)
         assert res.margin > 0
         assert res.margin >= res.analytic - 1e-9
@@ -239,7 +252,7 @@ class TestCprimeMargin:
             S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
             x = forward_point(net, 1.0, S,
                               extra_ell=rng.uniform(0.05, 0.4, net.n_line))
-            trace = restoration_path(net, cost, x)
+            trace = restoration_path(net, x)
             res = cprime_margin(net, cost, trace)
             assert res.margin >= 0.5 * res.analytic
 
@@ -266,7 +279,7 @@ class TestCprimeAgainstAllPairs:
             S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
             x = forward_point(net, 1.0, S,
                               extra_ell=rng.uniform(0.05, 0.4, net.n_line))
-            trace = restoration_path(net, cost, x)
+            trace = restoration_path(net, x)
             margin = cprime_margin(net, cost, trace).margin
             assert margin == pytest.approx(all_pairs_cprime(net, cost, trace),
                                            rel=1e-12, abs=0)
@@ -279,7 +292,7 @@ class TestCprimeAgainstAllPairs:
                        qp=np.full(net.n_bus, 0.15), qq=np.full(net.n_bus, 0.08))
         S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
         x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0.05, 0.4, net.n_line))
-        trace = restoration_path(net, quad, x)
+        trace = restoration_path(net, x)
         margin = cprime_margin(net, quad, trace).margin
         assert margin == pytest.approx(all_pairs_cprime(net, quad, trace),
                                        rel=1e-12, abs=0)
@@ -310,7 +323,7 @@ def test_trace_csv_export(tmp_path):
     net = line_net(z=0.02 + 0.02j)
     cost = linear_cost(2)
     x = forward_point(net, 1.0, [0.5 + 0.2j], extra_ell=[0.3])
-    trace = restoration_path(net, cost, x, samples=11)
+    trace = restoration_path(net, x, samples=11)
     out = tmp_path / "trace.csv"
     write_restoration_csv(str(out), net, cost, trace)
     lines = out.read_text().strip().splitlines()

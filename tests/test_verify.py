@@ -192,10 +192,16 @@ def test_opf_path_verified_once_per_point(monkeypatch):
     problem, points = opf_samples(4, 5)
     verified = count_calls(monkeypatch, core.verify_path)
     validated = count_calls(monkeypatch, distflow.validate_assumptions)
+    residuals = [count_calls(monkeypatch, fn)
+                 for fn in (distflow.residual_Xhat, distflow.residual_X)]
     checks = check_c1_c3(problem, points)
     assert checks.c3.passed and checks.c1.passed
     assert len(verified) == len(points)
     assert validated == []
+    # one batch membership test, then per point the verifier's relaxed
+    # residual of the samples and feasible residual of the end; the
+    # restoration itself judges nothing
+    assert [len(calls) for calls in residuals] == [1 + len(points)] * 2
 
 
 def test_restoration_off_the_relaxed_set_is_a_c3_witness(monkeypatch):
