@@ -149,12 +149,11 @@ class ExactnessResult:
 
 
 def check_exactness(
-    problem: CertifiedProblem,
-    relaxation_optimum: np.ndarray,
     optimality_residual: float,
+    feasible_residual: float,
+    check: PathCheck | None = None,
     unique_certificate: bool = False,
     tol: float = FEAS_TOL,
-    check: PathCheck | None = None,
 ) -> ExactnessResult:
     """Judge relaxation exactness from one relaxation optimum.
 
@@ -162,26 +161,27 @@ def check_exactness(
     uniqueness certificate, since strong exactness quantifies over every
     optimum).  An infeasible optimum whose restoration path preserves cost
     also confirms weak exactness; a strictly decreasing restoration refutes
-    the claimed optimality instead.  ``check`` is the caller's
-    :func:`~relaxcert.core.verify_path` result for the optimum's path;
-    without it the factory's path is verified here.  Only its end costs
-    are read: the caller judges the path.
+    the claimed optimality instead.  The caller has measured the optimum:
+    ``feasible_residual`` is its feasible-set residual, which is compared
+    with ``tol`` here and never recomputed, and ``check`` is the
+    :func:`~relaxcert.core.verify_path` result for its path, needed when
+    the optimum is infeasible.  Only the path's end costs are read: the
+    caller judges the path.
     """
     if optimality_residual > tol:
         raise PreconditionError(
             f"point is not relaxation-optimal (residual {optimality_residual:.3g})")
-    x = np.asarray(relaxation_optimum, dtype=complex)
-    handle = problem.handle
-    if handle.residual_feasible(x) <= tol:
+    if feasible_residual <= tol:
         if unique_certificate:
             return ExactnessResult(
                 "strong", note="feasible optimum with uniqueness certificate")
         return ExactnessResult(
             "weak", note="optimum is feasible; strong exactness needs a "
                          "uniqueness certificate")
-
     if check is None:
-        check = verify_path(handle, x, problem.path_factory(x))
+        raise PreconditionError(
+            f"optimum is infeasible (residual {feasible_residual:.3g}) and "
+            "no path check was given")
     f0, f1 = check.costs[[0, -1]]
     if abs(f1 - f0) <= 1e-8 * (1.0 + abs(f0)):
         return ExactnessResult(

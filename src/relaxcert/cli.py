@@ -186,7 +186,8 @@ def cmd_opf(args: argparse.Namespace) -> int:
     problem = opf_certified_problem(net, cost)
     optimum = pack_point(res.point)
     optimum_path = check = None
-    if residual_X(net, cost, res.point) > args.tol:
+    residual = residual_X(net, cost, res.point)
+    if residual > args.tol:
         # the optimum's one membership test: restoration_path judges nothing
         r_hat = residual_Xhat(net, cost, res.point)
         if r_hat > args.tol:
@@ -196,8 +197,8 @@ def cmd_opf(args: argparse.Namespace) -> int:
         check = verify_path(problem.handle, optimum, optimum_path)
         _raise_first_fault(check.conditions(args.tol),
                            "restoring the relaxation optimum")
-    verdict = check_exactness(problem, optimum, res.optimality_residual,
-                              tol=args.tol, check=check)
+    verdict = check_exactness(res.optimality_residual, residual, check,
+                              tol=args.tol)
 
     rng = np.random.default_rng(args.seed)
     samples = [pack_point(x) for x in
@@ -283,8 +284,9 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
     write_reduction_csv(os.path.join(out, "reduction.csv"), inst,
                         reduction.trace, check)
 
-    verdict = check_exactness(problem, optimum, res.optimality_residual,
-                              tol=args.tol, check=check)
+    verdict = check_exactness(res.optimality_residual,
+                              problem.handle.residual_feasible(optimum), check,
+                              tol=args.tol)
     proxy = check_c2_proxy(problem, [reduction.trace])
     final_cost = inst.cost(reduction.final.X)
     cost_drift = abs(final_cost - res.objective)

@@ -45,11 +45,6 @@ class CertifiedProblem:
     def dim(self) -> int:
         return len(self.box[0])
 
-    def lyapunov(self, x: np.ndarray) -> float:
-        if self.handle.lyapunov is None:
-            raise ValueError(f"problem {self.label!r} carries no Lyapunov function")
-        return self.handle.lyapunov(x)
-
 
 def sample_box(
     box: tuple[np.ndarray, np.ndarray], count: int, seed: int = 0
@@ -225,7 +220,7 @@ def intersect_feasible(
                 raise CompositionError(
                     f"{p.label or 'primitive'}: cost depends on the foreign block "
                     f"(witness {x})")
-            vx, vy = p.lyapunov(x), p.lyapunov(y)
+            vx, vy = p.handle.lyapunov(x), p.handle.lyapunov(y)
             if abs(vx - vy) > ZERO_TOL * (1.0 + abs(vx)):
                 raise CompositionError(
                     f"{p.label or 'primitive'}: Lyapunov value depends on the "

@@ -16,7 +16,9 @@ Conventions used throughout the package:
   by :meth:`PathCheck.conditions`; a path's starting point is tested for
   membership once, by its caller, before the path is built; path
   constructors check only what they need to build the path, never its
-  samples.
+  samples;
+* a relaxation optimum's membership is tested once, by its caller;
+  Lyapunov values and margins measure, never judge.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def finite_number(value: object, field: str) -> float:
             or not math.isfinite(value)):
         raise ValueError(f"{field}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def complex_pair(value: object, field: str) -> complex:
+    """An ``[re, im]`` input field as a complex number, each part checked
+    with :func:`finite_number`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{field}: expected [re, im] pair, got {value!r}")
+    return complex(finite_number(value[0], f"{field}[0]"),
+                   finite_number(value[1], f"{field}[1]"))
 
 
 def finite_numbers(values: object, field: str) -> list[float]:
@@ -275,17 +286,18 @@ class ProblemHandle:
 
     ``residual_feasible`` measures distance-to-membership for the original
     set, ``residual_relaxed`` for its convex superset; both are nonnegative
-    and vanish (to ``FEAS_TOL``) exactly on members.  ``lyapunov``, when
-    present, is nonnegative on the relaxed set and vanishes exactly on the
-    original set.  Every callable maps an ``(..., d)`` stack of points to
-    the ``(...)`` array of its values, so a whole sampled path is evaluated
-    in one call.
+    and vanish (to ``FEAS_TOL``) exactly on members.  ``lyapunov`` is
+    nonnegative on the relaxed set and vanishes exactly on the original
+    set; it measures every point and judges none, since the residuals
+    judge membership.  Every callable maps an ``(..., d)`` stack of points
+    to the ``(...)`` array of its values, so a whole sampled path is
+    evaluated in one call.
     """
 
     cost: Callable[[np.ndarray], np.ndarray]
     residual_feasible: Callable[[np.ndarray], np.ndarray]
     residual_relaxed: Callable[[np.ndarray], np.ndarray]
-    lyapunov: Callable[[np.ndarray], np.ndarray] | None = None
+    lyapunov: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -344,8 +356,6 @@ def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathC
     """Evaluate a sampled path from ``x`` one knot segment at a time, with
     one handle call per quantity and segment; a knot shared by two
     segments is evaluated with the earlier one."""
-    if handle.lyapunov is None:
-        raise ValueError("the problem carries no Lyapunov function")
     blocks = np.split(trace.points, trace.knots[1:-1] + 1)
     relaxed, costs, lyapunov = (np.concatenate(values) for values in zip(*(
         (handle.residual_relaxed(b), handle.cost(b), handle.lyapunov(b))

@@ -15,7 +15,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from relaxcert.core import FEAS_TOL, PreconditionError, finite_number, finite_numbers
+from relaxcert.core import (
+    FEAS_TOL,
+    PreconditionError,
+    complex_pair,
+    finite_number,
+    finite_numbers,
+)
 
 SAMPLE_SLACK_RANGE = (0.05, 0.5)  # current slack drawn per line, before the draw scale
 
@@ -548,13 +554,6 @@ def _require_list(obj: Any, key: str) -> list:
     return value
 
 
-def _complex_pair(value: Any, context: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{context}: expected [re, im] pair, got {value!r}")
-    return complex(finite_number(value[0], f"{context}[0]"),
-                   finite_number(value[1], f"{context}[1]"))
-
-
 def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
     buses = []
     for i, raw in enumerate(_require_list(data, "buses")):
@@ -564,8 +563,8 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
             id=str(_require(raw, "id", ctx)),
             v_min=finite_number(_require(raw, "v_min", ctx), f"{ctx}.v_min"),
             v_max=finite_number(_require(raw, "v_max", ctx), f"{ctx}.v_max"),
-            s_min=None if s_min_raw is None else _complex_pair(s_min_raw, f"{ctx}.s_min"),
-            s_max=_complex_pair(_require(raw, "s_max", ctx), f"{ctx}.s_max"),
+            s_min=None if s_min_raw is None else complex_pair(s_min_raw, f"{ctx}.s_min"),
+            s_max=complex_pair(_require(raw, "s_max", ctx), f"{ctx}.s_max"),
         ))
     lines = []
     for i, raw in enumerate(_require_list(data, "lines")):
@@ -573,7 +572,7 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
         lines.append(Line(
             tail=str(_require(raw, "from", ctx)),
             head=str(_require(raw, "to", ctx)),
-            z=_complex_pair(_require(raw, "z", ctx), f"{ctx}.z"),
+            z=complex_pair(_require(raw, "z", ctx), f"{ctx}.z"),
             l_max=finite_number(_require(raw, "l_max", ctx), f"{ctx}.l_max"),
         ))
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),

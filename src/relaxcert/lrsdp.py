@@ -21,6 +21,7 @@ from relaxcert.core import (
     PathTrace,
     PreconditionError,
     ProblemHandle,
+    complex_pair,
     finite_number,
     finite_numbers,
     write_trace_csv,
@@ -477,11 +478,7 @@ def _matrix_from_pairs(raw, n: int, name: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"{name} row {i}: expected {n} entries")
         for j, entry in enumerate(row):
-            field = f"{name} entry ({i},{j})"
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError(f"{field}: expected [re, im] pair, got {entry!r}")
-            M[i, j] = complex(finite_number(entry[0], f"{field}[0]"),
-                              finite_number(entry[1], f"{field}[1]"))
+            M[i, j] = complex_pair(entry, f"{name} entry ({i},{j})")
     return M
 
 

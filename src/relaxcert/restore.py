@@ -17,7 +17,6 @@ import numpy as np
 
 from relaxcert.compose import CertifiedProblem
 from relaxcert.core import (
-    FEAS_TOL,
     SEGMENT_SAMPLES,
     CertificateViolationError,
     PathTrace,
@@ -43,22 +42,12 @@ from relaxcert.distflow import (
 SLACK_THRESHOLD = 1e-9
 
 
-def lyapunov_V(net: RadialNetwork, x: OperatingPoint,
-               tol: float = FEAS_TOL) -> np.ndarray:
-    """Total cone slack sum(v_tail*ell - |S|^2) over lines; zero exactly on
-    DistFlow-feasible points of the relaxed set.  Rejects the first point
-    of the stack whose cone is violated by more than ``tol``."""
-    slack = pf_residuals(net, x).cone_eq
-    rows = slack.reshape(-1, net.n_line)
-    bad = np.flatnonzero(np.any(rows < -tol, axis=-1))
-    if len(bad):
-        row = rows[bad[0]]
-        e = int(np.argmin(row))
-        ln = net.lines[e]
-        raise PreconditionError(
-            f"line {ln.tail}->{ln.head} violates the cone by {-row[e]:.3g}; "
-            "the point is not relaxed-feasible")
-    return np.sum(np.maximum(slack, 0.0), axis=-1)
+def lyapunov_V(net: RadialNetwork, x: OperatingPoint) -> np.ndarray:
+    """Total cone slack sum(max(v_tail*ell - |S|^2, 0)) over lines; zero
+    exactly on DistFlow-feasible points of the relaxed set.  A measure of
+    any point: a violated cone counts as zero slack here, and
+    :func:`~relaxcert.distflow.residual_Xhat` is its judge."""
+    return np.sum(np.maximum(pf_residuals(net, x).cone_eq, 0.0), axis=-1)
 
 
 def _phi_coefficients(net: RadialNetwork, x: OperatingPoint):
@@ -133,12 +122,12 @@ class CprimeMargin:
     """Sampled proportional-decrease margin along a restoration trace.
 
     ``margin`` is the minimum over adjacent sample pairs of the cost drop
-    divided by the m-norm displacement (``inf`` for constant paths);
-    ``analytic`` is the instance constant the margin should dominate.
+    divided by the m-norm displacement (``inf`` for constant paths).  It
+    measures one trace and judges nothing: the caller gives the verdict
+    and reads the instance constant (:func:`cprime_reference`) once.
     """
 
     margin: float
-    analytic: float
     note: str = ""
 
 
@@ -163,7 +152,6 @@ def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> Cprime
     margin is positive and are both nonpositive otherwise: the verdict
     ``margin > 0`` is the same for every trace.
     """
-    analytic = cprime_reference(net, cost)
     pts = trace.points
     f_vals = cost.value(unpack_point(net, pts).s)
 
@@ -172,10 +160,8 @@ def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> Cprime
     drop = f_vals[:-1] - f_vals[1:]
     mask = dist > 0
     if not np.any(mask):
-        return CprimeMargin(margin=np.inf, analytic=analytic,
-                            note="constant path: no line was slack")
-    margin = float(np.min(drop[mask] / dist[mask]))
-    return CprimeMargin(margin=margin, analytic=analytic)
+        return CprimeMargin(margin=np.inf, note="constant path: no line was slack")
+    return CprimeMargin(margin=float(np.min(drop[mask] / dist[mask])))
 
 
 def _opf_handle(net: RadialNetwork, cost: OpfCost) -> ProblemHandle:
@@ -189,7 +175,7 @@ def _opf_handle(net: RadialNetwork, cost: OpfCost) -> ProblemHandle:
         cost=lambda vec: cost.value(unpack_point(net, vec).s),
         residual_feasible=lambda vec: residual_X(net, cost, unpack_point(net, vec)),
         residual_relaxed=lambda vec: residual_Xhat(net, cost, unpack_point(net, vec)),
-        lyapunov=lambda vec: lyapunov_V(net, unpack_point(net, vec), tol=np.inf),
+        lyapunov=lambda vec: lyapunov_V(net, unpack_point(net, vec)),
     )
 
 

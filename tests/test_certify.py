@@ -36,7 +36,7 @@ from relaxcert.certify import (
     psd_slice_grid_problem,
 )
 from relaxcert.compose import CertifiedProblem
-from relaxcert.core import PathTrace, PreconditionError
+from relaxcert.core import FEAS_TOL, PathTrace, PreconditionError, verify_path
 from relaxcert.distflow import load_case, pack_point, residual_X, sample_relaxed_points
 from relaxcert.lrsdp import load_instance, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
@@ -220,18 +220,16 @@ class TestCheckExactness:
         net, cost = two_bus_case(rng)
         res = solve_opf_relaxation(net, cost)
         assert res.status == "optimal"
-        problem = opf_certified_problem(net, cost)
-        verdict = check_exactness(problem, pack_point(res.point),
-                                  res.optimality_residual)
+        verdict = check_exactness(res.optimality_residual,
+                                  residual_X(net, cost, res.point))
         assert verdict.verdict == "weak"
 
     def test_uniqueness_certificate_upgrades_to_strong(self):
         rng = np.random.default_rng(5)
         net, cost = two_bus_case(rng)
         res = solve_opf_relaxation(net, cost)
-        problem = opf_certified_problem(net, cost)
-        verdict = check_exactness(problem, pack_point(res.point),
-                                  res.optimality_residual,
+        verdict = check_exactness(res.optimality_residual,
+                                  residual_X(net, cost, res.point),
                                   unique_certificate=True)
         assert verdict.verdict == "strong"
 
@@ -240,8 +238,9 @@ class TestCheckExactness:
         inst = random_spectraplex_instance(rng, n=4, degenerate=True)  # C = I
         X = random_feasible_psd(rng, 4)  # full-rank optimum of the relaxation
         problem = lrsdp_certified_problem(inst)
-        verdict = check_exactness(problem, X.reshape(-1).astype(complex),
-                                  optimality_residual=0.0)
+        x = X.reshape(-1).astype(complex)
+        check = verify_path(problem.handle, x, problem.path_factory(x))
+        verdict = check_exactness(0.0, problem.handle.residual_feasible(x), check)
         assert verdict.verdict == "weak"
         assert "equal cost" in verdict.note
 
@@ -249,10 +248,17 @@ class TestCheckExactness:
         rng = np.random.default_rng(7)
         net, cost = two_bus_case(rng)
         res = solve_opf_relaxation(net, cost)
-        problem = opf_certified_problem(net, cost)
         with pytest.raises(PreconditionError):
-            check_exactness(problem, pack_point(res.point),
-                            optimality_residual=1e-3)
+            check_exactness(1e-3, residual_X(net, cost, res.point))
+
+    def test_infeasible_optimum_without_check_rejected(self):
+        rng = np.random.default_rng(6)
+        inst = random_spectraplex_instance(rng, n=4, degenerate=True)
+        x = random_feasible_psd(rng, 4).reshape(-1).astype(complex)
+        residual = lrsdp_certified_problem(inst).handle.residual_feasible(x)
+        assert residual > FEAS_TOL
+        with pytest.raises(PreconditionError, match="no path check"):
+            check_exactness(0.0, residual)
 
 
 class TestReportInvariants:

@@ -22,7 +22,7 @@ class TestComposeCost:
         q = compose_cost(p, lambda y: y)
         for x in sample_box(p.box, 20, seed=1):
             assert q.handle.cost(x) == pytest.approx(p.handle.cost(x))
-            assert q.lyapunov(x) == p.lyapunov(x)
+            assert q.handle.lyapunov(x) == p.handle.lyapunov(x)
 
     def test_hinge_is_accepted(self):
         p = threshold_primitive(0.5)
@@ -56,7 +56,7 @@ class TestUnionFeasible:
         p = threshold_primitive(0.5)
         u = union_feasible(p, p, mode="sum", lam=0.5)
         x = np.array([0.9 + 0j])
-        assert u.lyapunov(x) == pytest.approx(p.lyapunov(x) ** 2)
+        assert u.handle.lyapunov(x) == pytest.approx(p.handle.lyapunov(x) ** 2)
         t1 = u.path_factory(x)
         t2 = p.path_factory(x)
         np.testing.assert_allclose(t1.points, t2.points)
@@ -66,8 +66,8 @@ class TestUnionFeasible:
         p2 = threshold_primitive(0.7)
         u = union_feasible(p1, p2)
         x = np.array([0.6 + 0j])  # feasible only for the looser primitive
-        assert p1.lyapunov(x) > 0
-        assert u.lyapunov(x) == 0.0
+        assert p1.handle.lyapunov(x) > 0
+        assert u.handle.lyapunov(x) == 0.0
         assert u.handle.residual_feasible(x) <= FEAS_TOL
 
     def test_zero_set_equivalence_on_samples(self):
@@ -77,8 +77,8 @@ class TestUnionFeasible:
         for x in sample_box(u.box, 200, seed=2):
             if u.handle.residual_relaxed(x) > FEAS_TOL:
                 continue
-            prod_zero = u.lyapunov(x) <= 1e-9
-            min_zero = min(p1.lyapunov(x), p2.lyapunov(x)) <= 1e-9
+            prod_zero = u.handle.lyapunov(x) <= 1e-9
+            min_zero = min(p1.handle.lyapunov(x), p2.handle.lyapunov(x)) <= 1e-9
             assert prod_zero == min_zero
 
     def test_sum_mode_passes_strict_checks(self):
@@ -120,7 +120,7 @@ class TestIntersectFeasible:
         trace = comp.path_factory(x)
         first_end = p1.path_factory(x).end
         np.testing.assert_allclose(trace.evaluate(0.5), first_end, atol=1e-12)
-        assert comp.lyapunov(trace.end) <= 1e-9
+        assert comp.handle.lyapunov(trace.end) <= 1e-9
         assert trace.segments == 2
 
     def test_concatenation_keeps_every_knot_point(self):
@@ -139,7 +139,7 @@ class TestIntersectFeasible:
         p1, p2 = block_primitive(0), block_primitive(1)
         comp = intersect_feasible(p1, p2, split=([0], [1]))
         x = np.array([0.2 + 0j, 0.3 + 0j])
-        assert comp.lyapunov(x) == pytest.approx(0.5)
+        assert comp.handle.lyapunov(x) == pytest.approx(0.5)
 
     def test_strict_checks_pass_on_samples(self):
         p1, p2 = block_primitive(0), block_primitive(1)
@@ -158,8 +158,8 @@ class TestIntersectFeasible:
         for x in sample_box(comp.box, 200, seed=5):
             if comp.handle.residual_relaxed(x) > FEAS_TOL:
                 continue
-            sum_zero = comp.lyapunov(x) <= 1e-9
-            max_zero = max(p1.lyapunov(x), p2.lyapunov(x)) <= 1e-9
+            sum_zero = comp.handle.lyapunov(x) <= 1e-9
+            max_zero = max(p1.handle.lyapunov(x), p2.handle.lyapunov(x)) <= 1e-9
             assert sum_zero == max_zero
 
     def test_broken_separability_rejected(self):

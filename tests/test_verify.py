@@ -2,6 +2,7 @@
 behind the monotone-path conditions."""
 
 import json
+import os
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import relaxcert.core as core
 import relaxcert.distflow as distflow
+import relaxcert.restore as restore
 from gen import (
     bend_reductions,
     bend_restorations,
@@ -33,6 +35,7 @@ from relaxcert.distflow import pack_point, sample_relaxed_points
 from relaxcert.lrsdp import instance_to_dict, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
 
+CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 QUANTITIES = ("cost", "residual_feasible", "residual_relaxed", "lyapunov")
 
 
@@ -202,6 +205,26 @@ def test_opf_path_verified_once_per_point(monkeypatch):
     # residual of the samples and feasible residual of the end; the
     # restoration itself judges nothing
     assert [len(calls) for calls in residuals] == [1 + len(points)] * 2
+
+
+def test_opf_run_measures_the_optimum_and_reference_once(tmp_path, monkeypatch):
+    feasible, relaxed, reference = (
+        count_calls(monkeypatch, fn) for fn in (
+            distflow.residual_X, distflow.residual_Xhat, restore.cprime_reference))
+    out = tmp_path / "run"
+    n = 5
+    assert main(["opf", os.path.join(CASES, "demo_2bus.json"),
+                 "--samples", str(n), "--out", str(out)]) == 0
+    notes = json.loads((out / "report.json").read_text())["notes"]
+    assert notes[0].startswith("optimum is feasible")
+    # the optimum's one membership test, the samples' batch test and each
+    # verified path's end; exactness reads the optimum's residual
+    assert len(feasible) == n + 2
+    # the sampler's share of the relaxed residuals depends on its rejected
+    # draws, so this run's count is pinned, not a formula in n
+    assert len(relaxed) == 11
+    # the c' note reads the instance constant once; margins only measure
+    assert len(reference) == 1
 
 
 def test_restoration_off_the_relaxed_set_is_a_c3_witness(monkeypatch):
