@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
 ORACLE_POINT_LIMIT = 2 * 10**7
 KKT_ACTIVE_TOL = 1e-6     # slack below which the KKT test counts a constraint active
+PROJECTION_STEPS = 20     # passes of the multistart start projection
 
 
 class DimensionGuardError(ValueError):
@@ -437,8 +438,9 @@ class GridProblem:
     vectorized over ``(M, dim)`` inputs, so the scan evaluates the whole
     lattice at once and one call on ``2 * dim`` perturbed points gives a
     central-difference Jacobian (:func:`_jacobian`) for SLSQP and the KKT
-    test.  ``anchor`` is a known feasible point used to repair infeasible
-    multistart seeds.
+    test.  The last ``scan_only`` inequality rows trim the scan's equality
+    band but are implied on the exact feasible set; the scan and the
+    refutation keep them, :func:`multistart_local_search` drops them.
     """
 
     dim: int
@@ -448,7 +450,7 @@ class GridProblem:
     inequalities: Callable[[np.ndarray], np.ndarray]
     equalities: Callable[[np.ndarray], np.ndarray]
     eq_scale: float = 1.0
-    anchor: np.ndarray | None = None
+    scan_only: int = 0
 
     def worst_inequality(self, U: np.ndarray) -> np.ndarray:
         """Each row's largest inequality value, ``-inf`` with none."""
@@ -707,23 +709,23 @@ def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
     return float(np.max(np.abs(grad_f + rows.T @ lam)))
 
 
-def _repair_start(problem: GridProblem, u: np.ndarray,
-                  tol: float) -> np.ndarray | None:
-    if problem.feasibility_residual(u[None, :], 0.0)[0] <= tol:
-        return u
-    if problem.anchor is None:
-        return None
-    lo, hi = 0.0, 1.0  # blend toward the anchor until feasible
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        cand = problem.anchor + mid * (u - problem.anchor)
-        if problem.feasibility_residual(cand[None, :], 0.0)[0] <= tol:
-            lo = mid
-        else:
-            hi = mid
-    cand = problem.anchor + lo * (u - problem.anchor)
-    if problem.feasibility_residual(cand[None, :], 0.0)[0] <= tol:
-        return cand
+def _project_start(problem: GridProblem, u: np.ndarray,
+                   tol: float) -> np.ndarray | None:
+    """Clip ``u`` to the box, then take minimum-norm Gauss–Newton steps
+    (:func:`_jacobian`, ``lstsq``) on the equality rows and the violated
+    inequality rows until feasible; ``None`` if not feasible within
+    ``PROJECTION_STEPS`` passes.  A feasible start is returned as it is."""
+    u = np.clip(u, problem.lower, problem.upper)
+    for _ in range(PROJECTION_STEPS):
+        if problem.feasibility_residual(u[None, :], 0.0)[0] <= tol:
+            return u
+        ineq = problem.inequalities(u[None, :])[0]
+        violated = ineq > 0
+        rows = np.concatenate([_jacobian(problem.equalities, u),
+                               _jacobian(problem.inequalities, u)[violated]])
+        values = np.concatenate([problem.equalities(u[None, :])[0], ineq[violated]])
+        u = np.clip(u - np.linalg.lstsq(rows, values, rcond=None)[0],
+                    problem.lower, problem.upper)
     return None
 
 
@@ -735,31 +737,36 @@ def multistart_local_search(
 ) -> MultistartOutcome:
     """Deterministic local searches from quasi-random feasible starts.
 
-    Each run is a bounded smooth local solve; convergence is accepted only
-    when the point is feasible and its KKT stationarity residual (verified
-    independently by nonnegative least squares on the active gradients) is
-    at most ``tol``.
+    Sobol points are projected onto the model without its scan-only rows
+    (:func:`_project_start`), which the local solves and the KKT test also
+    use.  Each run is a bounded smooth local solve; convergence is accepted
+    only when the point is feasible and its KKT stationarity residual
+    (verified independently by nonnegative least squares on the active
+    gradients) is at most ``tol``.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
     import scipy.optimize  # slow to import; only the landscape layer needs it
     from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
 
+    if problem.scan_only:
+        keep, full = slice(-problem.scan_only), problem.inequalities
+        problem = replace(problem, scan_only=0, inequalities=lambda U: full(U)[:, keep])
     sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=seed)
     raw = sampler.random_base2(int(np.ceil(np.log2(max(8 * starts, 16)))))
     candidates = problem.lower + raw * (problem.upper - problem.lower)
 
     seeds: list[np.ndarray] = []
     for u in candidates:
-        repaired = _repair_start(problem, u, tol=1e-7)
-        if repaired is not None:
-            seeds.append(repaired)
+        projected = _project_start(problem, u, tol=1e-7)
+        if projected is not None:
+            seeds.append(projected)
         if len(seeds) == starts:
             break
     note = ""
     if len(seeds) < starts:
         note = (f"only {len(seeds)} of {starts} requested starts were "
-                "feasible after repair")
+                "feasible after projection")
     if not seeds:
         return MultistartOutcome(runs=(), note=note)
 
@@ -859,13 +866,9 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
         U = np.atleast_2d(U)
         return np.zeros((len(U), 0))
 
-    anchor = np.zeros(dim)
-    if not root_pinned:
-        anchor[-1] = 0.5 * (net.v_min[root] + net.v_max[root])
-
     return GridProblem(
         dim=dim, lower=lower, upper=upper, cost=cost_fn,
-        inequalities=ineq_fn, equalities=eq_fn, anchor=anchor)
+        inequalities=ineq_fn, equalities=eq_fn)
 
 
 def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
@@ -906,17 +909,6 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
         out[:, -1] = U[:, 0] * U[:, 2] - U[:, 1] ** 2
         return out
 
-    anchor = None
-    vals, vecs = np.linalg.eigh(inst.A[0].real)
-    for idx in np.argsort(vals)[::-1]:
-        if vals[idx] > 1e-9 and len(inst.A) == 1:
-            w = vecs[:, idx]
-            X = (inst.b[0] / vals[idx]) * np.outer(w, w)
-            if np.min(np.diag(X)) >= 0:
-                anchor = np.array([X[0, 0], X[0, 1], X[1, 1]])
-                break
-
-    return GridProblem(
+    return GridProblem(  # x01^2 <= x00 x11 restates det X = 0: scan-only
         dim=3, lower=np.full(3, -B), upper=np.full(3, B), cost=cost_fn,
-        inequalities=ineq_fn, equalities=eq_fn, eq_scale=4.0 * B,
-        anchor=anchor)
+        inequalities=ineq_fn, equalities=eq_fn, eq_scale=4.0 * B, scan_only=1)

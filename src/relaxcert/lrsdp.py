@@ -225,15 +225,10 @@ def nullspace_direction(
     n_unknowns = M.shape[1]
 
     _, svals, Vt = scipy.linalg.svd(M, full_matrices=True)
-    if n_unknowns > M.shape[0] or len(svals) < n_unknowns:
-        y = Vt[-1]
-    else:
-        smax = svals[0] if len(svals) else 0.0
-        if svals[-1] > 1e-10 * max(1.0, smax):
-            return None
-        y = Vt[-1]
+    if n_unknowns <= M.shape[0] and svals[-1] > 1e-10 * max(1.0, svals[0]):
+        return None
 
-    Y = _vector_to_hermitian(y, k, real_sym)
+    Y = _vector_to_hermitian(Vt[-1], k, real_sym)
     Y /= np.linalg.norm(Y)
     worst = max(abs(np.trace(Gi @ Y).real) for Gi in G)
     if worst > 1e-9:
@@ -252,10 +247,12 @@ class BoundarySteps:
 
 def boundary_step(Sigma: np.ndarray, Y: np.ndarray) -> BoundarySteps:
     """Smallest positive and largest negative alpha making Sigma + alpha*Y
-    singular; at least one exists for nonzero Hermitian Y."""
+    singular; at least one exists for nonzero Hermitian Y.  ``Sigma`` is
+    the positive spectrum of the diagonal matrix, a 1-D array."""
     sig = np.asarray(Sigma, dtype=float)
-    if sig.ndim == 2:
-        sig = np.diag(sig)
+    if sig.ndim != 1:
+        raise PreconditionError(
+            f"Sigma must be a 1-D spectrum, got shape {sig.shape}")
     if np.any(sig <= 0):
         raise PreconditionError("Sigma must be positive definite diagonal")
     Y = _check_hermitian(Y, "Y")

@@ -312,7 +312,7 @@ class TestBruteForceOracle:
             lines=net.lines, root=net.root)
         free_gp = eliminated_opf_grid(net, cost)
         boxed_gp = eliminated_opf_grid(boxed, cost)
-        u = free_gp.anchor[None, :]
+        u = free_gp.lower[None, :]
         # two lower-bound columns per bus fewer
         assert free_gp.inequalities(u).shape[1] == boxed_gp.inequalities(u).shape[1] - 4
         free = brute_force_oracle(free_gp, resolution=0.02)
@@ -339,6 +339,15 @@ class TestBruteForceOracle:
         gp = eliminated_opf_grid(net, cost)
         with pytest.raises(DimensionGuardError):
             brute_force_oracle(gp, resolution=0.1)
+
+    def test_psd_slice_scan_keeps_the_scan_only_row(self):
+        # without x01^2 <= x00 x11 the band and the refutation both widen
+        gp = psd_slice_grid_problem(load_instance(os.path.join(CASES, "demo_lrsdp.json")))
+        data = brute_force_oracle(gp, 0.04).as_dict()
+        assert data["feasible_points"] == 3350
+        assert data["label_counts"] == {"none": 3333, "global": 1, "pseudo": 16,
+                                        "genuine": 0}
+        assert data["artifacts_refuted"] == 4
 
     def test_lrsdp_slice_matches_reduction(self):
         rng = np.random.default_rng(11)
@@ -560,26 +569,33 @@ class TestMultistart:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(13)
         net, cost = two_bus_case(rng)
-        gp = eliminated_opf_grid(net, cost)
-        a = multistart_local_search(gp, starts=5, seed=3)
-        b = multistart_local_search(gp, starts=5, seed=3)
-        assert len(a.runs) == len(b.runs)
-        for ra, rb in zip(a.runs, b.runs):
-            assert np.array_equal(ra.point, rb.point)
-            assert ra.cost == rb.cost
+        for gp in (eliminated_opf_grid(net, cost), shipped_grid_problem("demo_lrsdp")):
+            a = multistart_local_search(gp, starts=5, seed=3)
+            b = multistart_local_search(gp, starts=5, seed=3)
+            assert len(a.runs) == len(b.runs) == 5
+            for ra, rb in zip(a.runs, b.runs):
+                assert np.array_equal(ra.point, rb.point)
+                assert ra.cost == rb.cost
+                assert ra.iterations == rb.iterations
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "start repair blends a Sobol point toward the anchor along a line, and "
-        "a point off {tr X = 1, det X = 0} is feasible only at the anchor; the "
-        "slice also states det X = 0 twice (equality and PSD inequality), so "
-        "the constraint gradients are dependent. Every converged cost is "
-        "2.0 = lambda_max(C); the optimum is 1.0 (ROADMAP item 1)"))
-    def test_psd_slice_reaches_the_optimum(self):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "cases",
-                            "demo_lrsdp.json")
-        gp = psd_slice_grid_problem(load_instance(path))
-        costs = multistart_local_search(gp, starts=20, seed=0).converged_costs
-        assert len(costs) and abs(costs.min() - 1.0) <= 1e-6
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_psd_slice_reaches_the_optimum(self, seed):
+        gp = shipped_grid_problem("demo_lrsdp")
+        out = multistart_local_search(gp, starts=20, seed=seed)
+        assert len(out.runs) == 20
+        assert all(r.converged and abs(r.cost - 1.0) <= 1e-6 for r in out.runs)
+
+    def test_starts_are_projected_onto_an_equality(self):
+        # the unit circle in [-2, 2]^2: a Sobol point lies on it with
+        # probability zero, so every start must be projected
+        gp = GridProblem(
+            dim=2, lower=np.full(2, -2.0), upper=np.full(2, 2.0),
+            cost=lambda U: np.atleast_2d(U)[:, 0],
+            inequalities=lambda U: np.zeros((len(np.atleast_2d(U)), 0)),
+            equalities=lambda U: (np.atleast_2d(U) ** 2).sum(axis=1)[:, None] - 1.0)
+        out = multistart_local_search(gp, starts=8, seed=0)
+        assert len(out.runs) == 8 and out.note == ""
+        assert all(r.converged and abs(r.cost + 1.0) <= 1e-6 for r in out.runs)
 
 
 def per_coordinate_jacobian(fn, u):

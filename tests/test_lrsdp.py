@@ -156,6 +156,11 @@ class TestBoundaryStep:
         with pytest.raises(PreconditionError):
             boundary_step(np.ones(2), np.zeros((2, 2)))
 
+    def test_matrix_sigma_rejected(self):
+        # a non-diagonal matrix must not be read as its diagonal
+        with pytest.raises(PreconditionError, match=r"1-D spectrum, got shape \(2, 2\)"):
+            boundary_step(np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, -1.0]))
+
 
 class TestReduceRankPath:
     def test_already_low_rank_is_constant(self):
