@@ -38,7 +38,8 @@ from relaxcert.distflow import OpfCost, RadialNetwork, distflow
 
 EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
-ORACLE_POINT_LIMIT = 2 * 10**7
+ORACLE_POINT_LIMIT = 2 * 10**7  # scan budget in cells: it bounds time, not memory
+SCAN_SLAB_CELLS = 2**16   # cells per model call in the scan mask (whole rows)
 KKT_ACTIVE_TOL = 1e-6     # slack below which the KKT test counts a constraint active
 PROJECTION_STEPS = 20     # passes of the multistart start projection
 
@@ -433,40 +434,35 @@ def classify_local_optima(grid: LandscapeGrid) -> np.ndarray:
 class GridProblem:
     """A problem reduced to few real degrees of freedom for scanning.
 
-    ``cost`` ``(M,)``, ``inequalities`` ``(M, p)`` (feasible iff <= 0) and
-    ``equalities`` ``(M, q)`` (feasible iff = 0 at scan tolerance) are
-    vectorized over ``(M, dim)`` inputs, so the scan evaluates the whole
-    lattice at once and one call on ``2 * dim`` perturbed points gives a
-    central-difference Jacobian (:func:`_jacobian`) for SLSQP and the KKT
-    test.  The last ``scan_only`` inequality rows trim the scan's equality
-    band but are implied on the exact feasible set; the scan and the
-    refutation keep them, :func:`multistart_local_search` drops them.
+    ``model(*u)`` takes the ``dim`` coordinates of the point, each a float
+    or an array of one common shape, and returns the cost and the tuples of
+    inequality values (feasible iff <= 0) and equality values (feasible iff
+    = 0 at scan tolerance), each of that shape.  Each formula is written
+    once: the scan evaluates it on slabs of the lattice, :func:`_jacobian`
+    on the columns of the ``2 * dim`` perturbed points, and the local solves
+    on one point's floats.  The last ``scan_only`` inequality values trim
+    the scan's equality band but are implied on the exact feasible set; the
+    scan and the refutation keep them, :func:`multistart_local_search`
+    drops them.
     """
 
     dim: int
     lower: np.ndarray
     upper: np.ndarray
-    cost: Callable[[np.ndarray], np.ndarray]
-    inequalities: Callable[[np.ndarray], np.ndarray]
-    equalities: Callable[[np.ndarray], np.ndarray]
+    model: Callable[..., tuple[Any, tuple, tuple]]
     eq_scale: float = 1.0
     scan_only: int = 0
 
-    def worst_inequality(self, U: np.ndarray) -> np.ndarray:
-        """Each row's largest inequality value, ``-inf`` with none."""
-        return _row_max(self.inequalities(U), -np.inf)
+    def at(self, u: np.ndarray) -> tuple[Any, tuple, tuple]:
+        """The model at the point ``u``, evaluated on its Python floats."""
+        return self.model(*u.tolist())
 
-    def worst_equality(self, U: np.ndarray) -> np.ndarray:
-        """Each row's largest equality modulus, 0 with none."""
-        return _row_max(np.abs(self.equalities(U)), 0.0)
-
-    def feasibility_residual(self, U: np.ndarray, eq_tol_len: float) -> np.ndarray:
-        """Worst violation per row, with equalities scaled to the grid."""
-        U = np.atleast_2d(U)
-        box = np.maximum(self.lower[None, :] - U, U - self.upper[None, :])
-        return np.maximum.reduce([np.zeros(len(U)), self.worst_inequality(U),
-                                  self.worst_equality(U) - eq_tol_len,
-                                  box.max(axis=1)])
+    def feasibility_residual(self, u: np.ndarray, eq_tol: float) -> float:
+        """Worst violation at the point ``u``, with the equalities met to
+        ``eq_tol``."""
+        _, ineqs, eqs = self.at(u)
+        return float(np.max([0.0, *ineqs, *(np.abs(eqs) - eq_tol),
+                             *(self.lower - u), *(u - self.upper)]))
 
 
 @dataclass(frozen=True)
@@ -497,15 +493,20 @@ class OracleResult:
         }
 
 
-def _jacobian(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian ``(rows, dim)`` of a vectorized
-    :class:`GridProblem` callable at ``u``, from one call on the stack of
-    the ``2 * dim`` perturbed points; a cost gives one row."""
+def _jacobian(problem: GridProblem,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Central-difference cost gradient ``(dim,)`` and inequality and
+    equality Jacobians ``(rows, dim)`` at ``u``, from one model call on the
+    columns of the ``2 * dim`` perturbed points."""
     step = 1e-6 * np.maximum(1.0, np.abs(u))
     shift = np.diag(step)
-    vals = fn(np.concatenate([u + shift, u - shift]))
-    d = len(u)
-    return np.atleast_2d((vals[:d] - vals[d:]).T / (2 * step))
+    cost, ineqs, eqs = problem.model(*np.concatenate([u + shift, u - shift]).T)
+    d, width = len(u), 2 * step
+
+    def rows(values: tuple) -> np.ndarray:
+        return np.array([(v[:d] - v[d:]) / width for v in values]).reshape(-1, d)
+
+    return (cost[:d] - cost[d:]) / width, rows(ineqs), rows(eqs)
 
 
 def _slsqp_model(problem: GridProblem, u: np.ndarray):
@@ -513,18 +514,19 @@ def _slsqp_model(problem: GridProblem, u: np.ndarray):
     constraint dicts, each with its :func:`_jacobian`; ``u`` only sizes the
     constraint sets."""
     def cost(w: np.ndarray) -> float:
-        return float(problem.cost(w[None, :])[0])
+        return float(problem.at(w)[0])
 
+    _, ineqs, eqs = problem.at(u)
     cons = []
-    if problem.inequalities(u[None, :]).shape[1]:
+    if ineqs:
         cons.append({"type": "ineq",
-                     "fun": lambda w: -problem.inequalities(w[None, :])[0],
-                     "jac": lambda w: -_jacobian(problem.inequalities, w)})
-    if problem.equalities(u[None, :]).shape[1]:
+                     "fun": lambda w: -np.array(problem.at(w)[1]),
+                     "jac": lambda w: -_jacobian(problem, w)[1]})
+    if eqs:
         cons.append({"type": "eq",
-                     "fun": lambda w: problem.equalities(w[None, :])[0],
-                     "jac": lambda w: _jacobian(problem.equalities, w)})
-    return cost, lambda w: _jacobian(problem.cost, w)[0], cons
+                     "fun": lambda w: np.array(problem.at(w)[2]),
+                     "jac": lambda w: _jacobian(problem, w)[2]})
+    return cost, lambda w: _jacobian(problem, w)[0], cons
 
 
 def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
@@ -532,12 +534,11 @@ def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
     """Check that the segment from ``u`` to ``w`` stays feasible with
     non-increasing cost; this puts cheaper feasible points arbitrarily close
     to ``u`` and therefore refutes its local optimality at every scale."""
-    ts = np.linspace(0.0, 1.0, 33)
-    seg = u[None, :] + ts[:, None] * (w - u)[None, :]
-    if (problem.worst_inequality(seg).max() > 1e-9
-            or problem.worst_equality(seg).max() > eq_band):
+    seg = u + np.linspace(0.0, 1.0, 33)[:, None] * (w - u)
+    costs, ineqs, eqs = problem.model(*seg.T)
+    if (np.max(ineqs, initial=-np.inf) > 1e-9
+            or np.max(np.abs(eqs), initial=0.0) > eq_band):
         return False
-    costs = problem.cost(seg)
     slack = MONOTONE_SLACK * (1.0 + np.abs(costs[:-1]))
     return not np.any(np.diff(costs) > slack)
 
@@ -568,7 +569,7 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
             options={"ftol": 1e-14, "maxiter": 120})
         w = np.clip(res.x, lo, hi)
         band = max(eq_band, 1e-9)
-        feas = problem.feasibility_residual(w[None, :], band)[0] <= 1e-9
+        feas = problem.feasibility_residual(w, band) <= 1e-9
         if (feas and scalar_cost(w) < cost_u - improve_tol
                 and _improving_segment(problem, u, w, band)):
             return True
@@ -595,11 +596,16 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     sampled monotone segment (:func:`_refute_local_candidate`).
 
     The axis lengths are checked against the scan budget before any axis
-    is allocated.  The feasibility mask, cut to the bounding box of its
-    feasible cells, stays on the grid as the ``LandscapeGrid`` lattice: one
-    sweep over its stencil offsets gives the neighbor minima, the plateau
-    pairs and the slope bound (:func:`_lattice_sweep`), and the component
-    count reads the stencil's edge list (:meth:`LandscapeGrid.adjacency`).
+    is allocated.  The model fills one boolean mask slab by slab, each
+    slab whole rows of the leading axis and at most ``SCAN_SLAB_CELLS``
+    cells unless one row is longer, so the mask is the only array the size
+    of the lattice; the feasible points are read from its set cells and the
+    axis values, and their costs from one model call.  The mask, cut to the
+    bounding box of its feasible cells, stays on the grid as the
+    ``LandscapeGrid`` lattice: one sweep over its stencil offsets gives the
+    neighbor minima, the plateau pairs and the slope bound
+    (:func:`_lattice_sweep`), and the component count reads the stencil's
+    edge list (:meth:`LandscapeGrid.adjacency`).
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
@@ -614,18 +620,26 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
             "coarsen the resolution")
     axes = [np.arange(problem.lower[i], problem.upper[i] + resolution / 2,
                       resolution) for i in range(problem.dim)]
-    U = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     eq_band = problem.eq_scale * resolution
-    mask = problem.worst_inequality(U) <= 1e-9
-    mask &= problem.worst_equality(U) <= eq_band
+    mask = np.ones(sizes, dtype=bool)
+    step = max(1, SCAN_SLAB_CELLS // max(1, math.prod(sizes[1:])))
+    for start in range(0, sizes[0], step):
+        slab = mask[start:start + step]
+        _, ineqs, eqs = problem.model(*np.meshgrid(
+            axes[0][start:start + step], *axes[1:], indexing="ij"))
+        for g in ineqs:
+            slab &= g <= 1e-9
+        for h in eqs:
+            slab &= np.abs(h) <= eq_band
     if not mask.any():
         raise InfeasibleAtResolutionError(
             f"no feasible grid point at resolution {resolution}")
 
-    pts = U[mask]
-    costs = problem.cost(pts)
+    pts = np.stack([axis[cells] for axis, cells in zip(axes, np.nonzero(mask))],
+                   axis=1)
+    costs = problem.model(*pts.T)[0]
     grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
-                         lattice=_bounding_box(mask.reshape(sizes)))
+                         lattice=_bounding_box(mask))
     neighbor_min, plateau, max_slope = _lattice_sweep(grid)
     codes = _label_codes(costs, neighbor_min, plateau)
 
@@ -657,18 +671,6 @@ def _bounding_box(mask: np.ndarray) -> np.ndarray:
     return mask[tuple(box)]
 
 
-def _row_max(values: np.ndarray, initial: float) -> np.ndarray:
-    """Row maxima of an ``(M, p)`` array, ``initial`` when ``p == 0``; from
-    64 rows on (a scan, not a local solve) one column at a time, which beats
-    ``max(axis=1)`` on short rows there."""
-    if len(values) < 64:
-        return values.max(axis=1, initial=initial)
-    out = np.full(len(values), initial)
-    for column in values.T:
-        np.maximum(out, column, out=out)
-    return out
-
-
 # --- multistart local search ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -693,12 +695,11 @@ class MultistartOutcome:
 def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
     """Stationarity residual via nonnegative least squares over the active
     constraint gradients (equality multipliers are sign-split)."""
-    grad_f = _jacobian(problem.cost, u)[0]
-    eq = _jacobian(problem.equalities, u)
-    active = problem.inequalities(u[None, :])[0] > -KKT_ACTIVE_TOL
+    grad_f, ineq, eq = _jacobian(problem, u)
+    active = np.array(problem.at(u)[1]) > -KKT_ACTIVE_TOL
     eye = np.eye(problem.dim)
     rows = np.concatenate([
-        _jacobian(problem.inequalities, u)[active], eq, -eq,
+        ineq[active], eq, -eq,
         -eye[u - problem.lower < KKT_ACTIVE_TOL],
         eye[problem.upper - u < KKT_ACTIVE_TOL]])
     if not len(rows):
@@ -717,13 +718,13 @@ def _project_start(problem: GridProblem, u: np.ndarray,
     ``PROJECTION_STEPS`` passes.  A feasible start is returned as it is."""
     u = np.clip(u, problem.lower, problem.upper)
     for _ in range(PROJECTION_STEPS):
-        if problem.feasibility_residual(u[None, :], 0.0)[0] <= tol:
+        if problem.feasibility_residual(u, 0.0) <= tol:
             return u
-        ineq = problem.inequalities(u[None, :])[0]
-        violated = ineq > 0
-        rows = np.concatenate([_jacobian(problem.equalities, u),
-                               _jacobian(problem.inequalities, u)[violated]])
-        values = np.concatenate([problem.equalities(u[None, :])[0], ineq[violated]])
+        _, ineqs, eqs = problem.at(u)
+        _, ineq_jac, eq_jac = _jacobian(problem, u)
+        violated = np.array(ineqs) > 0
+        rows = np.concatenate([eq_jac, ineq_jac[violated]])
+        values = np.concatenate([eqs, np.array(ineqs)[violated]])
         u = np.clip(u - np.linalg.lstsq(rows, values, rcond=None)[0],
                     problem.lower, problem.upper)
     return None
@@ -750,8 +751,13 @@ def multistart_local_search(
     from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
 
     if problem.scan_only:
-        keep, full = slice(-problem.scan_only), problem.inequalities
-        problem = replace(problem, scan_only=0, inequalities=lambda U: full(U)[:, keep])
+        keep, full = slice(-problem.scan_only), problem.model
+
+        def model(*u):
+            cost, ineqs, eqs = full(*u)
+            return cost, ineqs[keep], eqs
+
+        problem = replace(problem, scan_only=0, model=model)
     sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=seed)
     raw = sampler.random_base2(int(np.ceil(np.log2(max(8 * starts, 16)))))
     candidates = problem.lower + raw * (problem.upper - problem.lower)
@@ -782,7 +788,7 @@ def multistart_local_search(
                 scalar_cost, u0, method="SLSQP", jac=cost_jac, bounds=bounds,
                 constraints=cons, options={"ftol": 1e-12, "maxiter": 400})
         u = np.clip(res.x, problem.lower, problem.upper)
-        feas = float(problem.feasibility_residual(u[None, :], 0.0)[0])
+        feas = problem.feasibility_residual(u, 0.0)
         kkt = _kkt_residual(problem, u)
         converged = bool(feas <= 1e-6 and kkt <= tol)
         runs.append(LocalSearchRun(
@@ -817,61 +823,49 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
     upper = np.concatenate([s_radius, s_radius,
                             [] if root_pinned else [net.v_max[root]]])
 
-    def expand(U: np.ndarray):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        P, Q = U[:, :e].T, U[:, e:2 * e].T
-        root_v = np.full(len(U), net.v_min[root]) if root_pinned else U[:, -1]
-        v, ell, bad = distflow(net, root_v, P, Q, P ** 2 + Q ** 2, floor=1e-9)
-        if bad.any():  # rejected rows; keep their injections finite
-            ell[:, bad] = 0.0
-        sp = np.zeros((len(U), n))
-        sq = np.zeros((len(U), n))
-        for k, t, h, zr, zi, _ in lines:
-            sp[:, t] += P[k]
-            sq[:, t] += Q[k]
-            sp[:, h] -= P[k] - zr * ell[k]
-            sq[:, h] -= Q[k] - zi * ell[k]
-        return sp, sq, v.T, ell.T, bad
-
-    def cost_fn(U: np.ndarray) -> np.ndarray:
-        sp, sq, _, _, bad = expand(U)
-        vals = (sp @ cost.cp + sq @ cost.cq
-                + (sp ** 2) @ cost.qp + (sq ** 2) @ cost.qq)
-        vals[bad] = 1e6
-        return vals
-
     # the root voltage is either a boxed variable or a constant; its box
     # rows would be identically zero and only degrade the local solves
-    free_bus = np.array([j for j in range(n) if j != root or not root_pinned],
-                        dtype=int)
-    v_min, v_max = net.v_min[free_bus], net.v_max[free_bus]
+    free_bus = [j for j in range(n) if j != root or not root_pinned]
+    v_min = list(zip(free_bus, net.v_min[free_bus].tolist()))
+    v_max = list(zip(free_bus, net.v_max[free_bus].tolist()))
+    l_max = list(enumerate(net.l_max.tolist()))
+    p_max = list(enumerate(net.s_max.real.tolist()))
+    q_max = list(enumerate(net.s_max.imag.tolist()))
     # unbounded injections have no lower-bound rows
-    lo_p = np.flatnonzero(np.isfinite(net.s_min.real))
-    lo_q = np.flatnonzero(np.isfinite(net.s_min.imag))
-    p_min, q_min = net.s_min.real[lo_p], net.s_min.imag[lo_q]
+    p_min, q_min = ([(j, b) for j, b in enumerate(lo.tolist()) if math.isfinite(b)]
+                    for lo in (net.s_min.real, net.s_min.imag))
 
-    def ineq_fn(U: np.ndarray) -> np.ndarray:
-        sp, sq, v, ell, bad = expand(U)
-        vf = v[:, free_bus]
-        cols = [
-            v_min - vf, vf - v_max, ell - net.l_max,
-            p_min - sp[:, lo_p], sp - net.s_max.real,
-            q_min - sq[:, lo_q], sq - net.s_max.imag,
-        ]
-        out = np.concatenate(cols, axis=1)
-        out[bad] = 1e6
-        return out
+    def model(*u):
+        P, Q = u[:e], u[e:2 * e]
+        root_v = np.full(np.shape(u[0]), net.v_min[root]) if root_pinned else u[-1]
+        v, ell, bad = distflow(net, root_v, P, Q,
+                               [p * p + q * q for p, q in zip(P, Q)], floor=1e-9)
+        if bad.any():  # rejected points; keep their injections finite
+            ell[:, bad] = 0.0
+        sp, sq = [0.0] * n, [0.0] * n
+        for k, t, h, zr, zi, _ in lines:
+            sp[t] = sp[t] + P[k]
+            sq[t] = sq[t] + Q[k]
+            sp[h] = sp[h] - (P[k] - zr * ell[k])
+            sq[h] = sq[h] - (Q[k] - zi * ell[k])
+        rows = (*(b - v[j] for j, b in v_min), *(v[j] - b for j, b in v_max),
+                *(ell[k] - b for k, b in l_max),
+                *(b - sp[j] for j, b in p_min), *(sp[j] - b for j, b in p_max),
+                *(b - sq[j] for j, b in q_min), *(sq[j] - b for j, b in q_max))
+        # bus last: one point's injections are an (n,) vector, a stack's an
+        # (M, n) matrix
+        sp, sq = np.stack(sp, axis=-1), np.stack(sq, axis=-1)
+        value = (sp @ cost.cp + sq @ cost.cq
+                 + (sp * sp) @ cost.qp + (sq * sq) @ cost.qq)
+        if bad.any():  # [()] leaves one point's values scalars
+            return (np.where(bad, 1e6, value)[()],
+                    tuple(np.where(bad, 1e6, g)[()] for g in rows), ())
+        return value, rows, ()
 
-    def eq_fn(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(U)
-        return np.zeros((len(U), 0))
-
-    return GridProblem(
-        dim=dim, lower=lower, upper=upper, cost=cost_fn,
-        inequalities=ineq_fn, equalities=eq_fn)
+    return GridProblem(dim=dim, lower=lower, upper=upper, model=model)
 
 
-def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
+def psd_slice_grid_problem(inst) -> GridProblem:
     """Scan model for a real 2x2 rank-constrained SDP: free variables are
     the three distinct symmetric entries; feasible-set membership adds the
     determinant equality on top of PSD inequalities."""
@@ -882,33 +876,20 @@ def psd_slice_grid_problem(inst, bound: float | None = None) -> GridProblem:
     if inst.n != 2 or not inst.is_real or inst.r != 1:
         raise DimensionGuardError(
             "the slice scan covers real 2x2 instances with target rank 1")
-    B = bound if bound is not None else 1.2 * max(1.0, float(np.max(np.abs(inst.b))))
+    B = 1.2 * max(1.0, float(np.max(np.abs(inst.b))))
     C = inst.C.real
-
-    def cost_fn(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(U)
-        return (C[0, 0] * U[:, 0] + 2 * C[0, 1] * U[:, 1] + C[1, 1] * U[:, 2])
-
+    c00, c01x2, c11 = float(C[0, 0]), 2 * float(C[0, 1]), float(C[1, 1])
     # one row (A00, 2 A01, A11, b) per trace constraint
-    coef = np.array([(Ai[0, 0].real, 2 * Ai[0, 1].real, Ai[1, 1].real, bi)
-                     for Ai, bi in zip(inst.A, inst.b)])
+    coef = [(float(Ai[0, 0].real), 2 * float(Ai[0, 1].real), float(Ai[1, 1].real),
+             float(bi)) for Ai, bi in zip(inst.A, inst.b)]
 
-    def ineq_fn(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(U)
-        out = np.empty((len(U), 3))
-        out[:, 0] = -U[:, 0]
-        out[:, 1] = -U[:, 2]
-        out[:, 2] = U[:, 1] ** 2 - U[:, 0] * U[:, 2]
-        return out
-
-    def eq_fn(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(U)
-        out = np.empty((len(U), len(coef) + 1))
-        for k, (a00, a01x2, a11, bk) in enumerate(coef):
-            out[:, k] = a00 * U[:, 0] + a01x2 * U[:, 1] + a11 * U[:, 2] - bk
-        out[:, -1] = U[:, 0] * U[:, 2] - U[:, 1] ** 2
-        return out
+    def model(x00, x01, x11):
+        return (c00 * x00 + c01x2 * x01 + c11 * x11,
+                (-x00, -x11, x01 * x01 - x00 * x11),
+                (*(a00 * x00 + a01x2 * x01 + a11 * x11 - bk
+                   for a00, a01x2, a11, bk in coef),
+                 x00 * x11 - x01 * x01))
 
     return GridProblem(  # x01^2 <= x00 x11 restates det X = 0: scan-only
-        dim=3, lower=np.full(3, -B), upper=np.full(3, B), cost=cost_fn,
-        inequalities=ineq_fn, equalities=eq_fn, eq_scale=4.0 * B, scan_only=1)
+        dim=3, lower=np.full(3, -B), upper=np.full(3, B), model=model,
+        eq_scale=4.0 * B, scan_only=1)

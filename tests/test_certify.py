@@ -3,6 +3,7 @@ and multistart search."""
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,9 +313,9 @@ class TestBruteForceOracle:
             lines=net.lines, root=net.root)
         free_gp = eliminated_opf_grid(net, cost)
         boxed_gp = eliminated_opf_grid(boxed, cost)
-        u = free_gp.lower[None, :]
-        # two lower-bound columns per bus fewer
-        assert free_gp.inequalities(u).shape[1] == boxed_gp.inequalities(u).shape[1] - 4
+        u = free_gp.lower
+        # two lower-bound rows per bus fewer
+        assert len(free_gp.model(*u)[1]) == len(boxed_gp.model(*u)[1]) - 4
         free = brute_force_oracle(free_gp, resolution=0.02)
         boxed_scan = brute_force_oracle(boxed_gp, resolution=0.02)
         np.testing.assert_array_equal(free.points, boxed_scan.points)
@@ -348,6 +349,19 @@ class TestBruteForceOracle:
         assert data["label_counts"] == {"none": 3333, "global": 1, "pseudo": 16,
                                         "genuine": 0}
         assert data["artifacts_refuted"] == 4
+
+    def test_scan_memory_is_bounded_by_its_slabs(self):
+        # 2,868^2 = 8.2M cells, 23,225 feasible: the constraints evaluated on
+        # the whole point box at once peaked at about 1.5 GiB
+        gp = shipped_grid_problem("bad_current_limit")
+        tracemalloc.start()
+        try:
+            oracle = brute_force_oracle(gp, resolution=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(oracle.points) == 23225
+        assert peak < 64 * 2**20
 
     def test_lrsdp_slice_matches_reduction(self):
         rng = np.random.default_rng(11)
@@ -455,15 +469,17 @@ class TestOracleLattice:
             brute_force_oracle(gp, 5e-324)
 
 
-def box_problem(dim, cost, inequalities=None):
+def box_problem(dim, cost, inequalities=lambda *u: ()):
     """Scan model on [0, 8]^dim, whose unit-resolution lattice is the
-    integer points; no equalities, and no inequalities unless given."""
-    def none(U):
-        return np.zeros((len(np.atleast_2d(U)), 0))
-
+    integer points, with the cost ``cost(*u)``; no equalities, and no
+    inequalities unless given (``inequalities(*u)``, a tuple)."""
     return GridProblem(dim=dim, lower=np.zeros(dim), upper=np.full(dim, 8.0),
-                       cost=cost, inequalities=inequalities or none,
-                       equalities=none)
+                       model=lambda *u: (cost(*u), inequalities(*u), ()))
+
+
+def sq(u, c):
+    """Squared distance of the point with coordinates ``u`` from ``c``."""
+    return sum((x - ci) ** 2 for x, ci in zip(u, c))
 
 
 class TestLatticeScanEdgeCases:
@@ -483,8 +499,7 @@ class TestLatticeScanEdgeCases:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_single_feasible_point(self, dim):
         oracle = self.scan(box_problem(
-            dim, lambda U: np.atleast_2d(U).sum(axis=1),
-            lambda U: (np.sum((np.atleast_2d(U) - 3.0) ** 2, axis=1) - 0.09)[:, None]))
+            dim, lambda *u: sum(u), lambda *u: (sq(u, np.full(dim, 3.0)) - 0.09,)))
         assert len(oracle.points) == 1
         assert oracle.max_slope == 0.0
         assert oracle.n_components == 1
@@ -494,8 +509,7 @@ class TestLatticeScanEdgeCases:
     def test_plateau_touching_a_descent_is_pseudo(self, dim):
         # cost 2 for u0 <= 3, then falling to its minimum at u0 = 8: the
         # plateau's u0 = 3 face has a cheaper neighbor
-        oracle = self.scan(box_problem(
-            dim, lambda U: np.minimum(2.0, 5.5 - np.atleast_2d(U)[:, 0])))
+        oracle = self.scan(box_problem(dim, lambda *u: np.minimum(2.0, 5.5 - u[0])))
         u0 = oracle.points[:, 0]
         assert np.all(oracle.labels[u0 <= 2] == "pseudo")
         assert np.all(oracle.labels[(u0 >= 3) & (u0 <= 7)] == "none")
@@ -505,15 +519,11 @@ class TestLatticeScanEdgeCases:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_isolated_basin_is_genuine(self, dim):
         a, b = np.full(dim, 1.0), np.full(dim, 6.0)
-
-        def sq(U, c):
-            return np.sum((np.atleast_2d(U) - c) ** 2, axis=1)
-
         # one lattice point in a ball around a, a bowl of cost 1 at its
         # center; the global minimum at b, in a ball of radius 1.5
         oracle = self.scan(box_problem(
-            dim, lambda U: np.minimum(sq(U, a) + 1.0, sq(U, b)),
-            lambda U: np.minimum(sq(U, a) - 0.25, sq(U, b) - 2.25)[:, None]))
+            dim, lambda *u: np.minimum(sq(u, a) + 1.0, sq(u, b)),
+            lambda *u: (np.minimum(sq(u, a) - 0.25, sq(u, b) - 2.25),)))
         assert oracle.n_components == 2
         genuine = oracle.points[oracle.labels == "genuine"]
         np.testing.assert_array_equal(genuine, a[None, :])
@@ -525,8 +535,8 @@ class TestLatticeScanEdgeCases:
         # the feasible set is the u0 axis through (., 4, 4): the diagonal
         # offsets of the stencil join no two feasible cells
         oracle = self.scan(box_problem(
-            dim, lambda U: (np.atleast_2d(U)[:, 0] - 5.0) ** 2,
-            lambda U: np.abs(np.atleast_2d(U)[:, 1:] - 4.0) - 0.25))
+            dim, lambda *u: (u[0] - 5.0) ** 2,
+            lambda *u: tuple(np.abs(x - 4.0) - 0.25 for x in u[1:])))
         assert len(oracle.points) == 9
         assert oracle.n_components == 1
         assert oracle.max_slope == 9.0  # between u0 = 0 and u0 = 1
@@ -536,13 +546,11 @@ class TestLatticeScanEdgeCases:
 
 class TestMultistart:
     def test_double_well_finds_both_minima(self):
-        def cost(U):
-            x = U[:, 0]
-            return (x**2 - 1) ** 2 + 0.2 * x
+        def model(x):
+            return (x**2 - 1) ** 2 + 0.2 * x, (), ()
 
-        empty = lambda U: np.zeros((len(np.atleast_2d(U)), 0))
         gp = GridProblem(dim=1, lower=np.array([-1.6]), upper=np.array([1.6]),
-                         cost=cost, inequalities=empty, equalities=empty)
+                         model=model)
         out = multistart_local_search(gp, starts=8, seed=0)
         conv = [r for r in out.runs if r.converged]
         assert conv
@@ -590,25 +598,29 @@ class TestMultistart:
         # probability zero, so every start must be projected
         gp = GridProblem(
             dim=2, lower=np.full(2, -2.0), upper=np.full(2, 2.0),
-            cost=lambda U: np.atleast_2d(U)[:, 0],
-            inequalities=lambda U: np.zeros((len(np.atleast_2d(U)), 0)),
-            equalities=lambda U: (np.atleast_2d(U) ** 2).sum(axis=1)[:, None] - 1.0)
+            model=lambda x, y: (x, (), (x**2 + y**2 - 1.0,)))
         out = multistart_local_search(gp, starts=8, seed=0)
         assert len(out.runs) == 8 and out.note == ""
         assert all(r.converged and abs(r.cost + 1.0) <= 1e-6 for r in out.runs)
 
 
-def per_coordinate_jacobian(fn, u):
-    """Central differences one coordinate at a time, each side its own call,
-    with the step ``1e-6 * max(1, |u_i|)``."""
+def per_coordinate_jacobian(model, u):
+    """Central differences one coordinate at a time, each side its own
+    one-point call, with the step ``1e-6 * max(1, |u_i|)``: the cost
+    gradient as one row, then the inequality and equality Jacobians."""
+    def values(point):
+        cost, ineqs, eqs = model(*point)
+        return [np.array([cost], dtype=float), np.array(ineqs, dtype=float),
+                np.array(eqs, dtype=float)]
+
     cols = []
     for i in range(len(u)):
         step = 1e-6 * max(1.0, abs(u[i]))
         up, dn = u.copy(), u.copy()
         up[i] += step
         dn[i] -= step
-        cols.append((fn(up[None, :])[0] - fn(dn[None, :])[0]) / (2 * step))
-    return np.atleast_2d(np.stack(cols, axis=-1))
+        cols.append([(a - b) / (2 * step) for a, b in zip(values(up), values(dn))])
+    return [np.stack(parts, axis=-1) for parts in zip(*cols)]
 
 
 class TestDerivatives:
@@ -622,13 +634,35 @@ class TestDerivatives:
         points = gp.lower + rng.random((100, gp.dim)) * (gp.upper - gp.lower)
         rows = 0
         for u in points:
-            for fn in (gp.cost, gp.inequalities, gp.equalities):
-                ref = per_coordinate_jacobian(fn, u)
-                jac = _jacobian(fn, u)
+            grad, ineq, eq = _jacobian(gp, u)
+            for ref, jac in zip(per_coordinate_jacobian(gp.model, u),
+                                (grad[None, :], ineq, eq)):
                 assert jac.shape == ref.shape == (ref.shape[0], gp.dim)
                 assert np.all(np.abs(jac - ref) <= 1e-9 * (1 + np.abs(ref)))
                 rows += len(ref)
         assert rows >= 100 * 3
+
+    @pytest.mark.parametrize("model", ["demo_2bus", "demo_3bus", "bad_current_limit",
+                                       "demo_lrsdp", "two-bus-free-root"])
+    def test_one_point_floats_match_a_one_row_stack(self, model):
+        # squares are x * x (a float's ** calls pow), and one point's OPF
+        # cost is sp @ cp on an (n,) vector, which numpy computes as the
+        # dot it takes for a one-row (1, n) stack
+        rng = np.random.default_rng(22)
+        if model == "two-bus-free-root":
+            gp = eliminated_opf_grid(*two_bus_case(rng, pin_root=False))
+        else:
+            gp = shipped_grid_problem(model)
+
+        def bits(values, row=()):
+            cost, ineqs, eqs = values
+            flat = [np.asarray(v)[row] for v in (cost, *ineqs, *eqs)]
+            return np.array(flat).view(np.uint64)
+
+        points = gp.lower + rng.random((2000, gp.dim)) * (gp.upper - gp.lower)
+        for u in points:
+            np.testing.assert_array_equal(bits(gp.at(u)),
+                                          bits(gp.model(*u[:, None]), row=0))
 
     @staticmethod
     def kkt_problem():
@@ -637,9 +671,8 @@ class TestDerivatives:
         equality are active, and unit multipliers make it a KKT point."""
         return GridProblem(
             dim=3, lower=np.array([0.0, -5.0, -5.0]), upper=np.full(3, 5.0),
-            cost=lambda U: U[:, 0] + 3 * U[:, 1] + (U[:, 2] - 1) ** 2,
-            inequalities=lambda U: (1 - U[:, 1] * U[:, 2])[:, None],
-            equalities=lambda U: (U[:, 2] - U[:, 1] ** 2)[:, None])
+            model=lambda u0, u1, u2: (u0 + 3 * u1 + (u2 - 1) ** 2,
+                                      (1 - u1 * u2,), (u2 - u1 ** 2,)))
 
     def test_kkt_residual_vanishes_at_the_kkt_point(self):
         assert _kkt_residual(self.kkt_problem(), np.array([0.0, 1.0, 1.0])) <= 1e-8
@@ -647,5 +680,5 @@ class TestDerivatives:
     def test_kkt_residual_flags_a_feasible_non_stationary_point(self):
         gp = self.kkt_problem()
         u = np.array([1.0, 2.0, 4.0])  # feasible; only the equality is active
-        assert gp.feasibility_residual(u[None, :], 0.0)[0] <= 0.0
+        assert gp.feasibility_residual(u, 0.0) <= 0.0
         assert _kkt_residual(gp, u) > 1e-3

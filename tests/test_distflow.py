@@ -381,5 +381,7 @@ class TestLineTable:
                 net.s_min.imag - q, q - net.s_max.imag]))
         U = np.array(rows)
         assert gp.dim == U.shape[1]
-        np.testing.assert_allclose(gp.cost(U), costs, rtol=1e-12)
-        np.testing.assert_allclose(gp.inequalities(U), ineqs, rtol=1e-12, atol=1e-12)
+        model_costs, model_ineqs, _ = gp.model(*U.T)
+        np.testing.assert_allclose(model_costs, costs, rtol=1e-12)
+        np.testing.assert_allclose(np.stack(model_ineqs, axis=1), ineqs,
+                                   rtol=1e-12, atol=1e-12)
