@@ -457,10 +457,11 @@ class GridProblem:
         """The model at the point ``u``, evaluated on its Python floats."""
         return self.model(*u.tolist())
 
-    def feasibility_residual(self, u: np.ndarray, eq_tol: float) -> float:
+    def feasibility_residual(self, u: np.ndarray, eq_tol: float,
+                             values: tuple) -> float:
         """Worst violation at the point ``u``, with the equalities met to
-        ``eq_tol``."""
-        _, ineqs, eqs = self.at(u)
+        ``eq_tol``, from ``values = self.at(u)``."""
+        _, ineqs, eqs = values
         return float(np.max([0.0, *ineqs, *(np.abs(eqs) - eq_tol),
                              *(self.lower - u), *(u - self.upper)]))
 
@@ -510,23 +511,31 @@ def _jacobian(problem: GridProblem,
 
 
 def _slsqp_model(problem: GridProblem, u: np.ndarray):
-    """SLSQP's view of ``problem``: the scalar cost, its gradient and the
-    constraint dicts, each with its :func:`_jacobian`; ``u`` only sizes the
-    constraint sets."""
-    def cost(w: np.ndarray) -> float:
-        return float(problem.at(w)[0])
+    """SLSQP's view of ``problem``: ``values(w)`` (:meth:`GridProblem.at`),
+    ``jac(w)`` (:func:`_jacobian`), and the scalar cost, its gradient and the
+    constraint dicts; ``u`` only sizes the constraint sets.  SLSQP asks for
+    the values and the Jacobians at a point through separate closures, and
+    the checks after a solve ask again; all share one model evaluation and
+    one :func:`_jacobian` per point through a memo of the last point."""
+    def last_point(evaluate):
+        last = [None, None]  # the point's bytes and its result
 
-    _, ineqs, eqs = problem.at(u)
+        def at(w: np.ndarray):
+            if last[0] != (key := w.tobytes()):
+                last[:] = key, evaluate(problem, w)
+            return last[1]
+        return at
+
+    values, jac = last_point(GridProblem.at), last_point(_jacobian)
+    _, ineqs, eqs = values(u)
     cons = []
     if ineqs:
-        cons.append({"type": "ineq",
-                     "fun": lambda w: -np.array(problem.at(w)[1]),
-                     "jac": lambda w: -_jacobian(problem, w)[1]})
+        cons.append({"type": "ineq", "fun": lambda w: -np.array(values(w)[1]),
+                     "jac": lambda w: -jac(w)[1]})
     if eqs:
-        cons.append({"type": "eq",
-                     "fun": lambda w: np.array(problem.at(w)[2]),
-                     "jac": lambda w: _jacobian(problem, w)[2]})
-    return cost, lambda w: _jacobian(problem, w)[0], cons
+        cons.append({"type": "eq", "fun": lambda w: np.array(values(w)[2]),
+                     "jac": lambda w: jac(w)[2]})
+    return values, jac, (lambda w: float(values(w)[0]), lambda w: jac(w)[0], cons)
 
 
 def _improving_segment(problem: GridProblem, u: np.ndarray, w: np.ndarray,
@@ -556,7 +565,7 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
     """
     import scipy.optimize  # slow to import; only the landscape layer needs it
 
-    scalar_cost, cost_jac, cons = _slsqp_model(problem, u)
+    values, _, (scalar_cost, cost_jac, cons) = _slsqp_model(problem, u)
     improve_tol = max(1e-12, 1e-10 * (1.0 + abs(cost_u)))
 
     for scale in (1.0, 2.0, 4.0, 8.0):
@@ -569,7 +578,7 @@ def _refute_local_candidate(problem: GridProblem, u: np.ndarray,
             options={"ftol": 1e-14, "maxiter": 120})
         w = np.clip(res.x, lo, hi)
         band = max(eq_band, 1e-9)
-        feas = problem.feasibility_residual(w, band) <= 1e-9
+        feas = problem.feasibility_residual(w, band, values(w)) <= 1e-9
         if (feas and scalar_cost(w) < cost_u - improve_tol
                 and _improving_segment(problem, u, w, band)):
             return True
@@ -692,11 +701,13 @@ class MultistartOutcome:
         return np.array([r.cost for r in self.runs if r.converged])
 
 
-def _kkt_residual(problem: GridProblem, u: np.ndarray) -> float:
-    """Stationarity residual via nonnegative least squares over the active
-    constraint gradients (equality multipliers are sign-split)."""
-    grad_f, ineq, eq = _jacobian(problem, u)
-    active = np.array(problem.at(u)[1]) > -KKT_ACTIVE_TOL
+def _kkt_residual(problem: GridProblem, u: np.ndarray, values: tuple,
+                  jacobian: tuple) -> float:
+    """Stationarity residual at ``u`` via nonnegative least squares over the
+    active constraint gradients (equality multipliers are sign-split), from
+    ``values = problem.at(u)`` and ``jacobian = _jacobian(problem, u)``."""
+    grad_f, ineq, eq = jacobian
+    active = np.array(values[1]) > -KKT_ACTIVE_TOL
     eye = np.eye(problem.dim)
     rows = np.concatenate([
         ineq[active], eq, -eq,
@@ -718,9 +729,10 @@ def _project_start(problem: GridProblem, u: np.ndarray,
     ``PROJECTION_STEPS`` passes.  A feasible start is returned as it is."""
     u = np.clip(u, problem.lower, problem.upper)
     for _ in range(PROJECTION_STEPS):
-        if problem.feasibility_residual(u, 0.0) <= tol:
+        at_u = problem.at(u)
+        if problem.feasibility_residual(u, 0.0, at_u) <= tol:
             return u
-        _, ineqs, eqs = problem.at(u)
+        _, ineqs, eqs = at_u
         _, ineq_jac, eq_jac = _jacobian(problem, u)
         violated = np.array(ineqs) > 0
         rows = np.concatenate([eq_jac, ineq_jac[violated]])
@@ -776,7 +788,7 @@ def multistart_local_search(
     if not seeds:
         return MultistartOutcome(runs=(), note=note)
 
-    scalar_cost, cost_jac, cons = _slsqp_model(problem, seeds[0])
+    values, jac, (scalar_cost, cost_jac, cons) = _slsqp_model(problem, seeds[0])
     bounds = list(zip(problem.lower, problem.upper))
 
     runs: list[LocalSearchRun] = []
@@ -788,8 +800,8 @@ def multistart_local_search(
                 scalar_cost, u0, method="SLSQP", jac=cost_jac, bounds=bounds,
                 constraints=cons, options={"ftol": 1e-12, "maxiter": 400})
         u = np.clip(res.x, problem.lower, problem.upper)
-        feas = problem.feasibility_residual(u, 0.0)
-        kkt = _kkt_residual(problem, u)
+        feas = problem.feasibility_residual(u, 0.0, values(u))
+        kkt = _kkt_residual(problem, u, values(u), jac(u))
         converged = bool(feas <= 1e-6 and kkt <= tol)
         runs.append(LocalSearchRun(
             point=u, cost=scalar_cost(u), first_order_residual=kkt,

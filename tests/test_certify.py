@@ -16,6 +16,7 @@ from gen import (
     random_spectraplex_instance,
     two_bus_case,
 )
+import relaxcert.certify as certify
 from relaxcert.certify import (
     ORACLE_DIM_LIMIT,
     CertificateReport,
@@ -27,6 +28,7 @@ from relaxcert.certify import (
     _axis_lengths,
     _jacobian,
     _kkt_residual,
+    _refute_local_candidate,
     brute_force_oracle,
     check_c1_c3,
     check_c2_proxy,
@@ -604,6 +606,97 @@ class TestMultistart:
         assert all(r.converged and abs(r.cost + 1.0) <= 1e-6 for r in out.runs)
 
 
+def recorded(gp):
+    """``gp`` with a call recorder around its model, and the recorded calls,
+    each the coordinates it was given as one float array: ``(dim,)`` for one
+    point, ``(dim, 2 * dim)`` for the columns of a :func:`_jacobian` call."""
+    calls = []
+
+    def model(*u):
+        calls.append(np.array(u, dtype=float))
+        return gp.model(*u)
+
+    return dataclasses.replace(gp, model=model), calls
+
+
+def scan_candidates(monkeypatch, gp, resolution):
+    """The arguments of every refutation the scan of ``gp`` at
+    ``resolution`` asks for, with no candidate refuted."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_refute_local_candidate",
+                      lambda *args, **kwargs: seen.append((args, kwargs)) or False)
+        brute_force_oracle(gp, resolution)
+    return seen
+
+
+def unmemoized_slsqp_model(problem, u):
+    """``_slsqp_model`` without its memo: every closure evaluates the model
+    or :func:`_jacobian` at its point itself."""
+    values, jac = problem.at, lambda w: _jacobian(problem, w)
+    _, ineqs, eqs = values(u)
+    cons = []
+    if ineqs:
+        cons.append({"type": "ineq", "fun": lambda w: -np.array(values(w)[1]),
+                     "jac": lambda w: -jac(w)[1]})
+    if eqs:
+        cons.append({"type": "eq", "fun": lambda w: np.array(values(w)[2]),
+                     "jac": lambda w: jac(w)[2]})
+    return values, jac, (lambda w: float(values(w)[0]), lambda w: jac(w)[0], cons)
+
+
+class TestSlsqpMemo:
+    """SLSQP's cost, constraint and Jacobian closures and the checks after
+    a solve share one model evaluation and one :func:`_jacobian` per point."""
+
+    @pytest.mark.parametrize("name, resolution", [
+        ("demo_lrsdp", 0.04), ("two_bus_case-8", 0.04)])
+    def test_one_evaluation_per_point(self, monkeypatch, name, resolution):
+        gp = scan_problem(name)
+        (_, u, cost_u), kwargs = scan_candidates(monkeypatch, gp, resolution)[0]
+        refute_gp, refute_calls = recorded(gp)
+        _refute_local_candidate(refute_gp, u, cost_u, **kwargs)
+        search_gp, search_calls = recorded(gp)
+        assert len(multistart_local_search(search_gp, starts=4).runs) == 4
+        for calls in (refute_calls, search_calls):
+            for shape in ((gp.dim, 2 * gp.dim), (gp.dim,)):
+                points = [c.tobytes() for c in calls if c.shape == shape]
+                assert len(points) >= 4
+                assert all(a != b for a, b in zip(points, points[1:]))
+
+    @pytest.mark.parametrize("name, resolution", [
+        ("demo_lrsdp", 0.04), ("demo_lrsdp", 0.05), ("bad_current_limit", 0.02),
+        ("two_bus_case-8", 0.0057)])
+    def test_oracle_matches_unmemoized_closures(self, monkeypatch, name, resolution):
+        gp = scan_problem(name)
+        oracle = brute_force_oracle(gp, resolution)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_slsqp_model", unmemoized_slsqp_model)
+            reference = brute_force_oracle(gp, resolution)
+        counts = oracle.label_counts  # candidates went through the refutation
+        assert oracle.artifacts_refuted + counts["pseudo"] + counts["genuine"] > 0
+        assert oracle.as_dict() == reference.as_dict()
+        np.testing.assert_array_equal(oracle.labels, reference.labels)
+
+    @pytest.mark.parametrize("name, seed", [
+        ("demo_lrsdp", 0), ("demo_lrsdp", 1), ("demo_lrsdp", 2),
+        ("two_bus_case-8", 3)])
+    def test_multistart_matches_unmemoized_closures(self, monkeypatch, name, seed):
+        gp = scan_problem(name)
+        runs = multistart_local_search(gp, starts=20, seed=seed).runs
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_slsqp_model", unmemoized_slsqp_model)
+            reference = multistart_local_search(gp, starts=20, seed=seed).runs
+        assert len(runs) == len(reference) == 20
+        for run, ref in zip(runs, reference):
+            assert run.point.tobytes() == ref.point.tobytes()
+            assert np.float64(run.cost).tobytes() == np.float64(ref.cost).tobytes()
+            assert (np.float64(run.first_order_residual).tobytes()
+                    == np.float64(ref.first_order_residual).tobytes())
+            assert run.converged == ref.converged
+            assert run.iterations == ref.iterations
+
+
 def per_coordinate_jacobian(model, u):
     """Central differences one coordinate at a time, each side its own
     one-point call, with the step ``1e-6 * max(1, |u_i|)``: the cost
@@ -674,11 +767,15 @@ class TestDerivatives:
             model=lambda u0, u1, u2: (u0 + 3 * u1 + (u2 - 1) ** 2,
                                       (1 - u1 * u2,), (u2 - u1 ** 2,)))
 
+    @staticmethod
+    def kkt_residual(gp, u):
+        return _kkt_residual(gp, u, gp.at(u), _jacobian(gp, u))
+
     def test_kkt_residual_vanishes_at_the_kkt_point(self):
-        assert _kkt_residual(self.kkt_problem(), np.array([0.0, 1.0, 1.0])) <= 1e-8
+        assert self.kkt_residual(self.kkt_problem(), np.array([0.0, 1.0, 1.0])) <= 1e-8
 
     def test_kkt_residual_flags_a_feasible_non_stationary_point(self):
         gp = self.kkt_problem()
         u = np.array([1.0, 2.0, 4.0])  # feasible; only the equality is active
-        assert gp.feasibility_residual(u, 0.0) <= 0.0
-        assert _kkt_residual(gp, u) > 1e-3
+        assert gp.feasibility_residual(u, 0.0, gp.at(u)) <= 0.0
+        assert self.kkt_residual(gp, u) > 1e-3
