@@ -12,6 +12,7 @@ from relaxcert.compose import (
 )
 from relaxcert.core import (
     CertificateViolationError,
+    HandleValues,
     PathTrace,
     PreconditionError,
     ProblemHandle,
@@ -25,6 +26,7 @@ __all__ = [
     "CertificateViolationError",
     "CertifiedProblem",
     "CompositionError",
+    "HandleValues",
     "PathTrace",
     "PreconditionError",
     "ProblemHandle",

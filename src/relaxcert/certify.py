@@ -34,7 +34,7 @@ from relaxcert.core import (
     check_piecewise_linear_family,
     verify_path,
 )
-from relaxcert.distflow import OpfCost, RadialNetwork, distflow
+from relaxcert.distflow import OpfCost, RadialNetwork, distflow, empty_box
 
 EQUAL_COST_TOL = 1e-9     # plateau detection and global-cost ties
 ORACLE_DIM_LIMIT = 4      # ambient real dimension guard for the grid scan
@@ -106,10 +106,9 @@ def check_c1_c3(
     traces: list[PathTrace] = []
 
     points = np.asarray(sample_points, dtype=complex)
-    relaxed = handle.residual_relaxed(points)
-    feasible = handle.residual_feasible(points)
+    values = handle.evaluate(points)
     for idx, x in enumerate(points):
-        rr, rf = relaxed[idx], feasible[idx]
+        rr, rf = values.relaxed[idx], values.feasible[idx]
         if rr > tol or rf <= tol:
             raise PreconditionError(
                 f"sample {idx} is not in the relaxed-minus-feasible region "
@@ -821,8 +820,12 @@ def eliminated_opf_grid(net: RadialNetwork, cost: OpfCost) -> GridProblem:
     the whole operating point through the power-flow recursion
     :func:`~relaxcert.distflow.distflow` with the cone held at equality;
     boxes become smooth inequalities of the reduced variables.  The root
-    voltage is a degree of freedom unless its box is degenerate.
+    voltage is a degree of freedom unless its box is degenerate.  An empty
+    box raises :class:`PreconditionError` naming its bus or line.
     """
+    empty = empty_box(net)
+    if empty:
+        raise PreconditionError(empty)
     n, e = net.n_bus, net.n_line
     root = net.bus_index[net.root]
     lines = sorted(net.line_table)  # line order, the order of the injection sums

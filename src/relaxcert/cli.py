@@ -186,10 +186,10 @@ def cmd_opf(args: argparse.Namespace) -> int:
     problem = opf_certified_problem(net, cost)
     optimum = pack_point(res.point)
     optimum_path = check = None
-    residual = residual_X(net, cost, res.point)
+    residual = residual_X(net, res.point)
     if residual > args.tol:
         # the optimum's one membership test: restoration_path judges nothing
-        r_hat = residual_Xhat(net, cost, res.point)
+        r_hat = residual_Xhat(net, res.point)
         if r_hat > args.tol:
             raise PreconditionError(f"point is not relaxed-feasible "
                                     f"(residual {r_hat:.3g} > {args.tol:.1g})")
@@ -285,7 +285,7 @@ def cmd_lrsdp(args: argparse.Namespace) -> int:
                         reduction.trace, check)
 
     verdict = check_exactness(res.optimality_residual,
-                              problem.handle.residual_feasible(optimum), check,
+                              problem.handle.evaluate(optimum).feasible, check,
                               tol=args.tol)
     proxy = check_c2_proxy(problem, [reduction.trace])
     final_cost = inst.cost(reduction.final.X)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from relaxcert.core import FEAS_TOL, PathTrace, ProblemHandle
+from relaxcert.core import FEAS_TOL, HandleValues, PathTrace, ProblemHandle
 
 SAMPLE_COUNT = 200  # default quasi-random samples for contract checks
 ZERO_TOL = 1e-9     # Lyapunov zero-set and coincidence tolerance
@@ -64,9 +64,8 @@ def sample_box(
 def _points_between(p: CertifiedProblem, count: int, seed: int) -> np.ndarray:
     """Sampled points of the relaxed set that are infeasible for the original."""
     xs = sample_box(p.box, count, seed)
-    keep = ((p.handle.residual_relaxed(xs) <= FEAS_TOL)
-            & (p.handle.residual_feasible(xs) > FEAS_TOL))
-    return xs[keep]
+    values = p.handle.evaluate(xs)
+    return xs[(values.relaxed <= FEAS_TOL) & (values.feasible > FEAS_TOL)]
 
 
 def _trace_gap(t1: PathTrace, t2: PathTrace) -> float:
@@ -74,11 +73,16 @@ def _trace_gap(t1: PathTrace, t2: PathTrace) -> float:
                for t in np.linspace(0.0, 1.0, 33))
 
 
-def _pair_parts(p1: CertifiedProblem, p2: CertifiedProblem, mode: str,
-                lam: float):
+def _pair_handle(
+    p1: CertifiedProblem, p2: CertifiedProblem, mode: str, lam: float,
+    feasible: Callable[[HandleValues, HandleValues, np.ndarray], np.ndarray],
+    lyapunov: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[tuple[np.ndarray, np.ndarray], ProblemHandle]:
     """Check the dimensions, cost mode and weight of a union or
-    intersection; return the common box, the combined cost (``lam``-weighted
-    sum or max) and the relaxed residual (the worse of the two)."""
+    intersection; return the common box and a handle that evaluates each
+    part once per stack: the ``lam``-weighted sum or max of their costs,
+    the worse relaxed residual, ``feasible(a, b, relaxed)`` of both parts'
+    values and ``lyapunov`` of their Lyapunov values."""
     if p1.dim != p2.dim:
         raise CompositionError("primitives live in different ambient spaces")
     if mode not in ("sum", "max"):
@@ -92,15 +96,15 @@ def _pair_parts(p1: CertifiedProblem, p2: CertifiedProblem, mode: str,
         raise CompositionError("problem boxes do not intersect")
     h1, h2 = p1.handle, p2.handle
 
-    def cost(x):
-        if mode == "sum":
-            return lam * h1.cost(x) + (1.0 - lam) * h2.cost(x)
-        return np.maximum(h1.cost(x), h2.cost(x))
+    def evaluate(x):
+        a, b = h1.evaluate(x), h2.evaluate(x)
+        cost = (lam * a.cost + (1.0 - lam) * b.cost if mode == "sum"
+                else np.maximum(a.cost, b.cost))
+        relaxed = np.maximum(a.relaxed, b.relaxed)
+        return HandleValues(cost, relaxed, feasible(a, b, relaxed),
+                            lyapunov(a.lyapunov, b.lyapunov))
 
-    def residual_relaxed(x):
-        return np.maximum(h1.residual_relaxed(x), h2.residual_relaxed(x))
-
-    return (lo, hi), cost, residual_relaxed
+    return (lo, hi), ProblemHandle(evaluate)
 
 
 def compose_cost(
@@ -117,7 +121,7 @@ def compose_cost(
     samples.
     """
     xs = sample_box(p.box, samples, seed)
-    costs = p.handle.cost(xs)
+    costs = p.handle.evaluate(xs).cost
     lo, hi = float(np.min(costs)), float(np.max(costs))
     if hi <= lo:
         hi = lo + 1.0
@@ -133,10 +137,14 @@ def compose_cost(
         i = int(np.argmin(second))
         raise CompositionError(f"g is not convex near y={ys[i + 1]:.6g}")
 
-    base_cost = p.handle.cost
+    base = p.handle.evaluate
     g_each = np.vectorize(g, otypes=[float])
-    handle = replace(p.handle, cost=lambda x: g_each(base_cost(x))[()])
-    return replace(p, handle=handle, label=f"compose({p.label})")
+
+    def evaluate(x):
+        values = base(x)
+        return values._replace(cost=g_each(values.cost)[()])
+
+    return replace(p, handle=ProblemHandle(evaluate), label=f"compose({p.label})")
 
 
 def union_feasible(
@@ -154,20 +162,13 @@ def union_feasible(
     coincide on the relaxed-but-infeasible region, which is checked on
     sampled points.
     """
-    box, cost, residual_relaxed = _pair_parts(p1, p2, mode, lam)
-    h1, h2 = p1.handle, p2.handle
-
-    def residual_feasible(x):
-        return np.maximum(np.minimum(h1.residual_feasible(x), h2.residual_feasible(x)),
-                          residual_relaxed(x))
-
-    def lyapunov(x):
-        return h1.lyapunov(x) * h2.lyapunov(x)
-
+    box, handle = _pair_handle(
+        p1, p2, mode, lam,
+        feasible=lambda a, b, relaxed: np.maximum(
+            np.minimum(a.feasible, b.feasible), relaxed),
+        lyapunov=np.multiply)
     composite = CertifiedProblem(
-        handle=ProblemHandle(cost=cost,
-                             residual_feasible=residual_feasible,
-                             residual_relaxed=residual_relaxed, lyapunov=lyapunov),
+        handle=handle,
         path_factory=p1.path_factory,
         segment_bound=p1.segment_bound,
         box=box,
@@ -199,28 +200,32 @@ def intersect_feasible(
     The new Lyapunov function is the sum; paths fix one block at a time,
     concatenating when both blocks start infeasible.
     """
-    box, cost, residual_relaxed = _pair_parts(p1, p2, mode, lam)
+    box, handle = _pair_handle(
+        p1, p2, mode, lam,
+        feasible=lambda a, b, relaxed: np.maximum(a.feasible, b.feasible),
+        lyapunov=np.add)
     blk1 = np.asarray(split[0], dtype=int)
     blk2 = np.asarray(split[1], dtype=int)
     if sorted([*blk1, *blk2]) != list(range(p1.dim)):
         raise CompositionError("split blocks must partition the coordinates")
 
-    h1, h2 = p1.handle, p2.handle
     xs = sample_box(box, samples, seed)
 
-    # separability: each primitive must ignore the other block
+    # separability: each primitive must ignore the other block, on points
+    # whose foreign block is copied from another sample
     rng = np.random.default_rng(seed)
-    for p, own, other in ((p1, blk1, blk2), (p2, blk2, blk1)):
-        for x in xs[: min(len(xs), 50)]:
-            y = x.copy()
-            shuffle_src = xs[rng.integers(0, len(xs))]
-            y[other] = shuffle_src[other]
-            scale = 1.0 + abs(p.handle.cost(x))
-            if abs(p.handle.cost(y) - p.handle.cost(x)) > ZERO_TOL * scale:
+    probes = xs[:50]
+    for p, other in ((p1, blk2), (p2, blk1)):
+        moved = probes.copy()
+        for y in moved:
+            y[other] = xs[rng.integers(0, len(xs))][other]
+        at_x, at_y = p.handle.evaluate(probes), p.handle.evaluate(moved)
+        for x, fx, fy, vx, vy in zip(probes, at_x.cost, at_y.cost,
+                                     at_x.lyapunov, at_y.lyapunov):
+            if abs(fy - fx) > ZERO_TOL * (1.0 + abs(fx)):
                 raise CompositionError(
                     f"{p.label or 'primitive'}: cost depends on the foreign block "
                     f"(witness {x})")
-            vx, vy = p.handle.lyapunov(x), p.handle.lyapunov(y)
             if abs(vx - vy) > ZERO_TOL * (1.0 + abs(vx)):
                 raise CompositionError(
                     f"{p.label or 'primitive'}: Lyapunov value depends on the "
@@ -237,14 +242,8 @@ def intersect_feasible(
                     f"{p.label or 'primitive'}: path moves the foreign block by "
                     f"{drift:.3g} (witness {x})")
 
-    def residual_feasible(x):
-        return np.maximum(h1.residual_feasible(x), h2.residual_feasible(x))
-
-    def lyapunov(x):
-        return h1.lyapunov(x) + h2.lyapunov(x)
-
     def path_factory(x: np.ndarray) -> PathTrace:
-        v1, v2 = h1.lyapunov(x), h2.lyapunov(x)
+        v1, v2 = p1.handle.evaluate(x).lyapunov, p2.handle.evaluate(x).lyapunov
         if v1 <= ZERO_TOL:
             return p2.path_factory(x)
         if v2 <= ZERO_TOL:
@@ -262,9 +261,7 @@ def intersect_feasible(
         return PathTrace(params=params, points=points, knots=knots)
 
     return CertifiedProblem(
-        handle=ProblemHandle(cost=cost,
-                             residual_feasible=residual_feasible,
-                             residual_relaxed=residual_relaxed, lyapunov=lyapunov),
+        handle=handle,
         path_factory=path_factory,
         segment_bound=p1.segment_bound + p2.segment_bound,
         box=box,

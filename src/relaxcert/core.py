@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * points live in C^d and are stored as 1-D ``numpy`` arrays of ``complex``;
   purely real coordinates simply carry zero imaginary parts; a stack of
-  points is an ``(..., d)`` array, and every :class:`ProblemHandle`
-  callable maps it to an ``(...)`` array of values, one per point;
+  points is an ``(..., d)`` array, and a :class:`ProblemHandle` maps it
+  to its :class:`HandleValues`, four ``(...)`` arrays with one value per
+  point, from one evaluation;
 * a path is represented by a finite sample grid plus its knots, the sample
   indices where its linear pieces meet (:class:`PathTrace`); every path
   constructed by this package is piecewise linear with its breaks among the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -280,24 +281,31 @@ def check_piecewise_linear_family(
     return PwlFamilyReport(True, box, worst)
 
 
+class HandleValues(NamedTuple):
+    """The four quantities of a stack of points, one ``(...)`` array each:
+    the cost, the residuals of the relaxed and of the original set, and the
+    Lyapunov value."""
+
+    cost: np.ndarray
+    relaxed: np.ndarray
+    feasible: np.ndarray
+    lyapunov: np.ndarray
+
+
 @dataclass(frozen=True)
 class ProblemHandle:
-    """Cost plus feasibility residuals for a problem and its relaxation.
+    """A problem and its relaxation, evaluated in one call per stack.
 
-    ``residual_feasible`` measures distance-to-membership for the original
-    set, ``residual_relaxed`` for its convex superset; both are nonnegative
-    and vanish (to ``FEAS_TOL``) exactly on members.  ``lyapunov`` is
+    ``evaluate`` maps an ``(..., d)`` stack of points to its
+    :class:`HandleValues`.  ``feasible`` measures distance-to-membership for the original
+    set, ``relaxed`` for its convex superset; both are nonnegative and
+    vanish (to ``FEAS_TOL``) exactly on members.  ``lyapunov`` is
     nonnegative on the relaxed set and vanishes exactly on the original
     set; it measures every point and judges none, since the residuals
-    judge membership.  Every callable maps an ``(..., d)`` stack of points
-    to the ``(...)`` array of its values, so a whole sampled path is
-    evaluated in one call.
+    judge membership.
     """
 
-    cost: Callable[[np.ndarray], np.ndarray]
-    residual_feasible: Callable[[np.ndarray], np.ndarray]
-    residual_relaxed: Callable[[np.ndarray], np.ndarray]
-    lyapunov: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], HandleValues]
 
 
 @dataclass(frozen=True)
@@ -353,18 +361,16 @@ def _when_failing(listed: tuple[float, str],
 
 
 def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathCheck:
-    """Evaluate a sampled path from ``x`` one knot segment at a time, with
-    one handle call per quantity and segment; a knot shared by two
-    segments is evaluated with the earlier one."""
+    """Evaluate a sampled path from ``x`` with one handle call per knot
+    segment; a knot shared by two segments is evaluated with the earlier
+    one, and the endpoint's feasible residual is read from the last."""
     blocks = np.split(trace.points, trace.knots[1:-1] + 1)
-    relaxed, costs, lyapunov = (np.concatenate(values) for values in zip(*(
-        (handle.residual_relaxed(b), handle.cost(b), handle.lyapunov(b))
-        for b in blocks)))
+    values = HandleValues(*map(np.concatenate, zip(*map(handle.evaluate, blocks))))
     return PathCheck(
         anchor_gap=float(np.max(np.abs(trace.start - x), initial=0.0)),
         anchor_scale=1.0 + float(np.max(np.abs(x), initial=0.0)),
-        relaxed=relaxed, end_residual=float(handle.residual_feasible(trace.end)),
-        costs=costs, lyapunov=lyapunov)
+        relaxed=values.relaxed, end_residual=float(values.feasible[-1]),
+        costs=values.cost, lyapunov=values.lyapunov)
 
 
 def write_trace_csv(

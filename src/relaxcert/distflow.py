@@ -271,30 +271,41 @@ def _worst(*violations: np.ndarray) -> np.ndarray:
     return np.max(np.concatenate(violations, axis=-1), axis=-1, initial=0.0)
 
 
-def _relaxed_violation(net: RadialNetwork, x: OperatingPoint,
-                       res: PfResiduals) -> np.ndarray:
-    return _worst(
+def set_residuals(net: RadialNetwork, x: OperatingPoint,
+                  res: PfResiduals) -> tuple[np.ndarray, np.ndarray]:
+    """Worst violations of the relaxed and of the original feasible set,
+    from the point's DistFlow residuals ``res``.  The relaxed set keeps the
+    affine DistFlow equations, the boxes and the one-sided cone inequality
+    |S|^2 <= v * ell; the feasible set holds the cone at equality."""
+    relaxed = _worst(
         np.abs(res.ohm), np.abs(res.balance), -res.cone_eq,
         net.v_min - x.v, x.v - net.v_max, x.ell - net.l_max,
         net.s_min.real - x.s.real, net.s_min.imag - x.s.imag,
         x.s.real - net.s_max.real, x.s.imag - net.s_max.imag)
+    return relaxed, np.maximum(relaxed, _worst(np.abs(res.cone_eq)))
 
 
-def residual_Xhat(net: RadialNetwork, cost: OpfCost | None,
-                  x: OperatingPoint) -> np.ndarray:
-    """Worst violation of the relaxed set: DistFlow affine equations, boxes,
-    and the one-sided cone inequality |S|^2 <= v * ell.
-
-    The cost argument does not enter the set; it is accepted so solve,
-    restore and certify call sites can share one calling convention.
-    """
-    return _relaxed_violation(net, x, pf_residuals(net, x))
+def residual_Xhat(net: RadialNetwork, x: OperatingPoint) -> np.ndarray:
+    """Worst violation of the relaxed set (:func:`set_residuals`)."""
+    return set_residuals(net, x, pf_residuals(net, x))[0]
 
 
-def residual_X(net: RadialNetwork, cost: OpfCost | None, x: OperatingPoint) -> np.ndarray:
-    """Worst violation of the original feasible set (cone held at equality)."""
-    res = pf_residuals(net, x)
-    return np.maximum(_relaxed_violation(net, x, res), _worst(np.abs(res.cone_eq)))
+def residual_X(net: RadialNetwork, x: OperatingPoint) -> np.ndarray:
+    """Worst violation of the original feasible set (:func:`set_residuals`)."""
+    return set_residuals(net, x, pf_residuals(net, x))[1]
+
+
+def empty_box(net: RadialNetwork) -> str:
+    """Name the first trivially empty variable box, or return ``""``."""
+    for b, lo, hi in zip(net.buses, net.s_min, net.s_max):
+        if b.v_min > b.v_max:
+            return f"bus {b.id}: v_min {b.v_min:.6g} > v_max {b.v_max:.6g}"
+        if lo.real > hi.real or lo.imag > hi.imag:
+            return f"bus {b.id}: s_min > s_max"
+    for ln in net.lines:
+        if ln.l_max < 0:
+            return f"line {ln.tail}->{ln.head}: l_max {ln.l_max:.6g} < 0"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -460,7 +471,7 @@ def sample_relaxed_points(
 
     Uses forward substitution with inflated currents (slack drawn from
     ``SAMPLE_SLACK_RANGE``), shrinking the draw scale until the point clears
-    every box of the instance.
+    every box of the instance.  The relaxed set does not depend on ``cost``.
     """
     root_i = net.bus_index[net.root]
     root_v = 0.5 * (net.v_min[root_i] + net.v_max[root_i])
@@ -476,7 +487,7 @@ def sample_relaxed_points(
             except ValueError:
                 scale *= 0.6
                 continue
-            if residual_Xhat(net, cost, x) <= tol and np.min(slack) > 10 * tol:
+            if residual_Xhat(net, x) <= tol and np.min(slack) > 10 * tol:
                 points.append(x)
                 break
             if attempt % 5 == 4:

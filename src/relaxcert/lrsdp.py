@@ -17,6 +17,7 @@ from relaxcert.core import (
     MONOTONE_SLACK,
     SEGMENT_SAMPLES,
     CertificateViolationError,
+    HandleValues,
     PathCheck,
     PathTrace,
     PreconditionError,
@@ -420,45 +421,26 @@ def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":
         vec = np.asarray(vec, dtype=complex)
         return vec.reshape(*vec.shape[:-1], n, n)
 
-    def _unflatten(vec: np.ndarray) -> np.ndarray:
-        return _hermitian_part(_matrices(vec))
-
-    last = [(None, None)]  # the last stack's shape and bytes, its decomposition
-
-    def _decomposed(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Hermitian parts of a stack and their descending spectra,
-        from one ``eigh`` per matrix; the residuals and the Lyapunov value
-        of a stack share it."""
-        vec = np.asarray(vec, dtype=complex)
-        key = (vec.shape, vec.tobytes())
-        seen, decomposition = last[0]
-        if seen != key:
-            X = _unflatten(vec)
-            decomposition = X, _spectrum(X)
-            last[0] = key, decomposition
-        return decomposition
-
-    def _res_relax(vec: np.ndarray) -> np.ndarray:
-        raw, (X, vals) = _matrices(vec), _decomposed(vec)
-        gap = np.abs(raw - np.swapaxes(raw, -2, -1).conj())
-        hermiticity = np.max(gap, axis=(-2, -1)) / 2
-        worst = np.maximum(np.maximum(hermiticity, inst.constraint_residual(X)),
-                           -vals[..., -1])
-        return np.maximum(worst, 0.0)
-
-    def _res_feas(vec: np.ndarray) -> np.ndarray:
-        return np.maximum(_res_relax(vec), _tail(_decomposed(vec)[1], inst.r))
+    def evaluate(vec: np.ndarray) -> HandleValues:
+        """One ``eigh`` per matrix serves both residuals and the Lyapunov
+        value; Re tr(C X) is blind to the anti-Hermitian part of X."""
+        raw = _matrices(vec)
+        X = _hermitian_part(raw)
+        vals = _spectrum(X)
+        hermiticity = np.max(np.abs(raw - np.swapaxes(raw, -2, -1).conj()),
+                             axis=(-2, -1)) / 2
+        worst = np.maximum(hermiticity, inst.constraint_residual(X))
+        relaxed = np.maximum(np.maximum(worst, -vals[..., -1]), 0.0)
+        tail = _tail(vals, inst.r)
+        return HandleValues(inst.cost(raw), relaxed, np.maximum(relaxed, tail), tail)
 
     bound = 1.0 + float(np.max(np.abs(inst.b)))
     lo = np.full(n * n, -bound - 1j * bound)
     hi = np.full(n * n, bound + 1j * bound)
     return CertifiedProblem(
-        handle=ProblemHandle(
-            # Re tr(C X) is blind to the anti-Hermitian part of X
-            cost=lambda vec: inst.cost(_matrices(vec)),
-            residual_feasible=_res_feas, residual_relaxed=_res_relax,
-            lyapunov=lambda vec: _tail(_decomposed(vec)[1], inst.r)),
-        path_factory=lambda vec: reduce_rank_path(inst, _unflatten(vec)).trace,
+        handle=ProblemHandle(evaluate),
+        path_factory=lambda vec: reduce_rank_path(
+            inst, _hermitian_part(_matrices(vec))).trace,
         segment_bound=max(1, n - inst.r),
         box=(lo, hi),
         label="lrsdp",

@@ -19,6 +19,7 @@ from relaxcert.compose import CertifiedProblem
 from relaxcert.core import (
     SEGMENT_SAMPLES,
     CertificateViolationError,
+    HandleValues,
     PathTrace,
     PreconditionError,
     ProblemHandle,
@@ -27,12 +28,12 @@ from relaxcert.core import (
 from relaxcert.distflow import (
     OperatingPoint,
     OpfCost,
+    PfResiduals,
     RadialNetwork,
     coordinate_labels,
     coordinate_rows,
     pf_residuals,
-    residual_X,
-    residual_Xhat,
+    set_residuals,
     unpack_point,
     validate_assumptions,
 )
@@ -47,7 +48,11 @@ def lyapunov_V(net: RadialNetwork, x: OperatingPoint) -> np.ndarray:
     exactly on DistFlow-feasible points of the relaxed set.  A measure of
     any point: a violated cone counts as zero slack here, and
     :func:`~relaxcert.distflow.residual_Xhat` is its judge."""
-    return np.sum(np.maximum(pf_residuals(net, x).cone_eq, 0.0), axis=-1)
+    return _slack_sum(pf_residuals(net, x))
+
+
+def _slack_sum(res: PfResiduals) -> np.ndarray:
+    return np.sum(np.maximum(res.cone_eq, 0.0), axis=-1)
 
 
 def _phi_coefficients(net: RadialNetwork, x: OperatingPoint):
@@ -165,18 +170,20 @@ def cprime_margin(net: RadialNetwork, cost: OpfCost, trace: PathTrace) -> Cprime
 
 
 def _opf_handle(net: RadialNetwork, cost: OpfCost) -> ProblemHandle:
-    """Cost, residuals and Lyapunov value over (stacks of) flat vectors.
+    """Cost, residuals and Lyapunov value over (stacks of) flat vectors,
+    from one unpacking and one DistFlow residual pass per stack.
 
     A cone violation is the relaxed residual's to judge, so the Lyapunov
     value accepts any point and a path that leaves the relaxed set is
     reported by the verifier, not raised here.
     """
-    return ProblemHandle(
-        cost=lambda vec: cost.value(unpack_point(net, vec).s),
-        residual_feasible=lambda vec: residual_X(net, cost, unpack_point(net, vec)),
-        residual_relaxed=lambda vec: residual_Xhat(net, cost, unpack_point(net, vec)),
-        lyapunov=lambda vec: lyapunov_V(net, unpack_point(net, vec)),
-    )
+    def evaluate(vec: np.ndarray) -> HandleValues:
+        x = unpack_point(net, vec)
+        res = pf_residuals(net, x)
+        return HandleValues(cost.value(x.s), *set_residuals(net, x, res),
+                            _slack_sum(res))
+
+    return ProblemHandle(evaluate)
 
 
 def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem:
@@ -222,12 +229,7 @@ def write_restoration_csv(path: str, net: RadialNetwork, cost: OpfCost,
                           trace: PathTrace) -> None:
     """Trace CSV: t, cost, Lyapunov value, then bus-major s and v, line-major
     ell and S with real parts before imaginary."""
-    handle = _opf_handle(net, cost)
-    write_trace_csv(
-        path,
-        trace,
-        coordinate_labels(net),
-        lambda pts: coordinate_rows(net, pts),
-        cost=handle.cost,
-        lyapunov=handle.lyapunov,
-    )
+    values = _opf_handle(net, cost).evaluate(trace.points)
+    write_trace_csv(path, trace, coordinate_labels(net),
+                    lambda pts: coordinate_rows(net, pts),
+                    cost=lambda pts: values.cost, lyapunov=lambda pts: values.lyapunov)

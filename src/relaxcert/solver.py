@@ -34,7 +34,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from relaxcert.core import PreconditionError
-from relaxcert.distflow import OperatingPoint, OpfCost, RadialNetwork
+from relaxcert.distflow import OperatingPoint, OpfCost, RadialNetwork, empty_box
 from relaxcert.lrsdp import LrsdpInstance, PsdPoint
 
 DEFAULT_OPTIONS: dict[str, Any] = {
@@ -381,19 +381,6 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> So
 
 # --- OPF front-end -----------------------------------------------------------
 
-def _empty_box(net: RadialNetwork) -> str:
-    """Presolve: name the first trivially empty variable box, or ``""``."""
-    for b, lo, hi in zip(net.buses, net.s_min, net.s_max):
-        if b.v_min > b.v_max:
-            return f"bus {b.id}: v_min {b.v_min:.6g} > v_max {b.v_max:.6g}"
-        if lo.real > hi.real or lo.imag > hi.imag:
-            return f"bus {b.id}: s_min > s_max"
-    for ln in net.lines:
-        if ln.l_max < 0:
-            return f"line {ln.tail}->{ln.head}: l_max {ln.l_max:.6g} < 0"
-    return ""
-
-
 class _VarMap:
     """Column offsets of the OPF decision variables."""
 
@@ -513,7 +500,7 @@ def solve_opf_relaxation(net: RadialNetwork, cost: OpfCost,
     if len(cost.cp) != net.n_bus:
         raise PreconditionError("cost dimension does not match the network")
 
-    empty = _empty_box(net)
+    empty = empty_box(net)
     if empty:
         return SolveResult("infeasible", 0, {**DEFAULT_OPTIONS, **(options or {})},
                            note=empty)

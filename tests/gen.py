@@ -5,7 +5,7 @@ import numpy as np
 import relaxcert.lrsdp as lrsdp
 import relaxcert.restore as restore
 from relaxcert.compose import CertifiedProblem
-from relaxcert.core import SEGMENT_SAMPLES, PathTrace, ProblemHandle
+from relaxcert.core import SEGMENT_SAMPLES, HandleValues, PathTrace, ProblemHandle
 from relaxcert.distflow import Bus, Line, OpfCost, RadialNetwork, forward_point
 
 
@@ -107,8 +107,8 @@ def random_feasible_psd(rng, n, rank=None):
 
 # --- interval toy primitives --------------------------------------------------
 #
-# Handle callables follow the batch contract: an (..., d) stack of points maps
-# to an (...) array of values, reducing over the last axis.
+# Handles follow the batch contract: an (..., d) stack of points maps to
+# (...) arrays of values, reducing over the last axis.
 
 def box_residual(x):
     """Distance to the unit box with real coordinates."""
@@ -116,6 +116,20 @@ def box_residual(x):
     viol = np.maximum(np.max(-re, axis=-1, initial=0.0),
                       np.max(re - 1.0, axis=-1, initial=0.0))
     return np.maximum(viol, np.max(np.abs(x.imag), axis=-1, initial=0.0))
+
+
+def box_handle(cost, gap, lyapunov=None):
+    """Handle whose relaxed set is the unit box and whose feasible set is
+    where ``gap`` vanishes in it; ``cost``, ``gap`` and ``lyapunov`` map a
+    stack of points to values, and the Lyapunov value is ``gap`` unless
+    given."""
+    lyapunov = lyapunov or gap
+
+    def evaluate(x):
+        relaxed = box_residual(x)
+        return HandleValues(cost(x), relaxed, np.maximum(relaxed, gap(x)), lyapunov(x))
+
+    return ProblemHandle(evaluate)
 
 
 def shrinking_path(x, target, samples=11):
@@ -129,14 +143,8 @@ def threshold_primitive(cut, dim=1, label=""):
     def v(x):
         return np.maximum(0.0, x[..., 0].real - cut)
 
-    handle = ProblemHandle(
-        cost=lambda x: x[..., 0].real,
-        residual_feasible=lambda x: np.maximum(box_residual(x), v(x)),
-        residual_relaxed=box_residual,
-        lyapunov=v,
-    )
     return CertifiedProblem(
-        handle=handle,
+        handle=box_handle(lambda x: x[..., 0].real, v),
         path_factory=lambda x: shrinking_path(x, np.zeros(dim, complex)),
         segment_bound=1,
         box=(np.zeros(dim, complex), np.ones(dim, complex)),
@@ -154,14 +162,9 @@ def block_primitive(block, label=""):
         target[block] = 0.0
         return shrinking_path(x, target)
 
-    handle = ProblemHandle(
-        cost=lambda x: x[..., block].real,
-        residual_feasible=lambda x: np.maximum(box_residual(x), v(x)),
-        residual_relaxed=box_residual,
-        lyapunov=v,
-    )
     return CertifiedProblem(
-        handle=handle, path_factory=path, segment_bound=1,
+        handle=box_handle(lambda x: x[..., block].real, v),
+        path_factory=path, segment_bound=1,
         box=(np.zeros(2, complex), np.ones(2, complex)),
         label=label or f"block{block}",
     )

@@ -77,7 +77,7 @@ def test_criterion_1_restoration_soundness():
     for seed, net, cost, x in _restoration_instances():
         trace = restoration_path(net, x, samples=101)
         end = unpack_point(net, trace.end)
-        assert residual_X(net, cost, end) <= 1e-8, f"seed {seed}"
+        assert residual_X(net, end) <= 1e-8, f"seed {seed}"
 
         f_vals = np.array([cost.value(unpack_point(net, p).s)
                            for p in trace.points])
@@ -198,7 +198,7 @@ def test_criterion_6_composition_rules():
            for a, b in rng.uniform(0.05, 1.0, size=(50, 2))]
     for x in pts:
         trace = comp.path_factory(x)
-        assert comp.handle.lyapunov(trace.end) <= 1e-9
+        assert comp.handle.evaluate(trace.end).lyapunov <= 1e-9
     checks = check_c1_c3(comp, pts)
     assert checks.c1.passed
 
@@ -207,19 +207,17 @@ def test_criterion_6_composition_rules():
     union = union_feasible(q1, q2)
     sampled = 0
     for x in sample_box(union.box, 200, seed=1):
-        if union.handle.residual_relaxed(x) > 1e-8:
+        if union.handle.evaluate(x).relaxed > 1e-8:
             continue
         sampled += 1
-        assert ((union.handle.lyapunov(x) <= 1e-9)
-                == (min(q1.handle.lyapunov(x), q2.handle.lyapunov(x)) <= 1e-9))
+        assert ((union.handle.evaluate(x).lyapunov <= 1e-9)
+                == (min(q1.handle.evaluate(x).lyapunov,
+                        q2.handle.evaluate(x).lyapunov) <= 1e-9))
     assert sampled >= 150
 
     # negative controls
-    leaky = ProblemHandle(
-        cost=lambda x: float(x[0].real + 0.5 * x[1].real),
-        residual_feasible=p1.handle.residual_feasible,
-        residual_relaxed=p1.handle.residual_relaxed,
-        lyapunov=p1.handle.lyapunov)
+    leaky = ProblemHandle(lambda x: p1.handle.evaluate(x)._replace(
+        cost=x[..., 0].real + 0.5 * x[..., 1].real))
     p1_bad = CertifiedProblem(handle=leaky, path_factory=p1.path_factory,
                               segment_bound=1, box=p1.box, label="leaky")
     with pytest.raises(CompositionError):

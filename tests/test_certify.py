@@ -224,7 +224,7 @@ class TestCheckExactness:
         res = solve_opf_relaxation(net, cost)
         assert res.status == "optimal"
         verdict = check_exactness(res.optimality_residual,
-                                  residual_X(net, cost, res.point))
+                                  residual_X(net, res.point))
         assert verdict.verdict == "weak"
 
     def test_uniqueness_certificate_upgrades_to_strong(self):
@@ -232,7 +232,7 @@ class TestCheckExactness:
         net, cost = two_bus_case(rng)
         res = solve_opf_relaxation(net, cost)
         verdict = check_exactness(res.optimality_residual,
-                                  residual_X(net, cost, res.point),
+                                  residual_X(net, res.point),
                                   unique_certificate=True)
         assert verdict.verdict == "strong"
 
@@ -243,7 +243,7 @@ class TestCheckExactness:
         problem = lrsdp_certified_problem(inst)
         x = X.reshape(-1).astype(complex)
         check = verify_path(problem.handle, x, problem.path_factory(x))
-        verdict = check_exactness(0.0, problem.handle.residual_feasible(x), check)
+        verdict = check_exactness(0.0, problem.handle.evaluate(x).feasible, check)
         assert verdict.verdict == "weak"
         assert "equal cost" in verdict.note
 
@@ -252,13 +252,13 @@ class TestCheckExactness:
         net, cost = two_bus_case(rng)
         res = solve_opf_relaxation(net, cost)
         with pytest.raises(PreconditionError):
-            check_exactness(1e-3, residual_X(net, cost, res.point))
+            check_exactness(1e-3, residual_X(net, res.point))
 
     def test_infeasible_optimum_without_check_rejected(self):
         rng = np.random.default_rng(6)
         inst = random_spectraplex_instance(rng, n=4, degenerate=True)
         x = random_feasible_psd(rng, 4).reshape(-1).astype(complex)
-        residual = lrsdp_certified_problem(inst).handle.residual_feasible(x)
+        residual = lrsdp_certified_problem(inst).handle.evaluate(x).feasible
         assert residual > FEAS_TOL
         with pytest.raises(PreconditionError, match="no path check"):
             check_exactness(0.0, residual)
@@ -294,11 +294,11 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(gp, resolution=0.005)
         res = solve_opf_relaxation(net, cost)
         problem = opf_certified_problem(net, cost)
-        if residual_X(net, cost, res.point) <= 1e-8:
+        if residual_X(net, res.point) <= 1e-8:
             restored_cost = res.objective
         else:
             trace = problem.path_factory(pack_point(res.point))
-            restored_cost = problem.handle.cost(trace.end)
+            restored_cost = problem.handle.evaluate(trace.end).cost
         bound = max(1e-6, 2 * oracle.resolution * oracle.max_slope)
         assert abs(oracle.global_cost - restored_cost) <= bound
         assert oracle.label_counts["genuine"] == 0
@@ -325,16 +325,35 @@ class TestBruteForceOracle:
         assert free.global_cost == boxed_scan.global_cost
 
     def test_empty_feasible_grid(self):
+        # bus 1's box lies above every voltage the line can reach from the
+        # pinned root at 1.0, so the box is ordered but the grid is empty
         rng = np.random.default_rng(9)
         net, cost = two_bus_case(rng)
         import dataclasses
         buses = (net.buses[0],
-                 dataclasses.replace(net.buses[1], v_min=1.3, v_max=1.2))
+                 dataclasses.replace(net.buses[1], v_min=1.2, v_max=1.3))
         from relaxcert.distflow import RadialNetwork
         bad_net = RadialNetwork(buses=buses, lines=net.lines, root=net.root)
         gp = eliminated_opf_grid(bad_net, cost)
         with pytest.raises(InfeasibleAtResolutionError):
             brute_force_oracle(gp, resolution=0.05)
+
+    @pytest.mark.parametrize("bus, line, message", [
+        ({"v_min": 1.3, "v_max": 1.2}, {}, "bus 1: v_min 1.3 > v_max 1.2"),
+        ({"s_min": complex(3.0, 0.0)}, {}, "bus 1: s_min > s_max"),
+        ({}, {"l_max": -1.0}, "line 0->1: l_max -1 < 0"),
+    ], ids=["voltage", "injection", "current"])
+    def test_empty_box_is_named_before_the_model(self, bus, line, message):
+        # an empty box is an input fault, not a resolution one; the current
+        # box is checked before its square root is taken
+        from relaxcert.distflow import RadialNetwork
+        net, cost = two_bus_case(np.random.default_rng(9))
+        bad_net = RadialNetwork(
+            buses=(net.buses[0], dataclasses.replace(net.buses[1], **bus)),
+            lines=(dataclasses.replace(net.lines[0], **line),), root=net.root)
+        with pytest.raises(PreconditionError) as info:
+            eliminated_opf_grid(bad_net, cost)
+        assert str(info.value) == message
 
     def test_dimension_guard(self):
         rng = np.random.default_rng(10)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def stub_slack_optimum(monkeypatch):
     off the cone); returns the network and that point."""
     net, cost = load_case(case("demo_3bus.json"))
     slack = sample_relaxed_points(net, cost, 1, np.random.default_rng(0))[0]
-    assert residual_X(net, cost, slack) > 1e-8
+    assert residual_X(net, slack) > 1e-8
     solve = cli.solve_opf_relaxation
     monkeypatch.setattr(cli, "solve_opf_relaxation", lambda *a, **k: (
         dataclasses.replace(solve(*a, **k), point=slack)))
@@ -208,7 +209,7 @@ class TestOpfCommand:
         # every voltage raised by 0.5 keeps the DistFlow equations and the
         # cone but leaves the voltage box, so the optimum is judged once, in
         # cmd_opf, before any restoration
-        net, cost = load_case(case("demo_3bus.json"))
+        net, _ = load_case(case("demo_3bus.json"))
         solve, seen = cli.solve_opf_relaxation, []
 
         def raised(*a, **k):
@@ -220,7 +221,7 @@ class TestOpfCommand:
         code = main(["opf", case("demo_3bus.json"), "--out", str(tmp_path / "run"),
                      "--samples", "5"])
         assert code == 1
-        r = residual_Xhat(net, cost, seen[0])
+        r = residual_Xhat(net, seen[0])
         assert r > 1e-8
         assert capsys.readouterr().err == (
             f"error: point is not relaxed-feasible (residual {r:.3g} > 1e-08)\n")
@@ -656,6 +657,28 @@ class TestOracleCommand:
         assert code == 1
         assert "exceeds the scan budget" in capsys.readouterr().err
         assert peak < 8 * 2**20
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["lines"][0].update(l_max=-1.0),
+         "error: line 0->1: l_max -1 < 0\n"),
+        (lambda data: data["buses"][1].update(v_min=1.2, v_max=1.1),
+         "error: bus 1: v_min 1.2 > v_max 1.1\n"),
+    ], ids=["negative-current-limit", "reversed-voltage-box"])
+    def test_empty_box_names_its_bus_or_line(self, tmp_path, capsys, edit, message):
+        # an empty box is bad input, exit 1 naming it, not a resolution or
+        # scan-budget fault; no square root of a negative limit is taken
+        data = read_json(case("demo_2bus.json"))
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle", str(bad), "--out", str(tmp_path / "out"),
+                         "--resolution", "0.05"])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestClassifyCommand:

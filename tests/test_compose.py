@@ -21,14 +21,14 @@ class TestComposeCost:
         p = threshold_primitive(0.5)
         q = compose_cost(p, lambda y: y)
         for x in sample_box(p.box, 20, seed=1):
-            assert q.handle.cost(x) == pytest.approx(p.handle.cost(x))
-            assert q.handle.lyapunov(x) == p.handle.lyapunov(x)
+            assert q.handle.evaluate(x).cost == pytest.approx(p.handle.evaluate(x).cost)
+            assert q.handle.evaluate(x).lyapunov == p.handle.evaluate(x).lyapunov
 
     def test_hinge_is_accepted(self):
         p = threshold_primitive(0.5)
         q = compose_cost(p, lambda y: max(y, 0.0))
         x = np.array([0.8 + 0j])
-        assert q.handle.cost(x) == pytest.approx(0.8)
+        assert q.handle.evaluate(x).cost == pytest.approx(0.8)
 
     def test_square_preserves_monotone_paths(self):
         p1, p2 = block_primitive(0), block_primitive(1)
@@ -56,7 +56,8 @@ class TestUnionFeasible:
         p = threshold_primitive(0.5)
         u = union_feasible(p, p, mode="sum", lam=0.5)
         x = np.array([0.9 + 0j])
-        assert u.handle.lyapunov(x) == pytest.approx(p.handle.lyapunov(x) ** 2)
+        assert (u.handle.evaluate(x).lyapunov
+                == pytest.approx(p.handle.evaluate(x).lyapunov ** 2))
         t1 = u.path_factory(x)
         t2 = p.path_factory(x)
         np.testing.assert_allclose(t1.points, t2.points)
@@ -66,19 +67,20 @@ class TestUnionFeasible:
         p2 = threshold_primitive(0.7)
         u = union_feasible(p1, p2)
         x = np.array([0.6 + 0j])  # feasible only for the looser primitive
-        assert p1.handle.lyapunov(x) > 0
-        assert u.handle.lyapunov(x) == 0.0
-        assert u.handle.residual_feasible(x) <= FEAS_TOL
+        assert p1.handle.evaluate(x).lyapunov > 0
+        assert u.handle.evaluate(x).lyapunov == 0.0
+        assert u.handle.evaluate(x).feasible <= FEAS_TOL
 
     def test_zero_set_equivalence_on_samples(self):
         p1 = threshold_primitive(0.5)
         p2 = threshold_primitive(0.7)
         u = union_feasible(p1, p2)
         for x in sample_box(u.box, 200, seed=2):
-            if u.handle.residual_relaxed(x) > FEAS_TOL:
+            if u.handle.evaluate(x).relaxed > FEAS_TOL:
                 continue
-            prod_zero = u.handle.lyapunov(x) <= 1e-9
-            min_zero = min(p1.handle.lyapunov(x), p2.handle.lyapunov(x)) <= 1e-9
+            prod_zero = u.handle.evaluate(x).lyapunov <= 1e-9
+            min_zero = min(p1.handle.evaluate(x).lyapunov,
+                           p2.handle.evaluate(x).lyapunov) <= 1e-9
             assert prod_zero == min_zero
 
     def test_sum_mode_passes_strict_checks(self):
@@ -86,8 +88,8 @@ class TestUnionFeasible:
         p2 = threshold_primitive(0.7)
         u = union_feasible(p1, p2, mode="sum", lam=0.5)
         pts = [x for x in sample_box(u.box, 60, seed=3)
-               if (u.handle.residual_relaxed(x) <= FEAS_TOL
-                   and u.handle.residual_feasible(x) > FEAS_TOL)]
+               if (u.handle.evaluate(x).relaxed <= FEAS_TOL
+                   and u.handle.evaluate(x).feasible > FEAS_TOL)]
         assert pts
         checks = check_c1_c3(u, pts)
         assert checks.c1.passed
@@ -120,7 +122,7 @@ class TestIntersectFeasible:
         trace = comp.path_factory(x)
         first_end = p1.path_factory(x).end
         np.testing.assert_allclose(trace.evaluate(0.5), first_end, atol=1e-12)
-        assert comp.handle.lyapunov(trace.end) <= 1e-9
+        assert comp.handle.evaluate(trace.end).lyapunov <= 1e-9
         assert trace.segments == 2
 
     def test_concatenation_keeps_every_knot_point(self):
@@ -139,7 +141,7 @@ class TestIntersectFeasible:
         p1, p2 = block_primitive(0), block_primitive(1)
         comp = intersect_feasible(p1, p2, split=([0], [1]))
         x = np.array([0.2 + 0j, 0.3 + 0j])
-        assert comp.handle.lyapunov(x) == pytest.approx(0.5)
+        assert comp.handle.evaluate(x).lyapunov == pytest.approx(0.5)
 
     def test_strict_checks_pass_on_samples(self):
         p1, p2 = block_primitive(0), block_primitive(1)
@@ -156,20 +158,17 @@ class TestIntersectFeasible:
         p1, p2 = block_primitive(0), block_primitive(1)
         comp = intersect_feasible(p1, p2, split=([0], [1]))
         for x in sample_box(comp.box, 200, seed=5):
-            if comp.handle.residual_relaxed(x) > FEAS_TOL:
+            if comp.handle.evaluate(x).relaxed > FEAS_TOL:
                 continue
-            sum_zero = comp.handle.lyapunov(x) <= 1e-9
-            max_zero = max(p1.handle.lyapunov(x), p2.handle.lyapunov(x)) <= 1e-9
+            sum_zero = comp.handle.evaluate(x).lyapunov <= 1e-9
+            max_zero = max(p1.handle.evaluate(x).lyapunov,
+                           p2.handle.evaluate(x).lyapunov) <= 1e-9
             assert sum_zero == max_zero
 
     def test_broken_separability_rejected(self):
         p1 = block_primitive(0)
-        mixed_handle = ProblemHandle(
-            cost=lambda x: float(x[0].real + 0.5 * x[1].real),  # leaks block 2
-            residual_feasible=p1.handle.residual_feasible,
-            residual_relaxed=p1.handle.residual_relaxed,
-            lyapunov=p1.handle.lyapunov,
-        )
+        mixed_handle = ProblemHandle(lambda x: p1.handle.evaluate(x)._replace(
+            cost=x[..., 0].real + 0.5 * x[..., 1].real))  # leaks block 2
         p1_bad = CertifiedProblem(handle=mixed_handle,
                                   path_factory=p1.path_factory,
                                   segment_bound=1, box=p1.box, label="leaky")
@@ -197,7 +196,8 @@ def test_compose_then_union_commutes_with_union_then_compose():
     a = compose_cost(union_feasible(p1, p2), g)
     b = union_feasible(compose_cost(p1, g), compose_cost(p2, g))
     for x in sample_box(a.box, 50, seed=6):
-        assert a.handle.cost(x) == pytest.approx(b.handle.cost(x), abs=1e-12)
+        assert (a.handle.evaluate(x).cost
+                == pytest.approx(b.handle.evaluate(x).cost, abs=1e-12))
 
 
 @pytest.mark.parametrize("combine", [

@@ -92,24 +92,21 @@ class TestPfResiduals:
 class TestSetResiduals:
     def test_exact_point_in_both_sets(self):
         net = tiny_line_net()
-        cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.3 + 0.1j])
-        assert residual_Xhat(net, cost, x) <= 1e-10
-        assert residual_X(net, cost, x) <= 1e-10
+        assert residual_Xhat(net, x) <= 1e-10
+        assert residual_X(net, x) <= 1e-10
 
     def test_cone_slack_splits_the_sets(self):
         net = tiny_line_net()
-        cost = linear_cost(2)
         x = forward_point(net, 1.0, [0.3 + 0.1j], extra_ell=[0.3])
-        assert residual_Xhat(net, cost, x) <= 1e-10
-        assert residual_X(net, cost, x) == pytest.approx(0.3, abs=1e-9)
+        assert residual_Xhat(net, x) <= 1e-10
+        assert residual_X(net, x) == pytest.approx(0.3, abs=1e-9)
 
     def test_voltage_box_violation(self):
         net = tiny_line_net()
-        cost = linear_cost(2)
         x = forward_point(net, net.v_max[0] + 0.05, [0.0 + 0.0j])
-        assert residual_Xhat(net, cost, x) >= 0.05
-        assert residual_X(net, cost, x) >= 0.05
+        assert residual_Xhat(net, x) >= 0.05
+        assert residual_X(net, x) >= 0.05
 
     def test_relaxed_never_exceeds_feasible(self):
         rng = np.random.default_rng(2)
@@ -117,7 +114,7 @@ class TestSetResiduals:
         for _ in range(20):
             S = rng.normal(0, 0.4, net.n_line) + 1j * rng.normal(0, 0.4, net.n_line)
             x = forward_point(net, 1.0, S, extra_ell=rng.uniform(0, 0.4, net.n_line))
-            assert residual_X(net, cost, x) >= residual_Xhat(net, cost, x) - 1e-12
+            assert residual_X(net, x) >= residual_Xhat(net, x) - 1e-12
 
 
 class TestForwardSubstitution:
@@ -293,8 +290,8 @@ def test_sample_relaxed_points_land_between_the_sets():
     pts = sample_relaxed_points(net, cost, 10, rng)
     assert len(pts) == 10
     for x in pts:
-        assert residual_Xhat(net, cost, x) <= 1e-8
-        assert residual_X(net, cost, x) > 1e-6
+        assert residual_Xhat(net, x) <= 1e-8
+        assert residual_X(net, x) > 1e-6
 
 
 def cycle_net():

@@ -73,7 +73,7 @@ class TestLyapunov:
         net = line_net()
         x = OperatingPoint(s=np.zeros(2, complex), v=np.array([1.0, 1.0]),
                            ell=np.array([0.0]), S=np.array([1.0 + 0j]))
-        assert residual_Xhat(net, linear_cost(2), x) > FEAS_TOL
+        assert residual_Xhat(net, x) > FEAS_TOL
         assert lyapunov_V(net, x) == 0.0
 
 
@@ -160,7 +160,7 @@ class TestRestorationPath:
         end = unpack_point(net, trace.end)
         cone = pf_residuals(net, end).cone_eq
         assert abs(cone[0]) <= 1e-10
-        assert residual_X(net, cost, end) <= 1e-8
+        assert residual_X(net, end) <= 1e-8
 
         f0 = cost.value(unpack_point(net, trace.start).s)
         f1 = cost.value(end.s)

@@ -143,8 +143,8 @@ class TestOpfSolve:
         res = solve_opf_relaxation(net, cost)
         assert res.status == "optimal"
         assert res.optimality_residual <= 1e-8
-        assert residual_Xhat(net, cost, res.point) <= 1e-8
-        assert residual_X(net, cost, res.point) <= 1e-7  # cone tight: exact
+        assert residual_Xhat(net, res.point) <= 1e-8
+        assert residual_X(net, res.point) <= 1e-7  # cone tight: exact
 
     def test_objective_matches_oracle_lower_bound(self):
         rng = np.random.default_rng(2)

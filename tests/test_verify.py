@@ -1,6 +1,7 @@
 """Tests for the batch contract of problem handles and for the path verifier
 behind the monotone-path conditions."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from gen import (
     bend_reductions,
     bend_restorations,
     block_primitive,
-    box_residual,
+    box_handle,
     random_feasible_psd,
     random_radial_network,
     random_spectraplex_instance,
@@ -30,27 +31,27 @@ from relaxcert.compose import (
     sample_box,
     union_feasible,
 )
-from relaxcert.core import PathTrace, ProblemHandle
+from relaxcert.core import HandleValues, PathTrace, ProblemHandle
 from relaxcert.distflow import pack_point, sample_relaxed_points
 from relaxcert.lrsdp import instance_to_dict, lrsdp_certified_problem, reduce_rank_path
 from relaxcert.restore import opf_certified_problem
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
-QUANTITIES = ("cost", "residual_feasible", "residual_relaxed", "lyapunov")
 
 
 def assert_rowwise(handle, pts):
-    """Each callable maps the (K, d) matrix to the K single-point values,
-    bit for bit, and a (2, K/2, d) stack to the same values reshaped."""
-    for name in QUANTITIES:
-        fn = getattr(handle, name)
-        batch = fn(pts)
-        single = np.array([fn(p) for p in pts])
-        assert batch.shape == (len(pts),), name
-        assert batch.tobytes() == single.tobytes(), name
-        half = 2 * (len(pts) // 2)
-        stacked = fn(pts[:half].reshape(2, half // 2, -1))
-        assert stacked.tobytes() == batch[:half].tobytes(), name
+    """One evaluation maps the (K, d) matrix to the K single-point values
+    of each quantity, bit for bit, and a (2, K/2, d) stack to the same
+    values reshaped."""
+    batch = handle.evaluate(pts)
+    single = [handle.evaluate(p) for p in pts]
+    half = 2 * (len(pts) // 2)
+    stacked = handle.evaluate(pts[:half].reshape(2, half // 2, -1))
+    for name in HandleValues._fields:
+        values = getattr(batch, name)
+        assert values.shape == (len(pts),), name
+        assert values.tobytes() == np.array([getattr(v, name) for v in single]).tobytes(), name
+        assert getattr(stacked, name).tobytes() == values[:half].tobytes(), name
 
 
 class TestBatchContract:
@@ -103,12 +104,7 @@ def square_problem(knots, lyapunov=lambda x: x[..., 1].real):
         return PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
                          knots=np.arange(len(pts)))
 
-    handle = ProblemHandle(
-        cost=lambda x: x[..., 0].real,
-        residual_feasible=lambda x: np.maximum(box_residual(x), x[..., 1].real),
-        residual_relaxed=box_residual,
-        lyapunov=lyapunov,
-    )
+    handle = box_handle(lambda x: x[..., 0].real, lambda x: x[..., 1].real, lyapunov)
     return CertifiedProblem(handle=handle, path_factory=path, segment_bound=2,
                             box=(np.zeros(2, complex), np.ones(2, complex)),
                             label="square")
@@ -191,38 +187,75 @@ def opf_samples(seed, count):
     return opf_certified_problem(net, cost), points
 
 
+def count_evaluations(handle):
+    """A handle that records the shape of each stack it evaluates, and the
+    list of those shapes."""
+    shapes = []
+
+    def evaluate(pts):
+        shapes.append(np.shape(pts))
+        return handle.evaluate(pts)
+
+    return ProblemHandle(evaluate), shapes
+
+
 def test_opf_path_verified_once_per_point(monkeypatch):
     problem, points = opf_samples(4, 5)
+    handle, evaluated = count_evaluations(problem.handle)
+    problem = dataclasses.replace(problem, handle=handle)
     verified = count_calls(monkeypatch, core.verify_path)
     validated = count_calls(monkeypatch, distflow.validate_assumptions)
     residuals = [count_calls(monkeypatch, fn)
                  for fn in (distflow.residual_Xhat, distflow.residual_X)]
+    unpacked, pf = (count_calls(monkeypatch, fn)
+                    for fn in (distflow.unpack_point, distflow.pf_residuals))
     checks = check_c1_c3(problem, points)
     assert checks.c3.passed and checks.c1.passed
     assert len(verified) == len(points)
     assert validated == []
-    # one batch membership test, then per point the verifier's relaxed
-    # residual of the samples and feasible residual of the end; the
-    # restoration itself judges nothing
-    assert [len(calls) for calls in residuals] == [1 + len(points)] * 2
+    # one evaluation of the sample stack, then one per path for its one
+    # knot segment; the endpoint's residual is read from that segment, and
+    # the restoration itself judges nothing
+    d = len(points[0])
+    assert evaluated == [(len(points), d)] + [(core.SEGMENT_SAMPLES, d)] * len(points)
+    assert residuals == [[], []]
+    # each evaluation unpacks its stack and computes its DistFlow residuals
+    # once; each restoration unpacks its starting point once more
+    assert len(pf) == len(evaluated)
+    assert len(unpacked) == len(evaluated) + len(points)
 
 
 def test_opf_run_measures_the_optimum_and_reference_once(tmp_path, monkeypatch):
     feasible, relaxed, reference = (
         count_calls(monkeypatch, fn) for fn in (
             distflow.residual_X, distflow.residual_Xhat, restore.cprime_reference))
+    evaluated = []
+
+    def counted_handle(net, cost):
+        handle, shapes = count_evaluations(opf_handle(net, cost))
+        evaluated.append(shapes)
+        return handle
+
+    opf_handle = restore._opf_handle
+    monkeypatch.setattr(restore, "_opf_handle", counted_handle)
     out = tmp_path / "run"
     n = 5
     assert main(["opf", os.path.join(CASES, "demo_2bus.json"),
                  "--samples", str(n), "--out", str(out)]) == 0
     notes = json.loads((out / "report.json").read_text())["notes"]
     assert notes[0].startswith("optimum is feasible")
-    # the optimum's one membership test, the samples' batch test and each
-    # verified path's end; exactness reads the optimum's residual
-    assert len(feasible) == n + 2
-    # the sampler's share of the relaxed residuals depends on its rejected
-    # draws, so this run's count is pinned, not a formula in n
-    assert len(relaxed) == 11
+    # the optimum's one membership test; exactness reads its residual
+    assert len(feasible) == 1
+    # the sampler's relaxed residuals depend on its rejected draws, so this
+    # run's count is pinned, not a formula in n; the optimum is feasible,
+    # so its relaxed residual is not needed
+    assert len(relaxed) == 5
+    # the checker's handle evaluates the sample stack, then each path's one
+    # knot segment; the CSV writer's handle evaluates its trace once
+    net, _ = distflow.load_case(os.path.join(CASES, "demo_2bus.json"))
+    d = 2 * (net.n_bus + net.n_line)
+    assert evaluated == [[(n, d)] + [(core.SEGMENT_SAMPLES, d)] * n,
+                         [(core.SEGMENT_SAMPLES, d)]]
     # the c' note reads the instance constant once; margins only measure
     assert len(reference) == 1
 
@@ -281,12 +314,15 @@ def test_reduction_off_the_psd_cone_is_a_c3_witness(monkeypatch):
 
 def assert_per_segment_matches_whole_trace(handle, x, trace):
     """``verify_path`` evaluates one knot segment at a time; its costs,
-    Lyapunov values and relaxed residuals are those of one call on the
-    whole sample stack, bit for bit."""
+    Lyapunov values and relaxed residuals, and its endpoint's feasible
+    residual, are those of one evaluation of the whole sample stack, bit
+    for bit."""
     check = core.verify_path(handle, x, trace)
-    for got, fn in ((check.costs, handle.cost), (check.lyapunov, handle.lyapunov),
-                    (check.relaxed, handle.residual_relaxed)):
-        assert got.tobytes() == fn(trace.points).tobytes()
+    whole = handle.evaluate(trace.points)
+    for got, want in ((check.costs, whole.cost), (check.lyapunov, whole.lyapunov),
+                      (check.relaxed, whole.relaxed)):
+        assert got.tobytes() == want.tobytes()
+    assert check.end_residual.hex() == float(whole.feasible[-1]).hex()
 
 
 def test_reduction_verified_stage_by_stage():
@@ -323,8 +359,9 @@ def test_lrsdp_residuals_match_eigvalsh():
         np.max(np.abs(raw - np.swapaxes(raw, -2, -1).conj()), axis=(-2, -1)) / 2,
         inst.constraint_residual(X), -vals[:, 0], np.zeros(len(pts))])
     feasible = np.maximum(relaxed, np.maximum(np.sum(vals[:, :-1], axis=-1), 0.0))
-    np.testing.assert_allclose(handle.residual_relaxed(pts), relaxed, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(handle.residual_feasible(pts), feasible, rtol=0, atol=1e-15)
+    values = handle.evaluate(pts)
+    np.testing.assert_allclose(values.relaxed, relaxed, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(values.feasible, feasible, rtol=0, atol=1e-15)
     assert np.max(relaxed) > 0.1 and np.max(feasible) > 0.1
 
 
@@ -334,8 +371,39 @@ def test_lrsdp_spectrum_follows_the_stack_bytes():
     inst = random_spectraplex_instance(rng, n=4)
     handle = lrsdp_certified_problem(inst).handle
     pts = np.stack([random_feasible_psd(rng, 4).reshape(-1) for _ in range(3)]).astype(complex)
-    before = handle.lyapunov(pts)
+    before = handle.evaluate(pts).lyapunov
     pts[1] = random_feasible_psd(rng, 4, rank=1).reshape(-1)
-    after = handle.lyapunov(pts)
+    after = handle.evaluate(pts).lyapunov
     assert after[1] != before[1] and after[1] <= 1e-12
-    assert after.tobytes() == lrsdp_certified_problem(inst).handle.lyapunov(pts).tobytes()
+    fresh = lrsdp_certified_problem(inst).handle.evaluate(pts).lyapunov
+    assert after.tobytes() == fresh.tobytes()
+
+
+def end_residual_cases(name):
+    """``(handle, point, trace)`` triples: restorations of OPF samples, a
+    stage-by-stage LRSDP reduction, or two-segment paths of an
+    intersection composite."""
+    if name == "opf":
+        problem, points = opf_samples(4, 5)
+        return [(problem.handle, x, problem.path_factory(x)) for x in points]
+    if name == "lrsdp":
+        rng = np.random.default_rng(12)
+        inst = random_spectraplex_instance(rng, n=5, degenerate=True)
+        X0 = random_feasible_psd(rng, 5)
+        trace = reduce_rank_path(inst, X0).trace
+        assert trace.segments >= 3
+        return [(lrsdp_certified_problem(inst).handle, X0.reshape(-1), trace)]
+    comp = intersect_feasible(block_primitive(0), block_primitive(1), split=([0], [1]))
+    points = np.random.default_rng(15).uniform(0.05, 1.0, size=(10, 2)).astype(complex)
+    traces = [comp.path_factory(x) for x in points]
+    assert all(tr.segments == 2 for tr in traces)
+    return [(comp.handle, x, tr) for x, tr in zip(points, traces)]
+
+
+@pytest.mark.parametrize("name", ["opf", "lrsdp", "intersect"])
+def test_end_residual_is_the_endpoint_evaluated_alone(name):
+    """The endpoint's feasible residual, read from the last knot segment's
+    evaluation, equals that of the endpoint evaluated alone, bit for bit."""
+    for handle, x, trace in end_residual_cases(name):
+        got = core.verify_path(handle, x, trace).end_residual
+        assert got.hex() == float(handle.evaluate(trace.end).feasible).hex()
