@@ -38,6 +38,8 @@ FEAS_TOL = 1e-8
 MONOTONE_SLACK = 1e-12
 # Default sample count per linear segment of a constructed path.
 SEGMENT_SAMPLES = 101
+# Most cells that write_trace_csv formats at once.
+CSV_BLOCK_CELLS = 2**14
 
 
 class PreconditionError(ValueError):
@@ -386,20 +388,20 @@ def write_trace_csv(
     Each callable maps the ``(K, d)`` sample matrix to one row (or value)
     per sample; ``coordinate_rows`` gives the real values matching
     ``coordinate_labels``, whose order callers fix so files are
-    deterministic and diffable.  The table is written one knot segment at
-    a time, and a cell is formatted only where its float64 bits differ from
-    the cell above; elsewhere it reuses that cell's text.
+    deterministic and diffable.  The table is formatted in blocks of at
+    most ``CSV_BLOCK_CELLS`` cells (at least one row), and a cell is
+    formatted only where its float64 bits differ from the cell above, in
+    the block or written before it; elsewhere it reuses that cell's text.
     """
     pts = trace.points
     columns = (trace.params, cost(pts), lyapunov(pts), coordinate_rows(pts))
-    knots = trace.knots.tolist()
+    step = max(1, CSV_BLOCK_CELLS // (3 + len(coordinate_labels)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["t", "f", "V", *coordinate_labels])
         above = None  # the text of the last row written
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            # the knot row lo opens the block; after the first segment it
-            # was written already, as the last row of the one before
-            block = np.column_stack([c[lo:hi + 1] for c in columns])
+        for lo in range(0, len(trace), step):
+            # after the first block, the row written last opens the block
+            block = np.column_stack([c[max(lo - 1, 0):lo + step] for c in columns])
             bits = block.view(np.uint64)  # -0.0 and 0.0 differ here
             fresh = np.ones(block.shape, dtype=bool)
             np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
@@ -413,6 +415,5 @@ def write_trace_csv(
             source = np.where(fresh, np.arange(len(block))[:, None], 0)
             np.maximum.accumulate(source, axis=0, out=source)
             text = text[source, np.arange(block.shape[1])]
-            fh.writelines(",".join(row) + "\r\n"
-                          for row in text[0 if above is None else 1:].tolist())
-            above = text[-1]
+            fh.writelines(",".join(row) + "\r\n" for row in text[min(lo, 1):].tolist())
+            above = text[-1].copy()  # a view would keep the block's text alive

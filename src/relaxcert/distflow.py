@@ -300,6 +300,8 @@ def empty_box(net: RadialNetwork) -> str:
     for b, lo, hi in zip(net.buses, net.s_min, net.s_max):
         if b.v_min > b.v_max:
             return f"bus {b.id}: v_min {b.v_min:.6g} > v_max {b.v_max:.6g}"
+        if b.v_max < 0:  # v is a squared voltage
+            return f"bus {b.id}: v_max {b.v_max:.6g} < 0"
         if lo.real > hi.real or lo.imag > hi.imag:
             return f"bus {b.id}: s_min > s_max"
     for ln in net.lines:

@@ -515,13 +515,7 @@ def write_reduction_csv(path: str, inst: LrsdpInstance, trace: PathTrace,
     """Trace CSV with flattened row-major matrix entries; the ``f`` and ``V``
     columns are the costs and Lyapunov values that ``check``, the
     :func:`~relaxcert.core.verify_path` result for ``trace``, measured."""
-    n = inst.n
-    labels = [f"X{i}{j}_{part}" for i in range(n) for j in range(n)
+    labels = [f"X{i}{j}_{part}" for i in range(inst.n) for j in range(inst.n)
               for part in ("re", "im")]
-
-    write_trace_csv(
-        path, trace, labels,
-        lambda pts: np.ascontiguousarray(pts).view(float),
-        cost=lambda pts: check.costs,
-        lyapunov=lambda pts: check.lyapunov,
-    )
+    write_trace_csv(path, trace, labels, lambda pts: np.ascontiguousarray(pts).view(float),
+                    cost=lambda pts: check.costs, lyapunov=lambda pts: check.lyapunov)

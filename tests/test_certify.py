@@ -338,18 +338,22 @@ class TestBruteForceOracle:
         with pytest.raises(InfeasibleAtResolutionError):
             brute_force_oracle(gp, resolution=0.05)
 
-    @pytest.mark.parametrize("bus, line, message", [
-        ({"v_min": 1.3, "v_max": 1.2}, {}, "bus 1: v_min 1.3 > v_max 1.2"),
-        ({"s_min": complex(3.0, 0.0)}, {}, "bus 1: s_min > s_max"),
-        ({}, {"l_max": -1.0}, "line 0->1: l_max -1 < 0"),
-    ], ids=["voltage", "injection", "current"])
-    def test_empty_box_is_named_before_the_model(self, bus, line, message):
+    @pytest.mark.parametrize("root, bus, line, message", [
+        ({}, {"v_min": 1.3, "v_max": 1.2}, {}, "bus 1: v_min 1.3 > v_max 1.2"),
+        ({}, {"s_min": complex(3.0, 0.0)}, {}, "bus 1: s_min > s_max"),
+        ({}, {}, {"l_max": -1.0}, "line 0->1: l_max -1 < 0"),
+        ({"v_min": -1.0, "v_max": -0.5}, {}, {}, "bus 0: v_max -0.5 < 0"),
+    ], ids=["voltage", "injection", "current", "negative-voltage"])
+    def test_empty_box_is_named_before_the_model(self, root, bus, line, message):
         # an empty box is an input fault, not a resolution one; the current
-        # box is checked before its square root is taken
+        # box and the line's tail voltage box are checked before the square
+        # root of their product is taken
         from relaxcert.distflow import RadialNetwork
         net, cost = two_bus_case(np.random.default_rng(9))
+        assert net.lines[0].tail == net.buses[0].id
         bad_net = RadialNetwork(
-            buses=(net.buses[0], dataclasses.replace(net.buses[1], **bus)),
+            buses=(dataclasses.replace(net.buses[0], **root),
+                   dataclasses.replace(net.buses[1], **bus)),
             lines=(dataclasses.replace(net.lines[0], **line),), root=net.root)
         with pytest.raises(PreconditionError) as info:
             eliminated_opf_grid(bad_net, cost)
@@ -448,21 +452,11 @@ class TestOracleLattice:
         ("demo_2bus", 0.01), ("demo_lrsdp", 0.04), ("demo_lrsdp", 0.02),
         ("demo_lrsdp", 0.05), ("bad_current_limit", 0.02),
         ("two_bus_case-8", 0.0057), ("two_bus_case-21", 0.0057)])
-    def test_lattice_oracle_matches_kd_tree_oracle(self, monkeypatch, name, resolution):
+    def test_lattice_oracle_matches_kd_tree_oracle(self, name, resolution):
         gp = scan_problem(name)
         oracle = brute_force_oracle(gp, resolution)
-        lattice_adjacency = LandscapeGrid.adjacency
-        with monkeypatch.context() as patch:  # the scan's graph from the KD-tree
-            patch.setattr(LandscapeGrid, "adjacency", lambda grid: lattice_adjacency(
-                dataclasses.replace(grid, lattice=None)))
-            reference = brute_force_oracle(gp, resolution)
-        np.testing.assert_array_equal(oracle.points, reference.points)
-        np.testing.assert_array_equal(oracle.labels, reference.labels)
-        assert oracle.label_counts == reference.label_counts
-        assert oracle.n_components == reference.n_components
-        assert oracle.max_slope == reference.max_slope
-        # the labels and the slope bound come from the stencil sweep, which
-        # the patch above does not reach: compare with the KD-tree as well
+        # the labels, the component count and the slope bound against the
+        # KD-tree graph of the scan's points
         assert_matches_kd_tree(oracle, *kd_tree_references(oracle))
         # the lattice route of classify_local_optima on the scan's own mask
         cells = np.rint((oracle.points - gp.lower) / resolution).astype(int)

@@ -618,6 +618,12 @@ class TestCertifyCommand:
         assert main(["certify", str(bad), "--out", str(tmp_path / "out")]) == 1
 
 
+def negative_voltage_box(data):
+    """Give bus 0 an ordered box below zero, empty since ``v`` is a squared
+    voltage."""
+    data["buses"][0].update(v_min=-1.0, v_max=-0.5)
+
+
 class TestOracleCommand:
     def test_two_bus_scan(self, tmp_path):
         out = str(tmp_path / "run")
@@ -664,7 +670,8 @@ class TestOracleCommand:
          "error: line 0->1: l_max -1 < 0\n"),
         (lambda data: data["buses"][1].update(v_min=1.2, v_max=1.1),
          "error: bus 1: v_min 1.2 > v_max 1.1\n"),
-    ], ids=["negative-current-limit", "reversed-voltage-box"])
+        (negative_voltage_box, "error: bus 0: v_max -0.5 < 0\n"),
+    ], ids=["negative-current-limit", "reversed-voltage-box", "negative-voltage-box"])
     def test_empty_box_names_its_bus_or_line(self, tmp_path, capsys, edit, message):
         # an empty box is bad input, exit 1 naming it, not a resolution or
         # scan-budget fault; no square root of a negative limit is taken
@@ -679,6 +686,16 @@ class TestOracleCommand:
         assert code == 1
         assert capsys.readouterr().err == message
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_opf_rejects_a_negative_voltage_box_by_its_assumption(self, tmp_path, capsys):
+        # opf never reaches the empty-box presolve: boxes_ordered fails first
+        data = read_json(case("demo_2bus.json"))
+        negative_voltage_box(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["opf", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert ("assumption boxes_ordered failed: bus 0: v_min=-1.0 must be positive\n"
+                in capsys.readouterr().err)
 
 
 class TestClassifyCommand:

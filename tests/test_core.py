@@ -1,12 +1,14 @@
 """Tests for path traces, lengths, reparameterization and the m-norm."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relaxcert.core as core
 from relaxcert.core import (
     PathTrace,
     arc_length_reparameterize,
@@ -349,12 +351,16 @@ def csv_lyapunov(x):
     return -x[..., -1].imag
 
 
-def assert_csv_matches_the_csv_module(directory, trace):
+def assert_csv_matches_the_csv_module(directory, trace, rows_per_block=None):
     """``write_trace_csv`` gives the bytes of ``csv.writer`` fed with the
-    same Python floats, row by row; returns those bytes."""
+    same Python floats, row by row; returns those bytes.  With
+    ``rows_per_block`` the writer's cell budget is cut to that many rows."""
     labels = [f"c{i}" for i in range(2 * trace.dim)]
     path = directory / "trace.csv"
-    write_trace_csv(str(path), trace, labels, csv_coordinates, csv_cost, csv_lyapunov)
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block is not None:
+            patch.setattr(core, "CSV_BLOCK_CELLS", rows_per_block * (3 + len(labels)))
+        write_trace_csv(str(path), trace, labels, csv_coordinates, csv_cost, csv_lyapunov)
     reference = directory / "reference.csv"
     with open(reference, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -368,17 +374,21 @@ def assert_csv_matches_the_csv_module(directory, trace):
 
 
 def test_trace_csv_matches_the_csv_module(tmp_path):
+    """In one block, and in three blocks of one row."""
     pts = np.array([[-0.0, 1e-300 + 1e16j], [0.1, -2.5 - 1e-300j],
                     [1e16, 1 / 3 + 0.0j]], dtype=complex)
     trace = PathTrace(params=np.array([0.0, 0.5, 1.0]), points=pts, knots=[0, 1, 2])
-    written = assert_csv_matches_the_csv_module(tmp_path, trace)
-    assert b"-0.0," in written and b"1e-300" in written
+    for rows_per_block in (None, 1):
+        written = assert_csv_matches_the_csv_module(tmp_path, trace, rows_per_block)
+        assert b"-0.0," in written and b"1e-300" in written
 
 
 def test_trace_csv_reuses_text_only_for_equal_bits(tmp_path):
     """Many segments of repeated rows: a constant stage, a column constant
     across a knot, 0.0 then -0.0 in one column, subnormals and values near
-    the ends of the float range."""
+    the ends of the float range; in one block, and in blocks of one, two
+    and three rows, where every repeat and every flip straddles a block
+    boundary (one row), and so does the constant stage (three rows)."""
     tiny, huge = 5e-324, 1.7976931348623157e308
     # real and imaginary part of each of two coordinates, per sample
     cells = [
@@ -401,27 +411,54 @@ def test_trace_csv_reuses_text_only_for_equal_bits(tmp_path):
     pts = np.array(cells).view(complex)
     trace = PathTrace(params=np.linspace(0.0, 1.0, len(pts)), points=pts,
                       knots=[0, 4, 8, 11, 14])
-    written = assert_csv_matches_the_csv_module(tmp_path, trace)
-    lines = written.split(b"\r\n")
-    assert len(lines) == len(pts) + 2  # header, one line per sample, the final break
-    assert lines[1].split(b",")[3] == b"0.0" and lines[2].split(b",")[3] == b"-0.0"
-    assert b"5e-324" in written and b"1e-310" in written
-    assert b"1.7976931348623157e+308" in written
+    for rows_per_block in (None, 1, 2, 3):
+        written = assert_csv_matches_the_csv_module(tmp_path, trace, rows_per_block)
+        lines = written.split(b"\r\n")
+        assert len(lines) == len(pts) + 2  # header, one line per sample, the final break
+        assert lines[1].split(b",")[3] == b"0.0" and lines[2].split(b",")[3] == b"-0.0"
+        assert b"5e-324" in written and b"1e-310" in written
+        assert b"1.7976931348623157e+308" in written
 
 
 POOL = [0.0, -0.0, 1.0, -1.0, 1 / 3, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.5]
 
 
-@given(st.integers(min_value=2, max_value=40).flatmap(lambda k: st.tuples(
+@given(st.integers(min_value=3, max_value=40).flatmap(lambda k: st.tuples(
     st.lists(st.lists(st.sampled_from(POOL), min_size=4, max_size=4),
              min_size=k, max_size=k),
-    st.lists(st.booleans(), min_size=k - 2, max_size=k - 2))))
+    st.lists(st.booleans(), min_size=k - 2, max_size=k - 2),
+    st.integers(min_value=1, max_value=k // 3))))
 @settings(max_examples=60, deadline=None)
 def test_trace_csv_of_repeating_values_matches_the_csv_module(tmp_path_factory, drawn):
     """Values from a small pool, so most cells repeat the one above, on
-    traces cut into segments at random knots."""
-    cells, is_knot = drawn
+    traces cut into segments at random knots and written in blocks of a
+    random number of rows, at least three blocks."""
+    cells, is_knot, rows_per_block = drawn
     knots = [0, *(i + 1 for i, knot in enumerate(is_knot) if knot), len(cells) - 1]
     trace = PathTrace(params=np.linspace(0.0, 1.0, len(cells)),
                       points=np.array(cells).view(complex), knots=knots)
-    assert_csv_matches_the_csv_module(tmp_path_factory.mktemp("csv"), trace)
+    assert_csv_matches_the_csv_module(tmp_path_factory.mktemp("csv"), trace,
+                                      rows_per_block)
+
+
+def test_trace_csv_memory_is_bounded_by_its_blocks(tmp_path):
+    """A trace of the rank reduction's shape at n = 20 with C = I: 19 stages
+    of 100 samples, 400 complex coordinates with zero imaginary parts, 20
+    of them moving at every sample.  Beyond its inputs the writer holds one
+    block's text (about 0.7 MiB); a writer that formats one knot segment at
+    a time holds about 3.6 MiB here."""
+    rng = np.random.default_rng(3)
+    pts = np.ones((1901, 400), dtype=complex)
+    pts[:, :20] = rng.normal(size=(1901, 20))
+    trace = PathTrace(params=np.linspace(0.0, 1.0, 1901), points=pts,
+                      knots=np.arange(0, 1901, 100))
+    rows, cost, lyapunov = pts.view(float), pts[:, 0].real.copy(), pts[:, 1].real.copy()
+    labels = [f"c{i}" for i in range(800)]
+    tracemalloc.start()
+    try:
+        write_trace_csv(str(tmp_path / "trace.csv"), trace, labels, lambda _: rows,
+                        lambda _: cost, lambda _: lyapunov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
