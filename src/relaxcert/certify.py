@@ -608,12 +608,12 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     slab whole rows of the leading axis and at most ``SCAN_SLAB_CELLS``
     cells unless one row is longer, so the mask is the only array the size
     of the lattice; the feasible points are read from its set cells and the
-    axis values, and their costs from one model call.  The mask, cut to the
-    bounding box of its feasible cells, stays on the grid as the
-    ``LandscapeGrid`` lattice: one sweep over its stencil offsets gives the
-    neighbor minima, the plateau pairs and the slope bound
-    (:func:`_lattice_sweep`), and the component count reads the stencil's
-    edge list (:meth:`LandscapeGrid.adjacency`).
+    axis values, and their costs are kept from the slabs' evaluations, in
+    the same C order.  The mask, cut to the bounding box of its feasible
+    cells, stays on the grid as the ``LandscapeGrid`` lattice: one sweep
+    over its stencil offsets gives the neighbor minima, the plateau pairs
+    and the slope bound (:func:`_lattice_sweep`), and the component count
+    reads the stencil's edge list (:meth:`LandscapeGrid.adjacency`).
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
@@ -631,21 +631,24 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     eq_band = problem.eq_scale * resolution
     mask = np.ones(sizes, dtype=bool)
     step = max(1, SCAN_SLAB_CELLS // max(1, math.prod(sizes[1:])))
+    slab_costs = []
     for start in range(0, sizes[0], step):
         slab = mask[start:start + step]
-        _, ineqs, eqs = problem.model(*np.meshgrid(
+        cost, ineqs, eqs = problem.model(*np.meshgrid(
             axes[0][start:start + step], *axes[1:], indexing="ij"))
         for g in ineqs:
             slab &= g <= 1e-9
         for h in eqs:
             slab &= np.abs(h) <= eq_band
+        slab_costs.append(cost[slab])
     if not mask.any():
         raise InfeasibleAtResolutionError(
             f"no feasible grid point at resolution {resolution}")
 
+    costs = np.concatenate(slab_costs)
+    del slab_costs  # the joined costs are the only copy kept
     pts = np.stack([axis[cells] for axis, cells in zip(axes, np.nonzero(mask))],
                    axis=1)
-    costs = problem.model(*pts.T)[0]
     grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
                          lattice=_bounding_box(mask))
     neighbor_min, plateau, max_slope = _lattice_sweep(grid)

@@ -47,8 +47,6 @@ from relaxcert.core import (
 from relaxcert.distflow import (
     case_from_dict,
     pack_point,
-    residual_X,
-    residual_Xhat,
     sample_relaxed_points,
     validate_assumptions,
 )
@@ -64,7 +62,6 @@ from relaxcert.restore import (
     cprime_margin,
     cprime_reference,
     opf_certified_problem,
-    restoration_path,
     write_restoration_csv,
 )
 from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
@@ -186,19 +183,18 @@ def cmd_opf(args: argparse.Namespace) -> int:
     problem = opf_certified_problem(net, cost)
     optimum = pack_point(res.point)
     optimum_path = check = None
-    residual = residual_X(net, res.point)
-    if residual > args.tol:
-        # the optimum's one membership test: restoration_path judges nothing
-        r_hat = residual_Xhat(net, res.point)
-        if r_hat > args.tol:
-            raise PreconditionError(f"point is not relaxed-feasible "
-                                    f"(residual {r_hat:.3g} > {args.tol:.1g})")
-        optimum_path = restoration_path(net, res.point)
+    # the optimum's one membership test: the path factory judges nothing
+    measured = problem.handle.evaluate(optimum)
+    if measured.feasible > args.tol:
+        if measured.relaxed > args.tol:
+            raise PreconditionError(f"point is not relaxed-feasible (residual "
+                                    f"{measured.relaxed:.3g} > {args.tol:.1g})")
+        optimum_path = problem.path_factory(optimum)
         check = verify_path(problem.handle, optimum, optimum_path)
         _raise_first_fault(check.conditions(args.tol),
                            "restoring the relaxation optimum")
-    verdict = check_exactness(res.optimality_residual, residual, check,
-                              tol=args.tol)
+    verdict = check_exactness(res.optimality_residual, measured.feasible,
+                              check, tol=args.tol)
 
     rng = np.random.default_rng(args.seed)
     samples = [pack_point(x) for x in

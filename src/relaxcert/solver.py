@@ -12,7 +12,8 @@ step of every iteration reuses one sparse factorization of ``I + A'A``, the
 Schur complement of the embedding's KKT matrix, and the cone projections
 treat all rotated cones of one dimension in a single call; over-relaxation
 and Ruiz equilibration complete the method.  Infeasibility and unboundedness
-are reported through the embedding's certificates.
+are reported through the embedding's certificates, read from the iterate
+itself at a check once its tau has collapsed (as SCS does).
 
 Every exit of :func:`solve_conic` builds one :class:`SolveResult` with status
 ``optimal``, ``infeasible``, ``unbounded`` or ``max_iter``.  A certificate
@@ -310,7 +311,6 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> So
     it = 0
     check_every = 25
     cert_tol = 1e-6
-    u_mark = uz.copy()
     for it in range(1, max_iter + 1):
         z_t, tau_t = kkt(uz + vz, ut + vt)
         rel_z = alpha * z_t + (1.0 - alpha) * uz
@@ -346,21 +346,20 @@ def solve_conic(prog: ConicProgram, options: dict[str, Any] | None = None) -> So
                 status = "optimal"
                 break
 
-        # certificates live in the displacement of the homogeneous iterate;
-        # only trust them once tau has collapsed relative to the iterate
-        du = uz - u_mark
-        u_mark = uz.copy()
+        # once tau has collapsed relative to the iterate, the iterate itself
+        # is the candidate certificate: y in K* with A'y = 0 and b'y < 0, or
+        # x with Ax in -K and c'x < 0
         if tau <= 1e-3 * max(1.0, u_norm):
-            dy = d * du[n:]
-            by = float(prog.b @ dy)
+            y_ray = d * uz[n:]
+            by = float(prog.b @ y_ray)
             if by < -1e-12:
-                if np.linalg.norm(prog.A.T @ dy) <= cert_tol * (-by):
+                if np.linalg.norm(prog.A.T @ y_ray) <= cert_tol * (-by):
                     return SolveResult("infeasible", it, opts)
-            dx = e * du[:n]
-            cx = float(prog.c @ dx)
+            x_ray = e * uz[:n]
+            cx = float(prog.c @ x_ray)
             if cx < -1e-12:
-                s_cand = _project_primal_cone(-prog.A @ dx, prog.cones)
-                if np.linalg.norm(prog.A @ dx + s_cand) <= cert_tol * (-cx):
+                s_cand = _project_primal_cone(-prog.A @ x_ray, prog.cones)
+                if np.linalg.norm(prog.A @ x_ray + s_cand) <= cert_tol * (-cx):
                     return SolveResult("unbounded", it, opts)
 
     ray_note = ""

@@ -2,6 +2,7 @@
 and multistart search."""
 
 import dataclasses
+import math
 import os
 import tracemalloc
 
@@ -447,14 +448,40 @@ def assert_matches_kd_tree(oracle, labels, n_comp, max_slope):
     assert oracle.max_slope == max_slope
 
 
+def shape_recorded(gp):
+    """``gp`` with a model that records the shape of its first coordinate
+    at each call, and the list of those shapes."""
+    shapes = []
+
+    def model(*u):
+        shapes.append(np.shape(u[0]))
+        return gp.model(*u)
+
+    return dataclasses.replace(gp, model=model), shapes
+
+
 class TestOracleLattice:
     @pytest.mark.parametrize("name, resolution", [
         ("demo_2bus", 0.01), ("demo_lrsdp", 0.04), ("demo_lrsdp", 0.02),
         ("demo_lrsdp", 0.05), ("bad_current_limit", 0.02),
         ("two_bus_case-8", 0.0057), ("two_bus_case-21", 0.0057)])
     def test_lattice_oracle_matches_kd_tree_oracle(self, name, resolution):
-        gp = scan_problem(name)
+        gp, shapes = shape_recorded(scan_problem(name))
         oracle = brute_force_oracle(gp, resolution)
+        # the model runs first on slabs of the lattice, whose cells add up
+        # to the lattice; later calls are the refutation's points, Jacobian
+        # columns and segments, never the feasible stack
+        slabs = [s for s in shapes if len(s) == gp.dim]
+        assert shapes[:len(slabs)] == slabs
+        assert sum(map(math.prod, slabs)) == math.prod(_axis_lengths(gp, resolution))
+        later = shapes[len(slabs):]
+        assert all(len(s) < gp.dim for s in later)
+        assert (len(oracle.points),) not in later
+        # the costs kept from the slabs are the model's costs at the
+        # feasible points, bit for bit
+        costs = gp.model(*oracle.points.T)[0]
+        assert costs.dtype == oracle.costs.dtype
+        assert costs.tobytes() == oracle.costs.tobytes()
         # the labels, the component count and the slope bound against the
         # KD-tree graph of the scan's points
         assert_matches_kd_tree(oracle, *kd_tree_references(oracle))

@@ -31,6 +31,7 @@ from relaxcert.lrsdp import (
     instance_to_dict,
     lyapunov_tail,
 )
+from relaxcert.restore import restoration_path
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -138,6 +139,16 @@ class TestOpfCommand:
         err = capsys.readouterr().err
         assert "relaxation infeasible" in err and "l_max" in err
 
+    def test_overloaded_line_exits_2_with_cause(self, tmp_path, capsys):
+        # bus 1 must inject 2 + 2j over a line capped at l_max = 2; the
+        # solver reads the certificate from its iterate long before max_iter
+        out = tmp_path / "run"
+        assert main(["opf", case("overloaded_2bus.json"), "--out", str(out)]) == 2
+        assert read_json(out / "report.json")["verdict"] == "infeasible"
+        solve = read_json(out / "solve.json")
+        assert solve["status"] == "infeasible" and solve["iterations"] <= 1000
+        assert "relaxation infeasible" in capsys.readouterr().err
+
     def test_unbounded_feeder_meets_absolute_membership(self, tmp_path):
         # a primal stop test scaled by 1 + |b| leaves this feeder's cone rows
         # 1.01e-8 outside the absolute --tol of 1e-8
@@ -172,6 +183,10 @@ class TestOpfCommand:
 
     def test_infeasible_optimum_is_restored(self, tmp_path, monkeypatch):
         net, slack = stub_slack_optimum(monkeypatch)
+        verified = []
+        verify = cli.verify_path
+        monkeypatch.setattr(cli, "verify_path", lambda handle, point, path: (
+            verified.append(path), verify(handle, point, path))[1])
         out = tmp_path / "run"
         code = main(["opf", case("demo_3bus.json"), "--out", str(out),
                      "--samples", "5"])
@@ -192,6 +207,13 @@ class TestOpfCommand:
             S = complex(last[f"S_{key}_re"], last[f"S_{key}_im"])
             assert abs(S) ** 2 == pytest.approx(
                 last[f"v{ln.tail}"] * last[f"ell_{key}"], abs=1e-8)
+        # the path factory, given the packed optimum, builds the path that
+        # restoration_path builds from the operating point, bit for bit
+        [path] = verified
+        expected = restoration_path(net, slack)
+        for field in ("params", "points", "knots"):
+            got, want = (np.asarray(getattr(p, field)) for p in (path, expected))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_faulty_optimum_restoration_exits_2_with_cause(
             self, tmp_path, monkeypatch, capsys):

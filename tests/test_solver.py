@@ -19,7 +19,7 @@ from relaxcert.distflow import (
     residual_X,
     residual_Xhat,
 )
-from relaxcert.lrsdp import LrsdpInstance
+from relaxcert.lrsdp import LrsdpInstance, load_instance
 from relaxcert.solver import (
     DEFAULT_OPTIONS,
     _kkt_solver,
@@ -220,10 +220,21 @@ class TestOpfSolve:
         assert abs(res.gap - abs(res.primal_obj - res.dual_obj)) <= 1e-12
 
     def test_max_iter_reports_residuals(self):
+        # the overloaded line's certificate is found at iteration 125; a run
+        # stopped at 100 ends at max_iter without an iterate
         net, cost, _ = fixed_load_case(load=10.0 + 0.0j)  # line overload
-        res = solve_opf_relaxation(net, cost, options={"max_iter": 2000})
+        res = solve_opf_relaxation(net, cost, options={"max_iter": 100})
         assert res.status == "max_iter"
         assert res.point is None
+        assert res.note.startswith("homogeneous ray dominates the iterate")
+
+    def test_overloaded_line_is_infeasible(self):
+        # the iterate itself is the certificate once tau has collapsed, long
+        # before max_iter
+        net, cost, _ = fixed_load_case(load=10.0 + 0.0j)
+        res = solve_opf_relaxation(net, cost)
+        assert res.status == "infeasible"
+        assert res.iterations <= 1000
 
 
 class TestLrsdpSolve:
@@ -244,6 +255,14 @@ class TestLrsdpSolve:
         inst = LrsdpInstance(C=np.eye(2), A=[np.zeros((2, 2))], b=[1.0], r=1)
         res = solve_lrsdp_relaxation(inst)
         assert res.status == "infeasible"
+
+    def test_negative_trace_is_infeasible(self):
+        # trace X = -1 has no PSD solution; the iterate itself is the
+        # certificate once tau has collapsed
+        inst = load_instance(os.path.join(CASES, "demo_lrsdp.json"))
+        res = solve_lrsdp_relaxation(dataclasses.replace(inst, b=[-1.0]))
+        assert res.status == "infeasible"
+        assert res.iterations <= 1000
 
     def test_point_meets_constraint_to_membership_tolerance(self):
         # the point is read from the PSD block of the slack, so each diagonal
@@ -292,7 +311,7 @@ def no_iterate_results():
     return {
         "empty box": solve_opf_relaxation(empty, cost, {"max_iter": 7}),
         "max_iter": solve_opf_relaxation(overload, overload_cost,
-                                         {"max_iter": 2000}),
+                                         {"max_iter": 100}),
         "infeasible": solve_lrsdp_relaxation(
             LrsdpInstance(C=np.eye(2), A=[np.zeros((2, 2))], b=[1.0], r=1),
             {"max_iter": 7000}),
@@ -316,7 +335,7 @@ class TestSolveResult:
             assert res.options == {**DEFAULT_OPTIONS,
                                    "max_iter": res.options["max_iter"]}, name
         assert [r.options["max_iter"] for r in results.values()] == [
-            7, 2000, 7000, 7000]
+            7, 100, 7000, 7000]
 
     def test_a_point_exists_exactly_when_an_iterate_does(self):
         net, cost = load_case(os.path.join(CASES, "demo_3bus.json"))

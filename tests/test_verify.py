@@ -244,17 +244,17 @@ def test_opf_run_measures_the_optimum_and_reference_once(tmp_path, monkeypatch):
                  "--samples", str(n), "--out", str(out)]) == 0
     notes = json.loads((out / "report.json").read_text())["notes"]
     assert notes[0].startswith("optimum is feasible")
-    # the optimum's one membership test; exactness reads its residual
-    assert len(feasible) == 1
+    # the optimum is measured by the handle, not by the residual functions
+    assert feasible == []
     # the sampler's relaxed residuals depend on its rejected draws, so this
-    # run's count is pinned, not a formula in n; the optimum is feasible,
-    # so its relaxed residual is not needed
+    # run's count is pinned, not a formula in n; they are its only calls
     assert len(relaxed) == 5
-    # the checker's handle evaluates the sample stack, then each path's one
-    # knot segment; the CSV writer's handle evaluates its trace once
+    # the checker's handle evaluates the optimum's (d,) vector once, for
+    # both residuals, then the sample stack and each path's one knot
+    # segment; the CSV writer's handle evaluates its trace once
     net, _ = distflow.load_case(os.path.join(CASES, "demo_2bus.json"))
     d = 2 * (net.n_bus + net.n_line)
-    assert evaluated == [[(n, d)] + [(core.SEGMENT_SAMPLES, d)] * n,
+    assert evaluated == [[(d,), (n, d)] + [(core.SEGMENT_SAMPLES, d)] * n,
                          [(core.SEGMENT_SAMPLES, d)]]
     # the c' note reads the instance constant once; margins only measure
     assert len(reference) == 1
