@@ -6,9 +6,9 @@ bounded-segment proxy, and global statements through an exhaustive grid
 oracle plus deterministic multistart local search on eliminated low-dimension
 models.
 
-The scipy modules that only the landscape layer uses here (``scipy.optimize``,
-``scipy.spatial``, ``scipy.stats``) are imported inside the functions that
-call them, so ``relaxcert opf``, ``lrsdp`` and ``certify`` never load them.
+The scipy modules only the landscape layer uses (``ndimage``, ``optimize``,
+``spatial``, ``stats``) are imported inside the functions that call them, so
+``relaxcert opf``, ``lrsdp`` and ``certify`` never load them.
 """
 
 from __future__ import annotations
@@ -261,11 +261,11 @@ class LandscapeGrid:
     Two cells are then neighbors exactly when their index offset lies in
     {-1, 0, 1}^d with one or two nonzero entries: those are 1 and sqrt(2)
     spacings apart, while sqrt(3) and any offset with a +-2 entry lie
-    outside the radius.  :meth:`adjacency` takes its pairs from that
-    stencil, and :func:`classify_local_optima` compares shifted slices of
-    the cost lattice along it instead of gathering over those pairs.
-    Without a lattice (arbitrary ``classify`` points) a KD-tree finds the
-    pairs within ``radius``.
+    outside the radius.  :func:`classify_local_optima` compares shifted
+    slices of the cost lattice along that stencil and the scan labels the
+    mask's components with it, so neither lists the pairs.  Without a
+    lattice (arbitrary ``classify`` points), :meth:`adjacency` finds the
+    pairs within ``radius`` with a KD-tree.
     """
 
     points: np.ndarray
@@ -293,18 +293,12 @@ class LandscapeGrid:
 
     def adjacency(self) -> np.ndarray:
         """The undirected neighbor graph as an ``(E, 2)`` array of point
-        index pairs ``(i, j)`` with ``i < j``, each edge once."""
-        if self.lattice is None:
-            import scipy.spatial  # slow to import; only classify input needs it
+        index pairs ``(i, j)`` with ``i < j``, each edge once, from a
+        KD-tree query within ``radius``; the lattice is not read."""
+        import scipy.spatial  # slow to import; only classify input needs it
 
-            tree = scipy.spatial.cKDTree(self.points)
-            return tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
-        index = _lattice_index(self.lattice)
-        pairs = []
-        for _, src, dst in _stencil(self.lattice.shape):
-            both = (index[src] >= 0) & (index[dst] >= 0)
-            pairs.append(np.stack([index[src][both], index[dst][both]], axis=1))
-        return np.concatenate(pairs)
+        tree = scipy.spatial.cKDTree(self.points)
+        return tree.query_pairs(self.radius * (1 + 1e-9), output_type="ndarray")
 
 
 def _stencil(shape: tuple[int, ...]) -> Iterator[tuple]:
@@ -320,15 +314,6 @@ def _stencil(shape: tuple[int, ...]) -> Iterator[tuple]:
         src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
         dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
         yield offset, src, dst
-
-
-def _lattice_index(lattice: np.ndarray) -> np.ndarray:
-    """The C-order point index of each set cell, ``-1`` elsewhere."""
-    # int32 halves the pair arrays
-    index = np.full(lattice.shape, -1,
-                    dtype=np.int32 if lattice.size < 2**31 else np.intp)
-    index[lattice] = np.arange(np.count_nonzero(lattice))
-    return index
 
 
 def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -354,16 +339,20 @@ def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
         axis = np.full(lattice.shape[k], np.nan)
         axis[cells] = grid.points[:, k]
         axes.append(axis)
-    index = _lattice_index(lattice)
+    # each set cell's C-order point index; int32 halves the plateau pairs
+    index = np.full(lattice.shape, -1, dtype=np.int32 if lattice.size < 2**31 else np.intp)
+    index[lattice] = np.arange(len(grid.points))
     neighbor_min = np.full(lattice.shape, np.inf)
+    buffer = np.empty(lattice.shape)  # each offset's gaps, then its slopes
     plateau = []
     max_slope = 0.0
     for offset, src, dst in _stencil(lattice.shape):
         a, b = cost[src], cost[dst]
         np.minimum(neighbor_min[src], b, out=neighbor_min[src])
         np.minimum(neighbor_min[dst], a, out=neighbor_min[dst])
+        gap = buffer[tuple(slice(0, n) for n in a.shape)]
         with np.errstate(invalid="ignore"):  # inf - inf off the mask
-            gap = np.abs(a - b)
+            np.abs(np.subtract(a, b, out=gap), out=gap)
         flat = gap <= EQUAL_COST_TOL
         plateau.append(np.stack([index[src][flat], index[dst][flat]], axis=1))
         squares = 0.0
@@ -372,7 +361,7 @@ def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
                 diff = axes[k][src[k]] - axes[k][dst[k]]
                 squares = squares + (diff * diff).reshape(
                     [-1 if m == k else 1 for m in range(ndim)])
-        slopes = gap / np.sqrt(squares)
+        slopes = np.divide(gap, np.sqrt(squares), out=gap)
         both = lattice[src] & lattice[dst]
         max_slope = max(max_slope, float(slopes.max(initial=0.0, where=both)))
     return neighbor_min[lattice], np.concatenate(plateau), max_slope
@@ -613,12 +602,14 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     cells, stays on the grid as the ``LandscapeGrid`` lattice: one sweep
     over its stencil offsets gives the neighbor minima, the plateau pairs
     and the slope bound (:func:`_lattice_sweep`), and the component count
-    reads the stencil's edge list (:meth:`LandscapeGrid.adjacency`).
+    labels the mask in place with that stencil (``scipy.ndimage.label``).
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
             f"{problem.dim} degrees of freedom exceed the scan guard "
             f"({ORACLE_DIM_LIMIT})")
+    import scipy.ndimage  # slow to import; only the oracle needs it
+
     sizes = _axis_lengths(problem, resolution)
     total = math.prod(sizes)
     if not total <= ORACLE_POINT_LIMIT:  # also a non-finite total
@@ -661,7 +652,8 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
             codes[i] = 0
             refuted += 1
 
-    n_comp, _ = _components(len(pts), *grid.adjacency().T)
+    _, n_comp = scipy.ndimage.label(
+        grid.lattice, structure=scipy.ndimage.generate_binary_structure(problem.dim, 2))
     gmin = float(costs.min())
     gmask = costs <= gmin + EQUAL_COST_TOL
     counts = dict(zip(LABELS, np.bincount(codes, minlength=len(LABELS)).tolist()))

@@ -108,16 +108,29 @@ class TestClassifyLocalOptima:
 
 
 def lattice_grid(mask, lower, resolution):
-    """Scan-style grid: ``np.arange`` axes from ``lower``, feasible cells of
-    ``mask`` in C order, radius 1.5 cells, with and without the lattice."""
+    """Scan-style grid without its lattice: ``np.arange`` axes from
+    ``lower``, feasible cells of ``mask`` in C order, radius 1.5 cells."""
     axes = [np.arange(lo, lo + (n - 0.5) * resolution, resolution)
             for lo, n in zip(lower, mask.shape)]
     assert [len(a) for a in axes] == list(mask.shape)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)[mask.reshape(-1)]
-    costs = np.zeros(len(pts))
-    kd = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution)
-    return kd, dataclasses.replace(kd, lattice=mask)
+    return LandscapeGrid(points=pts, costs=np.zeros(len(pts)), radius=1.5 * resolution)
+
+
+def mask_problem(mask, lower, resolution):
+    """Scan model whose feasible cells at ``resolution`` are the set cells
+    of ``mask``, on axes from ``lower``; its cost is 0 everywhere, so every
+    point is global and nothing is refuted."""
+    lower = np.asarray(lower, dtype=float)
+
+    def model(*u):
+        cells = tuple(np.rint((x - lo) / resolution).astype(int)
+                      for x, lo in zip(u, lower))
+        return np.zeros(np.shape(u[0])), (np.where(mask[cells], -1.0, 1.0),), ()
+
+    return GridProblem(dim=mask.ndim, lower=lower,
+                       upper=lower + (np.array(mask.shape) - 1) * resolution, model=model)
 
 
 def assert_edge_list(pairs, m):
@@ -129,13 +142,29 @@ def assert_edge_list(pairs, m):
     assert len(np.unique(pairs, axis=0)) == len(pairs)
 
 
-def assert_same_edges(a, b):
-    """Equal edge lists up to row order."""
-    assert len(a) == len(b)
-    np.testing.assert_array_equal(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])])
+def graph_components(edges, m):
+    """csgraph component count of the edge list ``edges`` on ``m`` points."""
+    assert_edge_list(edges, m)
+    n_comp, _ = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(m, m)),
+        directed=False)
+    return n_comp
+
+
+def scan_components(mask, lower, resolution):
+    """The scan's component count of ``mask``, after checking that its
+    points are those of :func:`lattice_grid`."""
+    oracle = brute_force_oracle(mask_problem(mask, lower, resolution), resolution)
+    np.testing.assert_array_equal(
+        oracle.points, lattice_grid(mask, lower, resolution).points)
+    return oracle.n_components
 
 
 class TestLatticeAdjacency:
+    """The scan counts components on its mask, with the stencil as the
+    structuring element; the reference is the KD-tree graph of the same
+    points within 1.5 spacings."""
+
     SHAPES = {1: (257,), 2: (23, 31), 3: (9, 11, 7), 4: (5, 6, 4, 7)}
 
     @pytest.mark.parametrize("resolution", [0.0057, 0.04, 0.3])
@@ -145,25 +174,23 @@ class TestLatticeAdjacency:
         lower = rng.uniform(-1.3, 0.4, dim)  # uneven bounds, off the lattice
         for density in (0.2, 0.6, 0.95):
             mask = rng.random(self.SHAPES[dim]) < density
-            kd, lattice = lattice_grid(mask, lower, resolution)
-            for grid in (kd, lattice):
-                assert_edge_list(grid.adjacency(), len(grid.points))
-            assert_same_edges(lattice.adjacency(), kd.adjacency())
+            kd = lattice_grid(mask, lower, resolution)
+            assert (scan_components(mask, lower, resolution)
+                    == graph_components(kd.adjacency(), len(kd.points)))
 
     def test_sqrt3_corner_is_not_a_neighbor(self):
         mask = np.zeros((2, 2, 2), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 1] = True
-        kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
-        assert len(kd.adjacency()) == 0
-        assert len(lattice.adjacency()) == 0
-        # one face-diagonal step further is a neighbor
+        lower = [0.1, -0.7, 0.3]
+        assert len(lattice_grid(mask, lower, 0.04).adjacency()) == 0
+        assert scan_components(mask, lower, 0.04) == 2
+        # one face-diagonal step from each corner joins them
         mask[1, 1, 0] = True
-        kd, lattice = lattice_grid(mask, [0.1, -0.7, 0.3], 0.04)
-        assert_same_edges(lattice.adjacency(), kd.adjacency())
-        assert len(lattice.adjacency()) == 2
+        assert len(lattice_grid(mask, lower, 0.04).adjacency()) == 2
+        assert scan_components(mask, lower, 0.04) == 1
 
     def test_lattice_must_hold_one_cell_per_point(self):
-        kd, _ = lattice_grid(np.ones((3, 3), dtype=bool), [0.0, 0.0], 0.1)
+        kd = lattice_grid(np.ones((3, 3), dtype=bool), [0.0, 0.0], 0.1)
         with pytest.raises(ValueError, match="lattice"):
             dataclasses.replace(kd, lattice=np.ones((3, 2), dtype=bool))
         with pytest.raises(ValueError, match="lattice"):
@@ -389,6 +416,25 @@ class TestBruteForceOracle:
         assert len(oracle.points) == 23225
         assert peak < 64 * 2**20
 
+    def test_component_count_builds_no_edge_list(self):
+        # 247,009 cells, 172,981 feasible: the component count labels the
+        # mask in place (a 20.7 MiB scan peak); listing the stencil's edges
+        # and building a sparse graph from them peaked at 34.4 MiB; the
+        # modules the scan imports are loaded untraced, as its memory is measured
+        import scipy.ndimage  # noqa: F401
+        import scipy.optimize  # noqa: F401
+
+        gp = scan_problem("two_bus_case-8")
+        tracemalloc.start()
+        try:
+            oracle = brute_force_oracle(gp, resolution=0.0057)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(oracle.points) == 172981
+        assert oracle.n_components == 1
+        assert peak < 26 * 2**20
+
     def test_lrsdp_slice_matches_reduction(self):
         rng = np.random.default_rng(11)
         inst = random_spectraplex_instance(rng, n=2)
@@ -427,14 +473,11 @@ def kd_tree_references(oracle):
     grid = LandscapeGrid(oracle.points, oracle.costs, 1.5 * oracle.resolution)
     labels = classify_local_optima(grid)
     edges = grid.adjacency()
-    n_comp, _ = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.coo_matrix((np.ones(len(edges)), tuple(edges.T)),
-                                shape=(len(grid.points),) * 2), directed=False)
     row, col = np.concatenate([edges, edges[:, ::-1]]).T
     pts, costs = oracle.points, oracle.costs
     both = (np.abs(costs[row] - costs[col])
             / np.linalg.norm(pts[row] - pts[col], axis=1))
-    return labels, n_comp, float(both.max(initial=0.0))
+    return labels, graph_components(edges, len(grid.points)), float(both.max(initial=0.0))
 
 
 def assert_matches_kd_tree(oracle, labels, n_comp, max_slope):
