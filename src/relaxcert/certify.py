@@ -632,6 +632,7 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
         for h in eqs:
             slab &= np.abs(h) <= eq_band
         slab_costs.append(cost[slab])
+    del cost, ineqs, eqs  # the last slab's model values
     if not mask.any():
         raise InfeasibleAtResolutionError(
             f"no feasible grid point at resolution {resolution}")

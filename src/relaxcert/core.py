@@ -10,7 +10,9 @@ Conventions used throughout the package:
 * a path is represented by a finite sample grid plus its knots, the sample
   indices where its linear pieces meet (:class:`PathTrace`); every path
   constructed by this package is piecewise linear with its breaks among the
-  samples, so samples and knots together are lossless;
+  samples, so samples and knots together are lossless; a trace stores its
+  samples or makes them on demand from its pieces' generators, and its
+  consumers read them one knot segment at a time;
 * feasibility is always expressed through nonnegative residuals, with
   ``residual <= FEAS_TOL`` meaning membership;
 * a sampled path is evaluated once by :func:`verify_path` and judged once
@@ -96,37 +98,51 @@ def norm_m(x: Sequence[complex] | np.ndarray) -> float:
     return float(np.sum(np.abs(vec.real)) + np.sum(np.abs(vec.imag)))
 
 
-@dataclass(frozen=True)
 class PathTrace:
     """A sampled piecewise-linear path ``t in [0,1] -> C^d``.
 
     ``params`` is strictly increasing with ``params[0] == 0`` and
-    ``params[-1] == 1``; ``points[i]`` is the sample at ``params[i]``.
-    ``knots`` are the sample indices where the linear pieces meet: strictly
-    increasing, from ``0`` to ``len - 1``.  Between consecutive knots the
-    path is claimed affine in ``t``; :func:`check_piecewise_linear_family`
-    verifies the claim against the samples.
+    ``params[-1] == 1``; the sample at ``params[i]`` is row ``i`` of
+    :meth:`rows`, the one way to read samples.  ``knots`` are the sample
+    indices where the linear pieces meet: strictly increasing, from ``0`` to
+    ``len - 1``.  Between consecutive knots the path is claimed affine in
+    ``t``; :func:`check_piecewise_linear_family` verifies the claim against
+    the samples.
+
+    A trace either stores its ``(K, d)`` sample array, as built here, or
+    makes any range of rows on demand from its pieces' generators
+    (:meth:`generated`); :attr:`points` builds every row and caches nothing.
     """
 
-    params: np.ndarray
-    points: np.ndarray
-    knots: np.ndarray
+    def __init__(self, params, points, knots) -> None:
+        points = np.asarray(points, dtype=complex)
+        if points.ndim != 2:
+            raise ValueError("points must be 2-D (sample, coord)")
+        self._init(params, knots, points.shape[1])
+        if len(self) != len(points):
+            raise ValueError(f"{len(self)} params but {len(points)} points")
+        _finite_rows(points)
+        self._sample = lambda lo, hi: points[lo:hi]
 
-    def __post_init__(self) -> None:
-        params = np.asarray(self.params, dtype=float)
-        points = np.asarray(self.points, dtype=complex)
-        knots = np.asarray(self.knots)
-        if params.ndim != 1 or points.ndim != 2:
-            raise ValueError("params must be 1-D and points 2-D (sample, coord)")
-        if len(params) != len(points):
-            raise ValueError(
-                f"{len(params)} params but {len(points)} points")
+    @classmethod
+    def generated(cls, params, knots, dim: int,
+                  sample: Callable[[int, int], np.ndarray]) -> "PathTrace":
+        """A trace whose rows ``lo .. hi - 1`` are ``sample(lo, hi)``, a new
+        ``(hi - lo, dim)`` complex array, each checked finite as it is made."""
+        trace = cls.__new__(cls)
+        trace._init(params, knots, dim)
+        trace._sample = lambda lo, hi: _finite_rows(sample(lo, hi))
+        return trace
+
+    def _init(self, params, knots, dim: int) -> None:
+        params = np.asarray(params, dtype=float)
+        knots = np.asarray(knots)
+        if params.ndim != 1:
+            raise ValueError("params must be 1-D")
         if len(params) < 2:
             raise ValueError("a trace needs at least two samples")
         if not np.all(np.isfinite(params)):
             raise ValueError("params must be finite")
-        if not (np.all(np.isfinite(points.real)) and np.all(np.isfinite(points.imag))):
-            raise ValueError("points must be finite")
         if abs(params[0]) > 0.0 or abs(params[-1] - 1.0) > 0.0:
             raise ValueError("params must start at 0 and end at 1")
         if np.any(np.diff(params) <= 0):
@@ -138,29 +154,40 @@ class PathTrace:
             raise ValueError(
                 "knots must be strictly increasing sample indices from 0 to "
                 f"{len(params) - 1}, got {knots.tolist()}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "knots", knots)
+        self.params, self.knots, self.dim = params, knots, dim
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``lo .. hi - 1`` as a ``(hi - lo, dim)`` array."""
+        if not 0 <= lo <= hi <= len(self):
+            raise ValueError(f"rows {lo}..{hi} outside 0..{len(self)}")
+        return self._sample(lo, hi)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every sample, as a ``(K, d)`` array."""
+        return self.rows(0, len(self))
 
     @property
     def segments(self) -> int:
         """Number of linear pieces."""
         return len(self.knots) - 1
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+    def spans(self) -> list[tuple[int, int]]:
+        """Each knot segment's rows as ``(lo, hi)``, hi exclusive, a knot
+        shared by two segments going to the earlier one."""
+        knots = self.knots.tolist()
+        return [(lo + (lo > 0), hi + 1) for lo, hi in zip(knots[:-1], knots[1:])]
 
     def __len__(self) -> int:
         return len(self.params)
 
     @property
     def start(self) -> np.ndarray:
-        return self.points[0]
+        return self.rows(0, 1)[0]
 
     @property
     def end(self) -> np.ndarray:
-        return self.points[-1]
+        return self.rows(len(self) - 1, len(self))[0]
 
     def evaluate(self, t: float) -> np.ndarray:
         """Linearly interpolate the trace at parameter ``t``."""
@@ -170,7 +197,15 @@ class PathTrace:
         idx = min(max(idx, 0), len(self.params) - 2)
         t0, t1 = self.params[idx], self.params[idx + 1]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.points[idx] + w * self.points[idx + 1]
+        a, b = self.rows(idx, idx + 2)
+        return (1.0 - w) * a + w * b
+
+
+def _finite_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, once checked finite."""
+    if not (np.all(np.isfinite(rows.real)) and np.all(np.isfinite(rows.imag))):
+        raise ValueError("points must be finite")
+    return rows
 
 
 def partition_length(trace: PathTrace, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -255,11 +290,13 @@ def check_piecewise_linear_family(
         # every sample but the last (a knot) against the chord of its own
         # segment, as the largest complex modulus over coordinates, one
         # segment at a time; the deviation at a knot is exactly 0, and the
-        # first sample of the largest deviation is reported
+        # first sample of the largest deviation is reported; the box keeps
+        # running minima and maxima over the segments
         ts, knots = tr.params, tr.knots.tolist()
         i, seg_i, dev_i, scale = 0, 0, -1.0, 1.0
+        low = high = None
         for seg, (lo, hi) in enumerate(zip(knots[:-1], knots[1:])):
-            run = tr.points[lo:hi + 1]
+            run = tr.rows(lo, hi + 1)
             w = (ts[lo:hi] - ts[lo]) / (ts[hi] - ts[lo])
             dev = np.max(np.abs(run[0] + w[:, None] * (run[-1] - run[0]) - run[:-1]),
                          axis=1)
@@ -268,6 +305,8 @@ def check_piecewise_linear_family(
                 i, seg_i, dev_i = lo + j, seg, float(dev[j])
             scale = max(scale, float(np.max(np.abs(run.real))),
                         float(np.max(np.abs(run.imag))))
+            low = run.min(axis=0) if low is None else np.minimum(low, run.min(axis=0))
+            high = run.max(axis=0) if high is None else np.maximum(high, run.max(axis=0))
         tol_abs = tol * scale
         if dev_i > tol_abs:
             return PwlFamilyReport(
@@ -276,8 +315,8 @@ def check_piecewise_linear_family(
                 f"off the chord (tol {tol_abs:.3g}); the {tr.segments} declared "
                 "affine runs do not fit the samples")
         worst = max(worst, dev_i)
-        lows.append(tr.points.min(axis=0))
-        highs.append(tr.points.max(axis=0))
+        lows.append(low)
+        highs.append(high)
 
     box = (np.min(lows, axis=0), np.max(highs, axis=0))
     return PwlFamilyReport(True, box, worst)
@@ -364,10 +403,11 @@ def _when_failing(listed: tuple[float, str],
 
 def verify_path(handle: ProblemHandle, x: np.ndarray, trace: PathTrace) -> PathCheck:
     """Evaluate a sampled path from ``x`` with one handle call per knot
-    segment; a knot shared by two segments is evaluated with the earlier
-    one, and the endpoint's feasible residual is read from the last."""
-    blocks = np.split(trace.points, trace.knots[1:-1] + 1)
-    values = HandleValues(*map(np.concatenate, zip(*map(handle.evaluate, blocks))))
+    segment, whose samples are made for that call; a knot shared by two
+    segments is evaluated with the earlier one, and the endpoint's feasible
+    residual is read from the last."""
+    values = HandleValues(*map(np.concatenate, zip(*(
+        handle.evaluate(trace.rows(lo, hi)) for lo, hi in trace.spans()))))
     return PathCheck(
         anchor_gap=float(np.max(np.abs(trace.start - x), initial=0.0)),
         anchor_scale=1.0 + float(np.max(np.abs(x), initial=0.0)),
@@ -380,40 +420,48 @@ def write_trace_csv(
     trace: PathTrace,
     coordinate_labels: Sequence[str],
     coordinate_rows: Callable[[np.ndarray], np.ndarray],
-    cost: Callable[[np.ndarray], np.ndarray],
-    lyapunov: Callable[[np.ndarray], np.ndarray],
+    cost: Callable[[PathTrace], np.ndarray],
+    lyapunov: Callable[[PathTrace], np.ndarray],
 ) -> None:
     """Write a trace as CSV: columns ``t, f, V`` then flattened coordinates.
 
-    Each callable maps the ``(K, d)`` sample matrix to one row (or value)
-    per sample; ``coordinate_rows`` gives the real values matching
-    ``coordinate_labels``, whose order callers fix so files are
-    deterministic and diffable.  The table is formatted in blocks of at
-    most ``CSV_BLOCK_CELLS`` cells (at least one row), and a cell is
-    formatted only where its float64 bits differ from the cell above, in
-    the block or written before it; elsewhere it reuses that cell's text.
+    ``cost`` and ``lyapunov`` map the trace to one value per sample and are
+    called once; ``coordinate_rows`` maps a ``(k, d)`` run of samples to one
+    row of real values per sample, matching ``coordinate_labels``, whose
+    order callers fix so files are deterministic and diffable.  The samples
+    are made one knot segment at a time, and each segment is formatted in
+    blocks of at most ``CSV_BLOCK_CELLS`` cells (at least one row).  A cell
+    is formatted only where its float64 bits differ from the cell above,
+    in the block or written before it, and elsewhere reuses that cell's
+    text; within a block each distinct float is formatted once.
     """
-    pts = trace.points
-    columns = (trace.params, cost(pts), lyapunov(pts), coordinate_rows(pts))
+    columns = (trace.params, cost(trace), lyapunov(trace))
     step = max(1, CSV_BLOCK_CELLS // (3 + len(coordinate_labels)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["t", "f", "V", *coordinate_labels])
-        above = None  # the text of the last row written
-        for lo in range(0, len(trace), step):
-            # after the first block, the row written last opens the block
-            block = np.column_stack([c[max(lo - 1, 0):lo + step] for c in columns])
-            bits = block.view(np.uint64)  # -0.0 and 0.0 differ here
-            fresh = np.ones(block.shape, dtype=bool)
-            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-            text = np.empty(block.shape, dtype=object)
-            if above is not None:
-                fresh[0], text[0] = False, above
-            # repr round-trips every Python float exactly and needs no
-            # quoting, so joining gives csv.writer's bytes, faster
-            text[fresh] = list(map(repr, block[fresh].tolist()))
-            # each cell takes the text of the nearest fresh cell above it
-            source = np.where(fresh, np.arange(len(block))[:, None], 0)
-            np.maximum.accumulate(source, axis=0, out=source)
-            text = text[source, np.arange(block.shape[1])]
-            fh.writelines(",".join(row) + "\r\n" for row in text[min(lo, 1):].tolist())
-            above = text[-1].copy()  # a view would keep the block's text alive
+        above = above_bits = None  # the text and bits of the last row written
+        for first, stop in trace.spans():
+            coords = coordinate_rows(trace.rows(first, stop))
+            for lo in range(first, stop, step):
+                hi = min(lo + step, stop)
+                block = np.column_stack([*(c[lo:hi] for c in columns),
+                                         coords[lo - first:hi - first]])
+                bits = block.view(np.uint64)  # -0.0 and 0.0 differ here
+                fresh = np.ones(block.shape, dtype=bool)
+                np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+                text = np.empty(block.shape, dtype=object)
+                if above is not None:
+                    np.not_equal(bits[0], above_bits, out=fresh[0])
+                    text[0] = above
+                # repr round-trips every Python float exactly and needs no
+                # quoting, so joining gives csv.writer's bytes, faster
+                keys, inverse = np.unique(bits[fresh], return_inverse=True)
+                words = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+                text[fresh] = words[inverse]
+                # each cell takes the text of the nearest fresh cell above it
+                source = np.where(fresh, np.arange(len(block))[:, None], 0)
+                np.maximum.accumulate(source, axis=0, out=source)
+                text = text[source, np.arange(block.shape[1])]
+                fh.writelines(",".join(row) + "\r\n" for row in text.tolist())
+                # copies: views would keep the block and its text alive
+                above, above_bits = text[-1].copy(), bits[-1].copy()

@@ -232,4 +232,4 @@ def write_restoration_csv(path: str, net: RadialNetwork, cost: OpfCost,
     values = _opf_handle(net, cost).evaluate(trace.points)
     write_trace_csv(path, trace, coordinate_labels(net),
                     lambda pts: coordinate_rows(net, pts),
-                    cost=lambda pts: values.cost, lyapunov=lambda pts: values.lyapunov)
+                    cost=lambda _: values.cost, lyapunov=lambda _: values.lyapunov)

@@ -187,15 +187,15 @@ def bend_restorations(monkeypatch):
 def bend_reductions(monkeypatch):
     """Make every rank-reduction stage sag by 1 in every eigenvalue at its
     midpoint, off the PSD cone of a trace-one instance, so its inner samples
-    leave the relaxed set; the endpoints do not move, and neither do the
-    fewer-sample probes that pick each stage's side."""
+    leave the relaxed set, however many of them are made at once; the
+    endpoints do not move, and neither do the probes off the sample grid
+    that pick each stage's side."""
     straight = lrsdp._stage_matrices
 
     def bent(Sigma, Y, alpha, ts):
-        mats = straight(Sigma, Y, alpha, ts)
-        if len(ts) == SEGMENT_SAMPLES:
-            ts = np.asarray(ts)
-            mats = mats - (4.0 * ts * (1.0 - ts))[:, None, None] * np.eye(len(Sigma))
-        return mats
+        ts = np.asarray(ts)
+        grid = ts * (SEGMENT_SAMPLES - 1)
+        sag = np.where(np.isclose(grid, np.round(grid)), 4.0 * ts * (1.0 - ts), 0.0)
+        return straight(Sigma, Y, alpha, ts) - sag[:, None, None] * np.eye(len(Sigma))
 
     monkeypatch.setattr(lrsdp, "_stage_matrices", bent)

@@ -83,6 +83,23 @@ class TestPathTraceValidation:
             PathTrace(params=np.linspace(0, 1, 5), points=np.zeros((5, 1)),
                       knots=knots)
 
+    def test_generated_rows_are_checked_finite(self):
+        def sample(lo, hi):
+            rows = np.zeros((hi - lo, 2), dtype=complex)
+            rows[:, 1] = np.nan
+            return rows
+
+        tr = PathTrace.generated(np.linspace(0, 1, 5), [0, 2, 4], 2, sample)
+        assert tr.dim == 2 and tr.segments == 2
+        for read in (lambda: tr.points, lambda: tr.rows(1, 3), lambda: tr.end):
+            with pytest.raises(ValueError, match="points must be finite"):
+                read()
+
+    def test_generated_knots_are_checked_at_construction(self):
+        with pytest.raises(ValueError, match="knots"):
+            PathTrace.generated(np.linspace(0, 1, 5), [0, 3, 2, 4], 1,
+                                lambda lo, hi: np.zeros((hi - lo, 1), dtype=complex))
+
     def test_segments_counts_pieces(self):
         tr = PathTrace(params=np.linspace(0, 1, 5), points=np.zeros((5, 1)),
                        knots=[0, 1, 4])
@@ -360,7 +377,8 @@ def assert_csv_matches_the_csv_module(directory, trace, rows_per_block=None):
     with pytest.MonkeyPatch.context() as patch:
         if rows_per_block is not None:
             patch.setattr(core, "CSV_BLOCK_CELLS", rows_per_block * (3 + len(labels)))
-        write_trace_csv(str(path), trace, labels, csv_coordinates, csv_cost, csv_lyapunov)
+        write_trace_csv(str(path), trace, labels, csv_coordinates,
+                        lambda tr: csv_cost(tr.points), lambda tr: csv_lyapunov(tr.points))
     reference = directory / "reference.csv"
     with open(reference, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -420,6 +438,25 @@ def test_trace_csv_reuses_text_only_for_equal_bits(tmp_path):
         assert b"1.7976931348623157e+308" in written
 
 
+def test_trace_csv_formats_repeats_across_columns(tmp_path):
+    """Values repeated along each row, and in several columns of the row
+    below where they are fresh; 0.0 beside -0.0 in one row; written in one
+    block and in blocks of two rows, so a boundary falls between rows that
+    share values."""
+    cells = [
+        [0.1, 0.1, -0.0, 0.0, 0.1, 1e300],
+        [0.0, -0.0, 0.0, -0.0, 0.1, 0.1],
+        [2.5, 2.5, 2.5, 0.1, -0.0, -0.0],
+        [-0.0, 0.0, 2.5, 2.5, 0.1, 1 / 3],
+        [1 / 3, 1 / 3, 1 / 3, 1 / 3, 5e-324, -5e-324],
+    ]
+    trace = PathTrace(params=np.linspace(0.0, 1.0, len(cells)),
+                      points=np.array(cells).view(complex), knots=[0, 2, 4])
+    for rows_per_block in (None, 2):
+        written = assert_csv_matches_the_csv_module(tmp_path, trace, rows_per_block)
+        assert b",0.0," in written and b",-0.0," in written
+
+
 POOL = [0.0, -0.0, 1.0, -1.0, 1 / 3, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.5]
 
 
@@ -445,19 +482,19 @@ def test_trace_csv_memory_is_bounded_by_its_blocks(tmp_path):
     """A trace of the rank reduction's shape at n = 20 with C = I: 19 stages
     of 100 samples, 400 complex coordinates with zero imaginary parts, 20
     of them moving at every sample.  Beyond its inputs the writer holds one
-    block's text (about 0.7 MiB); a writer that formats one knot segment at
-    a time holds about 3.6 MiB here."""
+    block's text (about 0.7 MiB); a writer that formats a whole knot segment
+    at once holds about 3.6 MiB here."""
     rng = np.random.default_rng(3)
     pts = np.ones((1901, 400), dtype=complex)
     pts[:, :20] = rng.normal(size=(1901, 20))
     trace = PathTrace(params=np.linspace(0.0, 1.0, 1901), points=pts,
                       knots=np.arange(0, 1901, 100))
-    rows, cost, lyapunov = pts.view(float), pts[:, 0].real.copy(), pts[:, 1].real.copy()
+    cost, lyapunov = pts[:, 0].real.copy(), pts[:, 1].real.copy()
     labels = [f"c{i}" for i in range(800)]
     tracemalloc.start()
     try:
-        write_trace_csv(str(tmp_path / "trace.csv"), trace, labels, lambda _: rows,
-                        lambda _: cost, lambda _: lyapunov)
+        write_trace_csv(str(tmp_path / "trace.csv"), trace, labels,
+                        lambda run: run.view(float), lambda _: cost, lambda _: lyapunov)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,16 @@
 """Tests for the rank-reduction machinery."""
 
+import json
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gen import random_feasible_psd, random_spectraplex_instance
-from relaxcert.core import PreconditionError
+from relaxcert.certify import check_c2_proxy
+from relaxcert.cli import main
+from relaxcert.core import PathTrace, PreconditionError, check_piecewise_linear_family, verify_path
 from relaxcert.lrsdp import (
     BoundarySteps,
     LrsdpInstance,
@@ -13,10 +19,15 @@ from relaxcert.lrsdp import (
     boundary_step,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
+    lrsdp_certified_problem,
     lyapunov_tail,
     nullspace_direction,
     reduce_rank_path,
+    write_reduction_csv,
 )
+
+CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
 
 def tiny_instance(C=None, r=1):
@@ -280,6 +291,101 @@ class TestReduceRankPath:
         assert result.final.rank() <= 1
         assert abs(inst.cost(result.final.X) - inst.cost(X0)) <= 1e-8 * (
             1 + abs(inst.cost(X0)))
+
+
+def complex_instance(rng, n):
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    X0 = W @ W.conj().T
+    return LrsdpInstance(C=(M + M.conj().T) / 2, A=[np.eye(n)], b=[1.0], r=1), X0 / np.trace(X0).real
+
+
+def demo_reduction():
+    # the relaxation optimum is rank one already: start from the centre
+    return load_instance(os.path.join(CASES, "demo_lrsdp.json")), np.eye(2) / 2
+
+
+def identity_reduction(n):
+    rng = np.random.default_rng(n)
+    return (random_spectraplex_instance(rng, n=n, degenerate=True),
+            random_feasible_psd(rng, n))
+
+
+REDUCTIONS = {
+    "demo_lrsdp": demo_reduction,
+    "complex-n5": lambda: complex_instance(np.random.default_rng(12), 5),
+    "identity-n15": lambda: identity_reduction(15),
+    "identity-n20": lambda: identity_reduction(20),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REDUCTIONS))
+def reduction(request):
+    inst, X0 = REDUCTIONS[request.param]()
+    result = reduce_rank_path(inst, X0)
+    assert len(result.stages) > 0
+    return inst, X0, result.trace
+
+
+class TestGeneratorTrace:
+    """A reduction trace makes its samples from its stage generators; any
+    range of rows, and every consumer, sees the samples that the stored
+    array of the same rows gives."""
+
+    def test_rows_equal_points_across_knots(self, reduction):
+        _, _, trace = reduction
+        points = trace.points
+        K, step = len(trace), int(trace.knots[1])
+        ranges = [(0, K), (0, 1), (K - 1, K), (0, step + 2), (step - 1, step + 2),
+                  (step, step + 1), (step + 1, K), (step // 2, K - step // 2),
+                  *((k - 1, k + 1) for k in trace.knots[1:-1].tolist()),
+                  (step, step)]
+        for lo, hi in ranges:
+            hi = min(hi, K)
+            assert trace.rows(lo, hi).tobytes() == points[lo:hi].tobytes(), (lo, hi)
+        assert trace.start.tobytes() == points[0].tobytes()
+        assert trace.end.tobytes() == points[-1].tobytes()
+
+    def test_consumers_match_the_stored_trace(self, reduction, tmp_path):
+        inst, X0, trace = reduction
+        stored = PathTrace(trace.params, trace.points, trace.knots)
+        problem = lrsdp_certified_problem(inst)
+        x = X0.reshape(-1)
+        checks = [verify_path(problem.handle, x, tr) for tr in (trace, stored)]
+        for field in ("relaxed", "costs", "lyapunov"):
+            a, b = (getattr(c, field) for c in checks)
+            assert a.tobytes() == b.tobytes(), field
+        assert (checks[0].anchor_gap, checks[0].end_residual) == (
+            checks[1].anchor_gap, checks[1].end_residual)
+        assert check_c2_proxy(problem, [trace]) == check_c2_proxy(problem, [stored])
+        boxes = [check_piecewise_linear_family([tr], problem.segment_bound).bounding_box
+                 for tr in (trace, stored)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*boxes))
+        for name, tr in (("generated", trace), ("stored", stored)):
+            write_reduction_csv(str(tmp_path / f"{name}.csv"), inst, tr, checks[0])
+        assert ((tmp_path / "generated.csv").read_bytes()
+                == (tmp_path / "stored.csv").read_bytes())
+
+
+def test_lrsdp_cli_holds_no_trace_array(tmp_path):
+    """``relaxcert lrsdp`` on C = I at n = 20: 19 stages, 1901 samples of
+    400 complex entries, an 11.6 MiB array that a materialized trace holds
+    for the whole run (a 14.4 MiB peak); made one stage at a time, the run
+    peaks at about 3.5 MiB.  The modules the run imports are loaded by a
+    small run first, untraced."""
+    for n in (3, 20):
+        inst = random_spectraplex_instance(np.random.default_rng(0), n=n, degenerate=True)
+        path = tmp_path / f"identity{n}.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+    assert main(["lrsdp", str(tmp_path / "identity3.json"), "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["lrsdp", str(tmp_path / "identity20.json"), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20
 
 
 def test_instance_json_round_trip():
