@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
@@ -42,6 +43,7 @@ ORACLE_POINT_LIMIT = 2 * 10**7  # scan budget in cells: it bounds time, not memo
 SCAN_SLAB_CELLS = 2**16   # cells per model call in the scan mask (whole rows)
 KKT_ACTIVE_TOL = 1e-6     # slack below which the KKT test counts a constraint active
 PROJECTION_STEPS = 20     # passes of the multistart start projection
+MAX_STARTS = 2**27        # 8 candidates per start fill the 2**30 Sobol points
 
 
 class DimensionGuardError(ValueError):
@@ -745,17 +747,25 @@ def multistart_local_search(
 ) -> MultistartOutcome:
     """Deterministic local searches from quasi-random feasible starts.
 
-    Sobol points are projected onto the model without its scan-only rows
+    The candidates are the first ``2**m >= max(8 * starts, 16)`` points of
+    the scrambled Sobol sequence of :func:`relaxcert.qmc.sobol`, bit for bit
+    those of ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)``.  They
+    are projected onto the model without its scan-only rows
     (:func:`_project_start`), which the local solves and the KKT test also
-    use.  Each run is a bounded smooth local solve; convergence is accepted
-    only when the point is feasible and its KKT stationarity residual
-    (verified independently by nonnegative least squares on the active
-    gradients) is at most ``tol``.
+    use, and the first ``starts`` feasible ones are kept.  Each run is a
+    bounded smooth local solve; convergence is accepted only when the point
+    is feasible and its KKT stationarity residual (verified independently by
+    nonnegative least squares on the active gradients) is at most ``tol``.
+    ``starts`` is an integer from 1 to ``2**27`` (at most ``2**30``
+    candidates); anything else raises ``ValueError`` before any draw.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    if isinstance(starts, bool) or not isinstance(starts, numbers.Integral):
+        raise ValueError(f"starts must be an integer, got {starts!r}")
+    if not 1 <= starts <= MAX_STARTS:
+        raise ValueError(f"starts must be between 1 and 2**27, got {starts}")
     import scipy.optimize  # slow to import; only the landscape layer needs it
-    from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
+
+    from relaxcert.qmc import sobol
 
     if problem.scan_only:
         keep, full = slice(-problem.scan_only), problem.model
@@ -765,8 +775,7 @@ def multistart_local_search(
             return cost, ineqs[keep], eqs
 
         problem = replace(problem, scan_only=0, model=model)
-    sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=seed)
-    raw = sampler.random_base2(int(np.ceil(np.log2(max(8 * starts, 16)))))
+    raw = sobol(problem.dim, (max(8 * int(starts), 16) - 1).bit_length(), seed)
     candidates = problem.lower + raw * (problem.upper - problem.lower)
 
     seeds: list[np.ndarray] = []

@@ -49,13 +49,16 @@ class CertifiedProblem:
 def sample_box(
     box: tuple[np.ndarray, np.ndarray], count: int, seed: int = 0
 ) -> np.ndarray:
-    """Quasi-random complex points filling a box (independent real/imag)."""
-    from scipy.stats import qmc  # scipy.stats is slow to import; few calls need it
+    """Quasi-random complex points filling a box: the real parts from the
+    first ``d`` and the imaginary parts from the last ``d`` coordinates of
+    the scrambled ``2 d``-dimensional Halton sequence of
+    :func:`relaxcert.qmc.halton`, bit for bit that of
+    ``scipy.stats.qmc.Halton(2 * d, scramble=True, seed=seed)``."""
+    from relaxcert.qmc import halton
 
     lo, hi = np.asarray(box[0], dtype=complex), np.asarray(box[1], dtype=complex)
     d = len(lo)
-    sampler = qmc.Halton(d=2 * d, scramble=True, seed=seed)
-    raw = sampler.random(count)
+    raw = halton(2 * d, count, seed)
     re = lo.real + raw[:, :d] * (hi.real - lo.real)
     im = lo.imag + raw[:, d:] * (hi.imag - lo.imag)
     return re + 1j * im

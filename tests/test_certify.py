@@ -18,7 +18,9 @@ from gen import (
     two_bus_case,
 )
 import relaxcert.certify as certify
+import relaxcert.qmc
 from relaxcert.certify import (
+    MAX_STARTS,
     ORACLE_DIM_LIMIT,
     CertificateReport,
     ConditionResult,
@@ -43,6 +45,7 @@ from relaxcert.compose import CertifiedProblem
 from relaxcert.core import FEAS_TOL, PathTrace, PreconditionError, verify_path
 from relaxcert.distflow import load_case, pack_point, residual_X, sample_relaxed_points
 from relaxcert.lrsdp import load_instance, lrsdp_certified_problem, reduce_rank_path
+from relaxcert.qmc import sobol
 from relaxcert.restore import opf_certified_problem
 from relaxcert.solver import solve_lrsdp_relaxation, solve_opf_relaxation
 
@@ -689,6 +692,69 @@ class TestMultistart:
         out = multistart_local_search(gp, starts=8, seed=0)
         assert len(out.runs) == 8 and out.note == ""
         assert all(r.converged and abs(r.cost + 1.0) <= 1e-6 for r in out.runs)
+
+    def test_a_numpy_integer_count_is_accepted(self):
+        gp = shipped_grid_problem("demo_lrsdp")
+        assert len(multistart_local_search(gp, starts=np.int64(3)).runs) == 3
+
+    @pytest.mark.parametrize("starts", [2.5, 8.0, True, "8", None, 0, -3,
+                                        MAX_STARTS + 1, 2**40],
+                             ids=["fraction", "float", "bool", "str", "none",
+                                  "zero", "negative", "past-limit", "huge"])
+    def test_a_bad_start_count_is_refused_before_any_draw(self, monkeypatch, starts):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad start count reached the model or the draw")
+
+        monkeypatch.setattr(relaxcert.qmc, "sobol", unreachable)
+        gp = GridProblem(dim=2, lower=np.zeros(2), upper=np.ones(2), model=unreachable)
+        with pytest.raises(ValueError, match="starts"):
+            multistart_local_search(gp, starts=starts)
+
+    def test_a_dimension_past_the_sobol_table_is_refused(self):
+        dim = 21202  # the direction-number table has 21,201 rows
+        gp = GridProblem(dim=dim, lower=np.zeros(dim), upper=np.ones(dim),
+                         model=lambda *u: (u[0], (), ()))
+        with pytest.raises(ValueError, match="dimension 21202"):
+            multistart_local_search(gp, starts=1)
+
+
+class TestSobol:
+    """:func:`relaxcert.qmc.sobol` against the scrambled Sobol points of
+    ``scipy.stats.qmc``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 10, 17])
+    def test_bits_equal_scipy(self, d):
+        from scipy.stats import qmc
+
+        for seed in range(40):
+            for m in (4, 5, 7, 8):
+                reference = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
+                assert sobol(d, m, seed).tobytes() == reference.tobytes(), (seed, m)
+
+    def test_one_point_is_the_shift(self):
+        from scipy.stats import qmc
+
+        reference = qmc.Sobol(3, scramble=True, seed=5).random_base2(0)
+        assert sobol(3, 0, 5).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 21202])
+    def test_a_dimension_outside_the_table_is_refused(self, d):
+        with pytest.raises(ValueError, match=f"dimension {d} is outside 1..21201"):
+            sobol(d, 4, 0)
+
+    @pytest.mark.parametrize("m", [-1, 31])
+    def test_more_than_2_30_points_are_refused(self, m):
+        with pytest.raises(ValueError, match=f"got m = {m}"):
+            sobol(2, m, 0)
+
+    def test_repeat_calls_read_the_table_once(self, monkeypatch):
+        sobol(6, 4, 0)
+
+        def unreadable(*args, **kwargs):
+            raise AssertionError("the direction-number table was read again")
+
+        monkeypatch.setattr(np, "load", unreadable)
+        assert sobol(6, 5, 1).shape == (32, 6)
 
 
 def recorded(gp):

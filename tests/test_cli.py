@@ -1,5 +1,6 @@
 """End-to-end CLI tests against the shipped demo cases."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -818,17 +819,50 @@ class TestConfig:
 
 LOADED_AFTER_EACH_STEP = """
 import json, sys
+import numpy as np
 import relaxcert.cli
 
 def loaded():
     return sorted(m for m in ("scipy.ndimage", "scipy.optimize", "scipy.spatial",
                               "scipy.stats") if m in sys.modules)
 
+def library(path):
+    # the quasi-random draws: 20 multistart runs on the PSD slice, and 16
+    # points of a small box
+    from relaxcert.certify import multistart_local_search, psd_slice_grid_problem
+    from relaxcert.compose import sample_box
+    from relaxcert.lrsdp import load_instance
+
+    runs = multistart_local_search(psd_slice_grid_problem(load_instance(path)),
+                                   starts=20, seed=0).runs
+    points = sample_box((np.zeros(2), np.ones(2)), 16, seed=1)
+    return [sum(r.converged for r in runs), len(points)]
+
 steps = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    steps.append([argv[0], relaxcert.cli.main(argv), loaded()])
+    run = library(*argv[1:]) if argv[0] == "library" else relaxcert.cli.main(argv)
+    steps.append([argv[0], run, loaded()])
 print(json.dumps(steps))
 """
+
+
+def test_no_module_imports_scipy_stats():
+    # the Sobol and Halton points are drawn by relaxcert.qmc; scipy.stats
+    # loads every distribution when imported
+    src = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                assert not any(m == "scipy.stats" or m.startswith("scipy.stats.")
+                               for m in modules), (name, node.lineno)
 
 
 class TestFreshInterpreter:
@@ -842,16 +876,18 @@ class TestFreshInterpreter:
                     ["lrsdp", case("demo_lrsdp.json"), "--out", out],
                     ["certify", case("demo_2bus.json"), "--out", out],
                     ["oracle", case("demo_2bus.json"), "--out", out,
-                     "--resolution", "0.04"]]
+                     "--resolution", "0.04"],
+                    ["library", case("demo_lrsdp.json")]]
         run = fresh_python("-c", LOADED_AFTER_EACH_STEP, json.dumps(commands))
         assert run.returncode == 0, run.stderr
         steps = json.loads(run.stdout.splitlines()[-1])
         # scipy.ndimage's one caller is the scan's component count, so the
-        # CLI import (the benchmark's setup_s) does not pay for it
+        # CLI import (the benchmark's setup_s) does not pay for it; the
+        # multistart and box sampling draw their points without scipy.stats
+        landscape = ["scipy.ndimage", "scipy.optimize", "scipy.spatial"]
         assert steps == [["import", 0, []], ["opf", 0, []], ["lrsdp", 0, []],
-                         ["certify", 0, []],
-                         ["oracle", 0, ["scipy.ndimage", "scipy.optimize",
-                                        "scipy.spatial"]]]
+                         ["certify", 0, []], ["oracle", 0, landscape],
+                         ["library", [20, 16], landscape]]
 
     @pytest.mark.parametrize("argv, artifact", [
         (["oracle", case("demo_2bus.json"), "--resolution", "0.02"], "oracle.json"),

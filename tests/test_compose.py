@@ -14,6 +14,7 @@ from relaxcert.compose import (
     union_feasible,
 )
 from relaxcert.core import FEAS_TOL, ProblemHandle
+from relaxcert.qmc import halton
 
 
 class TestComposeCost:
@@ -214,3 +215,27 @@ def test_compose_then_union_commutes_with_union_then_compose():
 def test_combinators_reject_bad_arguments_alike(combine, second, kwargs, message):
     with pytest.raises(CompositionError, match=message):
         combine(block_primitive(0), second, **kwargs)
+
+
+class TestHalton:
+    """:func:`relaxcert.qmc.halton` and :func:`sample_box` against the
+    scrambled Halton points of ``scipy.stats.qmc``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_equal_scipy(self, seed):
+        from scipy.stats import qmc
+
+        for d in range(1, 41):
+            for n in (1, 7, 64, 257):
+                reference = qmc.Halton(d, scramble=True, seed=seed).random(n)
+                assert halton(d, n, seed).tobytes() == reference.tobytes(), (d, n)
+
+    def test_sample_box_scales_the_scipy_points(self):
+        from scipy.stats import qmc
+
+        lo = np.array([-1.0 - 2.0j, 0.5 + 0.0j, 3.0 + 1.0j])
+        hi = np.array([1.0 + 2.0j, 0.75 + 0.25j, 4.0 + 1.5j])
+        raw = qmc.Halton(6, scramble=True, seed=9).random(33)
+        reference = (lo.real + raw[:, :3] * (hi.real - lo.real)
+                     + 1j * (lo.imag + raw[:, 3:] * (hi.imag - lo.imag)))
+        assert sample_box((lo, hi), 33, seed=9).tobytes() == reference.tobytes()
