@@ -7,7 +7,7 @@ oracle plus deterministic multistart local search on eliminated low-dimension
 models.
 
 The scipy modules only the landscape layer uses (``ndimage``, ``optimize``,
-``spatial``, ``stats``) are imported inside the functions that call them, so
+``spatial``) are imported inside the functions that call them, so
 ``relaxcert opf``, ``lrsdp`` and ``certify`` never load them.
 """
 
@@ -255,25 +255,16 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """Finite sample of a feasible set with costs and radius adjacency.
-
-    ``lattice``, when set, is the boolean feasibility mask of a regular grid
-    whose ``True`` cells are ``points`` in C order, and ``radius`` is 1.5
-    grid spacings (only :func:`brute_force_oracle` builds such a grid).
-    Two cells are then neighbors exactly when their index offset lies in
-    {-1, 0, 1}^d with one or two nonzero entries: those are 1 and sqrt(2)
-    spacings apart, while sqrt(3) and any offset with a +-2 entry lie
-    outside the radius.  :func:`classify_local_optima` compares shifted
-    slices of the cost lattice along that stencil and the scan labels the
-    mask's components with it, so neither lists the pairs.  Without a
-    lattice (arbitrary ``classify`` points), :meth:`adjacency` finds the
-    pairs within ``radius`` with a KD-tree.
+    """Finite sample of a feasible set with costs and radius adjacency: the
+    input of :func:`classify_local_optima`, whose points need not lie on a
+    lattice.  :meth:`adjacency` finds the pairs within ``radius`` with a
+    KD-tree.  The oracle scan builds no such grid; it sweeps its own mask
+    (:func:`_lattice_sweep`).
     """
 
     points: np.ndarray
     costs: np.ndarray
     radius: float
-    lattice: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -282,21 +273,15 @@ class LandscapeGrid:
             raise ValueError("points must be (M, d) with matching costs")
         if len(pts) == 0:
             raise ValueError("grid is empty")
-        if self.radius <= 0:
+        if not self.radius > 0:  # also a NaN radius
             raise ValueError("radius must be positive")
-        if self.lattice is not None:
-            lattice = np.asarray(self.lattice, dtype=bool)
-            if lattice.ndim != pts.shape[1] or np.count_nonzero(lattice) != len(pts):
-                raise ValueError("lattice must be a d-dimensional mask with one "
-                                 "True cell per point")
-            object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "costs", costs)
 
     def adjacency(self) -> np.ndarray:
         """The undirected neighbor graph as an ``(E, 2)`` array of point
         index pairs ``(i, j)`` with ``i < j``, each edge once, from a
-        KD-tree query within ``radius``; the lattice is not read."""
+        KD-tree query within ``radius``."""
         import scipy.spatial  # slow to import; only classify input needs it
 
         tree = scipy.spatial.cKDTree(self.points)
@@ -318,32 +303,30 @@ def _stencil(shape: tuple[int, ...]) -> Iterator[tuple]:
         yield offset, src, dst
 
 
-def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
-    """One pass over the stencil of a lattice grid.
+def _lattice_sweep(lattice: np.ndarray, axes: Sequence[np.ndarray],
+                   costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One pass over the stencil of a feasibility mask.
 
-    Returns each point's cheapest neighbor cost (``inf`` without
-    neighbors), the ``(P, 2)`` point pairs of neighbors whose costs differ
-    by at most ``EQUAL_COST_TOL``, and the largest cost slope over all
-    neighbor pairs (0 without any).  Each offset compares two shifted
-    slices of the cost lattice, ``inf`` off the mask.  A pair's distance
-    sums, in axis order, the squares of its axis differences and takes the
-    square root: the operations ``np.linalg.norm`` applies to the
-    difference of the two points, on the same operands, so every slope
-    keeps its bits.
+    ``lattice`` is the mask, ``axes[k]`` the coordinates along its axis
+    ``k`` and ``costs`` the costs of its set cells, the points, in C order.
+    Two cells are neighbors exactly when their index offset lies in
+    {-1, 0, 1}^d with one or two nonzero entries: 1 and sqrt(2) spacings
+    apart, within the oracle's radius of 1.5 spacings, while sqrt(3) and
+    any offset with a +-2 entry lie outside it.  Returns each point's
+    cheapest neighbor cost (``inf`` without neighbors), the ``(P, 2)``
+    point pairs of neighbors whose costs differ by at most
+    ``EQUAL_COST_TOL``, and the largest cost slope over all neighbor pairs
+    (0 without any).  Each offset compares two shifted slices of the cost
+    lattice, ``inf`` off the mask.  A pair's distance sums, in axis order,
+    the squares of its axis differences and takes the square root: the
+    operations ``np.linalg.norm`` applies to the difference of the two
+    points, on the same operands, so every slope keeps its bits.
     """
-    lattice, ndim = grid.lattice, grid.lattice.ndim
     cost = np.full(lattice.shape, np.inf)
-    cost[lattice] = grid.costs
-    # each axis's coordinate at every index some point occupies; both cells
-    # of a neighbor pair are points, so their axis differences are exact
-    axes = []
-    for k, cells in enumerate(np.nonzero(lattice)):
-        axis = np.full(lattice.shape[k], np.nan)
-        axis[cells] = grid.points[:, k]
-        axes.append(axis)
+    cost[lattice] = costs
     # each set cell's C-order point index; int32 halves the plateau pairs
     index = np.full(lattice.shape, -1, dtype=np.int32 if lattice.size < 2**31 else np.intp)
-    index[lattice] = np.arange(len(grid.points))
+    index[lattice] = np.arange(len(costs))
     neighbor_min = np.full(lattice.shape, np.inf)
     buffer = np.empty(lattice.shape)  # each offset's gaps, then its slopes
     plateau = []
@@ -362,18 +345,11 @@ def _lattice_sweep(grid: LandscapeGrid) -> tuple[np.ndarray, np.ndarray, float]:
             if o:
                 diff = axes[k][src[k]] - axes[k][dst[k]]
                 squares = squares + (diff * diff).reshape(
-                    [-1 if m == k else 1 for m in range(ndim)])
+                    [-1 if m == k else 1 for m in range(lattice.ndim)])
         slopes = np.divide(gap, np.sqrt(squares), out=gap)
         both = lattice[src] & lattice[dst]
         max_slope = max(max_slope, float(slopes.max(initial=0.0, where=both)))
     return neighbor_min[lattice], np.concatenate(plateau), max_slope
-
-
-def _components(m: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
-    """Count and labels of the connected components of the undirected
-    graph on ``m`` points with the edges ``(i[k], j[k])``."""
-    graph = scipy.sparse.csr_matrix((np.ones(len(i)), (i, j)), shape=(m, m))
-    return scipy.sparse.csgraph.connected_components(graph, directed=False)
 
 
 # The landscape labels; a label code is an index into this array.
@@ -384,10 +360,12 @@ def _label_codes(costs: np.ndarray, neighbor_min: np.ndarray,
                  plateau: np.ndarray) -> np.ndarray:
     """Label code of each point, by the rule :func:`classify_local_optima`
     states, from its cost, its cheapest neighbor's cost and the ``(P, 2)``
-    equal-cost neighbor pairs."""
+    equal-cost neighbor pairs, whose connected components are the plateaus."""
     local = costs <= neighbor_min + EQUAL_COST_TOL
     global_opt = costs <= costs.min() + EQUAL_COST_TOL
-    _, comp = _components(len(costs), *plateau.T)
+    m = len(costs)
+    graph = scipy.sparse.csr_matrix((np.ones(len(plateau)), tuple(plateau.T)), shape=(m, m))
+    _, comp = scipy.sparse.csgraph.connected_components(graph, directed=False)
     comp_has_nonlocal = np.zeros(comp.max() + 1, dtype=bool)
     comp_has_nonlocal[comp[~local]] = True
     codes = np.where(global_opt, 1, np.where(comp_has_nonlocal[comp], 2, 3))
@@ -401,20 +379,16 @@ def classify_local_optima(grid: LandscapeGrid) -> np.ndarray:
     A discrete local optimum has no strictly cheaper neighbor; a plateau
     (equal-cost connected component) that reaches a non-local-optimum point
     turns its local optima into pseudo ones; local optima that are neither
-    global nor pseudo are genuine.  A lattice grid takes neighbor minima and
-    plateau pairs from one stencil sweep (:func:`_lattice_sweep`); other
-    grids gather them over the KD-tree edge list.
+    global nor pseudo are genuine.  The neighbor minima and the plateau
+    pairs are gathered over the KD-tree edge list (:meth:`LandscapeGrid.adjacency`).
     """
     costs = grid.costs
-    if grid.lattice is not None:
-        neighbor_min, plateau, _ = _lattice_sweep(grid)
-    else:
-        edges = grid.adjacency()
-        i, j = edges.T
-        neighbor_min = np.full(len(costs), np.inf)
-        np.minimum.at(neighbor_min, i, costs[j])
-        np.minimum.at(neighbor_min, j, costs[i])
-        plateau = edges[np.abs(costs[i] - costs[j]) <= EQUAL_COST_TOL]
+    edges = grid.adjacency()
+    i, j = edges.T
+    neighbor_min = np.full(len(costs), np.inf)
+    np.minimum.at(neighbor_min, i, costs[j])
+    np.minimum.at(neighbor_min, j, costs[i])
+    plateau = edges[np.abs(costs[i] - costs[j]) <= EQUAL_COST_TOL]
     return LABELS[_label_codes(costs, neighbor_min, plateau)]
 
 
@@ -600,16 +574,25 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     cells unless one row is longer, so the mask is the only array the size
     of the lattice; the feasible points are read from its set cells and the
     axis values, and their costs are kept from the slabs' evaluations, in
-    the same C order.  The mask, cut to the bounding box of its feasible
-    cells, stays on the grid as the ``LandscapeGrid`` lattice: one sweep
-    over its stencil offsets gives the neighbor minima, the plateau pairs
-    and the slope bound (:func:`_lattice_sweep`), and the component count
-    labels the mask in place with that stencil (``scipy.ndimage.label``).
+    the same C order.  The mask and the axes are cut to the bounding box
+    of its feasible cells: one sweep over the stencil offsets of the cut
+    mask gives the neighbor minima, the plateau pairs and the slope bound
+    (:func:`_lattice_sweep`), and the component count labels the cut mask
+    in place with that stencil (``scipy.ndimage.label``).
+
+    A resolution that is not a positive finite number, or an axis whose
+    lower bound exceeds its upper one, raises ``ValueError`` before any
+    axis is sized.
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
             f"{problem.dim} degrees of freedom exceed the scan guard "
             f"({ORACLE_DIM_LIMIT})")
+    if not 0 < resolution < math.inf:  # also NaN
+        raise ValueError(f"resolution must be a positive finite number, got {resolution}")
+    for k, (lo, hi) in enumerate(zip(problem.lower, problem.upper)):
+        if lo > hi:
+            raise ValueError(f"scan axis {k} is empty: lower {lo} > upper {hi}")
     import scipy.ndimage  # slow to import; only the oracle needs it
 
     sizes = _axis_lengths(problem, resolution)
@@ -643,9 +626,10 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     del slab_costs  # the joined costs are the only copy kept
     pts = np.stack([axis[cells] for axis, cells in zip(axes, np.nonzero(mask))],
                    axis=1)
-    grid = LandscapeGrid(points=pts, costs=costs, radius=1.5 * resolution,
-                         lattice=_bounding_box(mask))
-    neighbor_min, plateau, max_slope = _lattice_sweep(grid)
+    box = _bounding_box(mask)
+    lattice = mask[box]
+    neighbor_min, plateau, max_slope = _lattice_sweep(
+        lattice, [axis[cut] for axis, cut in zip(axes, box)], costs)
     codes = _label_codes(costs, neighbor_min, plateau)
 
     refuted = 0
@@ -656,7 +640,7 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
             refuted += 1
 
     _, n_comp = scipy.ndimage.label(
-        grid.lattice, structure=scipy.ndimage.generate_binary_structure(problem.dim, 2))
+        lattice, structure=scipy.ndimage.generate_binary_structure(problem.dim, 2))
     gmin = float(costs.min())
     gmask = costs <= gmin + EQUAL_COST_TOL
     counts = dict(zip(LABELS, np.bincount(codes, minlength=len(LABELS)).tolist()))
@@ -666,15 +650,15 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
         max_slope=max_slope, resolution=resolution, artifacts_refuted=refuted)
 
 
-def _bounding_box(mask: np.ndarray) -> np.ndarray:
-    """The smallest box of ``mask`` that holds all its set cells, which
-    keep their C order and their neighbor pairs there."""
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """The slices of the smallest box of ``mask`` that holds all its set
+    cells, which keep their C order and their neighbor pairs there."""
     box = []
     for k in range(mask.ndim):
         others = tuple(m for m in range(mask.ndim) if m != k)
         hit = np.flatnonzero(mask.any(axis=others))
         box.append(slice(hit[0], hit[-1] + 1))
-    return mask[tuple(box)]
+    return tuple(box)
 
 
 # --- multistart local search ---------------------------------------------------

@@ -270,8 +270,9 @@ def check_piecewise_linear_family(
     Passes iff every trace declares at most ``max_segments`` segments, every
     sample lies within ``tol`` (scaled by the magnitude of the trace's data)
     of the chord of its declared segment, and all samples fit in one finite
-    bounding box.  One O(K d) pass per trace, one knot segment at a time;
-    an empty family passes vacuously.
+    bounding box, which bounds the real and the imaginary parts of each
+    coordinate apart.  One O(K d) pass per trace, one knot segment at a
+    time; an empty family passes vacuously.
     """
     traces = list(traces)
     if not traces:
@@ -291,7 +292,9 @@ def check_piecewise_linear_family(
         # segment, as the largest complex modulus over coordinates, one
         # segment at a time; the deviation at a knot is exactly 0, and the
         # first sample of the largest deviation is reported; the box keeps
-        # running minima and maxima over the segments
+        # running minima and maxima over the segments of the real and the
+        # imaginary parts apart, as (d, 2) pairs, since a complex minimum
+        # is lexicographic
         ts, knots = tr.params, tr.knots.tolist()
         i, seg_i, dev_i, scale = 0, 0, -1.0, 1.0
         low = high = None
@@ -305,8 +308,11 @@ def check_piecewise_linear_family(
                 i, seg_i, dev_i = lo + j, seg, float(dev[j])
             scale = max(scale, float(np.max(np.abs(run.real))),
                         float(np.max(np.abs(run.imag))))
-            low = run.min(axis=0) if low is None else np.minimum(low, run.min(axis=0))
-            high = run.max(axis=0) if high is None else np.maximum(high, run.max(axis=0))
+            parts = (run.real, run.imag)
+            seg_low = np.stack([p.min(axis=0) for p in parts], axis=1)
+            seg_high = np.stack([p.max(axis=0) for p in parts], axis=1)
+            low = seg_low if low is None else np.minimum(low, seg_low)
+            high = seg_high if high is None else np.maximum(high, seg_high)
         tol_abs = tol * scale
         if dev_i > tol_abs:
             return PwlFamilyReport(
@@ -318,7 +324,9 @@ def check_piecewise_linear_family(
         lows.append(low)
         highs.append(high)
 
-    box = (np.min(lows, axis=0), np.max(highs, axis=0))
+    # each (d, 2) pair array viewed as its d complex bounds, signed zeros kept
+    box = (np.min(lows, axis=0).view(complex)[:, 0],
+           np.max(highs, axis=0).view(complex)[:, 0])
     return PwlFamilyReport(True, box, worst)
 
 

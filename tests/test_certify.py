@@ -101,6 +101,14 @@ class TestClassifyLocalOptima:
         h = np.flatnonzero(labels == "genuine")[0]
         assert xs[g] < 0 < xs[h]  # higher well is the genuine one
 
+    @pytest.mark.parametrize("radius", [0.0, -1.5, np.nan])
+    def test_a_radius_that_is_not_positive_is_refused(self, radius):
+        # three collinear points with rising costs: a NaN radius once gave
+        # them no neighbors and labelled two of them genuine optima
+        with pytest.raises(ValueError, match="radius"):
+            LandscapeGrid(points=[[0.0], [1.0], [2.0]], costs=[0.0, 1.0, 2.0],
+                          radius=radius)
+
     def test_labels_invariant_under_monotone_relabeling(self):
         grid = taxonomy_fixture()
         labels = classify_local_optima(grid)
@@ -111,7 +119,7 @@ class TestClassifyLocalOptima:
 
 
 def lattice_grid(mask, lower, resolution):
-    """Scan-style grid without its lattice: ``np.arange`` axes from
+    """KD-tree grid of the points a scan keeps: ``np.arange`` axes from
     ``lower``, feasible cells of ``mask`` in C order, radius 1.5 cells."""
     axes = [np.arange(lo, lo + (n - 0.5) * resolution, resolution)
             for lo, n in zip(lower, mask.shape)]
@@ -191,13 +199,6 @@ class TestLatticeAdjacency:
         mask[1, 1, 0] = True
         assert len(lattice_grid(mask, lower, 0.04).adjacency()) == 2
         assert scan_components(mask, lower, 0.04) == 1
-
-    def test_lattice_must_hold_one_cell_per_point(self):
-        kd = lattice_grid(np.ones((3, 3), dtype=bool), [0.0, 0.0], 0.1)
-        with pytest.raises(ValueError, match="lattice"):
-            dataclasses.replace(kd, lattice=np.ones((3, 2), dtype=bool))
-        with pytest.raises(ValueError, match="lattice"):
-            dataclasses.replace(kd, lattice=np.ones(9, dtype=bool))
 
 
 class TestCheckC1C3:
@@ -390,6 +391,24 @@ class TestBruteForceOracle:
             eliminated_opf_grid(bad_net, cost)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("lower, upper, resolution, message", [
+        ([1, 0], [0, 1], 0.1, "scan axis 0 is empty"),
+        ([0, 1], [1, 0], 0.1, "scan axis 1 is empty"),
+        ([0, 0], [1, 1], 0.0, "resolution must be a positive finite number"),
+        ([0, 0], [1, 1], -0.1, "resolution must be a positive finite number"),
+        ([0, 0], [1, 1], np.nan, "resolution must be a positive finite number"),
+        ([0, 0], [1, 1], np.inf, "resolution must be a positive finite number"),
+    ])
+    def test_bad_box_or_resolution_is_named_before_the_model(
+            self, lower, upper, resolution, message):
+        def model(*u):
+            raise AssertionError("the model ran")
+
+        gp = GridProblem(dim=2, lower=np.array(lower, dtype=float),
+                         upper=np.array(upper, dtype=float), model=model)
+        with pytest.raises(ValueError, match=message):
+            brute_force_oracle(gp, resolution)
+
     def test_dimension_guard(self):
         rng = np.random.default_rng(10)
         net, cost = random_radial_network(rng, n_bus=4)  # 3 lines -> 6 dof
@@ -472,8 +491,8 @@ def scan_problem(name):
 def kd_tree_references(oracle):
     """The scan's labels before refutation, its component count and its
     slope bound, each from the KD-tree graph of its points and without the
-    lattice sweep: :func:`classify_local_optima` on the grid without its
-    lattice, csgraph components of the KD-tree edges, and the largest slope
+    lattice sweep: :func:`classify_local_optima` on a grid of the scan's
+    points, csgraph components of the KD-tree edges, and the largest slope
     over both directions of every edge."""
     grid = LandscapeGrid(oracle.points, oracle.costs, 1.5 * oracle.resolution)
     labels = classify_local_optima(grid)
@@ -533,15 +552,6 @@ class TestOracleLattice:
         # the labels, the component count and the slope bound against the
         # KD-tree graph of the scan's points
         assert_matches_kd_tree(oracle, *kd_tree_references(oracle))
-        # the lattice route of classify_local_optima on the scan's own mask
-        cells = np.rint((oracle.points - gp.lower) / resolution).astype(int)
-        mask = np.zeros(_axis_lengths(gp, resolution), dtype=bool)
-        mask[tuple(cells.T)] = True
-        lattice = LandscapeGrid(oracle.points, oracle.costs, 1.5 * resolution,
-                                lattice=mask)
-        np.testing.assert_array_equal(
-            classify_local_optima(lattice),
-            classify_local_optima(dataclasses.replace(lattice, lattice=None)))
 
     @pytest.mark.parametrize("resolution", [0.0057, 0.01, 0.04])
     @pytest.mark.parametrize("name", ["demo_2bus", "demo_3bus", "bad_current_limit",

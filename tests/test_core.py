@@ -269,6 +269,11 @@ class TestPiecewiseLinearFamily:
         np.testing.assert_allclose(lo.real, [-1, 0])
         np.testing.assert_allclose(hi.real, [1, 3])
 
+    def test_bounding_box_bounds_real_and_imaginary_parts_apart(self):
+        tr = PathTrace(params=[0.0, 1.0], points=[[1 + 5j], [2 + 0j]], knots=[0, 1])
+        lo, hi = check_piecewise_linear_family([tr], max_segments=1).bounding_box
+        assert lo.tolist() == [1 + 0j] and hi.tolist() == [2 + 5j]
+
 
 class TestDeclaredKnots:
     def test_dense_polyline_passes_with_its_knots(self):
@@ -327,7 +332,9 @@ class TestFamilyCheckPerSegment:
         assert rep.passed
         assert rep.worst_deviation == max(float(np.max(d)) for d, _ in self.whole_trace(traces))
         stacked = np.concatenate([tr.points for tr in traces])
-        for got, want in zip(rep.bounding_box, (stacked.min(axis=0), stacked.max(axis=0))):
+        for got, bound in zip(rep.bounding_box, (np.min, np.max)):
+            want = np.empty(stacked.shape[1], dtype=complex)
+            want.real, want.imag = bound(stacked.real, axis=0), bound(stacked.imag, axis=0)
             assert got.tobytes() == want.tobytes()
 
     def test_failing_family_names_the_whole_trace_worst_sample(self):
