@@ -580,9 +580,9 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     (:func:`_lattice_sweep`), and the component count labels the cut mask
     in place with that stencil (``scipy.ndimage.label``).
 
-    A resolution that is not a positive finite number, or an axis whose
-    lower bound exceeds its upper one, raises ``ValueError`` before any
-    axis is sized.
+    A resolution that is not a positive finite number, or an axis with a
+    non-finite bound or a lower bound above its upper one, raises
+    ``ValueError`` before any axis is sized.
     """
     if problem.dim > ORACLE_DIM_LIMIT:
         raise DimensionGuardError(
@@ -591,6 +591,8 @@ def brute_force_oracle(problem: GridProblem, resolution: float) -> OracleResult:
     if not 0 < resolution < math.inf:  # also NaN
         raise ValueError(f"resolution must be a positive finite number, got {resolution}")
     for k, (lo, hi) in enumerate(zip(problem.lower, problem.upper)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"scan axis {k} has a non-finite bound: lower {lo}, upper {hi}")
         if lo > hi:
             raise ValueError(f"scan axis {k} is empty: lower {lo} > upper {hi}")
     import scipy.ndimage  # slow to import; only the oracle needs it

@@ -201,7 +201,7 @@ def intersect_feasible(
     primitive's cost and Lyapunov function may depend only on its own block
     and its paths must leave the other block untouched (checked on samples).
     The new Lyapunov function is the sum; paths fix one block at a time,
-    concatenating when both blocks start infeasible.
+    joining the two paths' segments when both blocks start infeasible.
     """
     box, handle = _pair_handle(
         p1, p2, mode, lam,
@@ -237,9 +237,8 @@ def intersect_feasible(
     # paths must leave the foreign block constant
     for p, other in ((p1, blk2), (p2, blk1)):
         for x in _points_between(p, samples, seed)[:20]:
-            tr = p.path_factory(x)
-            drift = np.max(np.abs(tr.points[:, other] - tr.points[0, other]),
-                           initial=0.0)
+            pts = p.path_factory(x).points  # made once: a joined path has no array
+            drift = np.max(np.abs(pts[:, other] - pts[0, other]), initial=0.0)
             if drift > ZERO_TOL:
                 raise CompositionError(
                     f"{p.label or 'primitive'}: path moves the foreign block by "
@@ -258,10 +257,12 @@ def intersect_feasible(
             raise CompositionError(
                 f"second-stage path does not start at the first stage's end "
                 f"(gap {joint_gap:.3g})")
+        # the joint knot is the first path's end; the second's start is its
+        # first segment's row 0, which the joined trace never asks for
         params = np.concatenate([0.5 * first.params, 0.5 + 0.5 * second.params[1:]])
-        points = np.concatenate([first.points, second.points[1:]], axis=0)
         knots = np.concatenate([first.knots, len(first) - 1 + second.knots[1:]])
-        return PathTrace(params=params, points=points, knots=knots)
+        return PathTrace.generated(params, knots, first.dim,
+                                   [*first.pieces, *second.pieces])
 
     return CertifiedProblem(
         handle=handle,

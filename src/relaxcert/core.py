@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * a path is represented by a finite sample grid plus its knots, the sample
   indices where its linear pieces meet (:class:`PathTrace`); every path
   constructed by this package is piecewise linear with its breaks among the
-  samples, so samples and knots together are lossless; a trace stores its
-  samples or makes them on demand from its pieces' generators, and its
-  consumers read them one knot segment at a time;
+  samples, so samples and knots together are lossless; a trace holds one
+  row generator per knot segment, which slices a stored array or makes its
+  rows on demand, and its consumers read one knot segment at a time;
 * feasibility is always expressed through nonnegative residuals, with
   ``residual <= FEAS_TOL`` meaning membership;
 * a sampled path is evaluated once by :func:`verify_path` and judged once
@@ -109,9 +109,12 @@ class PathTrace:
     ``t``; :func:`check_piecewise_linear_family` verifies the claim against
     the samples.
 
-    A trace either stores its ``(K, d)`` sample array, as built here, or
-    makes any range of rows on demand from its pieces' generators
-    (:meth:`generated`); :attr:`points` builds every row and caches nothing.
+    A trace holds one row generator per knot segment, ``pieces[i](a, b)``
+    making rows ``knots[i] + a .. knots[i] + b - 1``, and :meth:`rows` asks
+    each segment for its part of a range, a knot row from the earlier
+    segment (:meth:`spans`).  A trace built here slices its ``(K, d)``
+    sample array; :meth:`generated` takes the generators themselves.
+    :attr:`points` builds every row and caches nothing.
     """
 
     def __init__(self, params, points, knots) -> None:
@@ -122,16 +125,21 @@ class PathTrace:
         if len(self) != len(points):
             raise ValueError(f"{len(self)} params but {len(points)} points")
         _finite_rows(points)
-        self._sample = lambda lo, hi: points[lo:hi]
+        self.pieces = [lambda a, b, k=k: points[k + a:k + b]
+                       for k in self.knots[:-1].tolist()]
 
     @classmethod
     def generated(cls, params, knots, dim: int,
-                  sample: Callable[[int, int], np.ndarray]) -> "PathTrace":
-        """A trace whose rows ``lo .. hi - 1`` are ``sample(lo, hi)``, a new
-        ``(hi - lo, dim)`` complex array, each checked finite as it is made."""
+                  pieces: Sequence[Callable[[int, int], np.ndarray]]) -> "PathTrace":
+        """A trace whose segment ``i`` makes its rows ``knots[i] + a ..
+        knots[i] + b - 1`` as ``pieces[i](a, b)``, a new ``(b - a, dim)``
+        complex array, each checked finite as it is made."""
         trace = cls.__new__(cls)
         trace._init(params, knots, dim)
-        trace._sample = lambda lo, hi: _finite_rows(sample(lo, hi))
+        if len(pieces) != trace.segments:
+            raise ValueError(f"{len(pieces)} pieces for {trace.segments} segments")
+        trace.pieces = [lambda a, b, piece=piece: _finite_rows(piece(a, b))
+                        for piece in pieces]
         return trace
 
     def _init(self, params, knots, dim: int) -> None:
@@ -160,7 +168,16 @@ class PathTrace:
         """Samples ``lo .. hi - 1`` as a ``(hi - lo, dim)`` array."""
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"rows {lo}..{hi} outside 0..{len(self)}")
-        return self._sample(lo, hi)
+        parts = [(max(lo, a), min(hi, b), piece, k) for piece, k, (a, b)
+                 in zip(self.pieces, self.knots.tolist(), self.spans())
+                 if max(lo, a) < min(hi, b)]
+        if len(parts) == 1:
+            a, b, piece, k = parts[0]
+            return piece(a - k, b - k)
+        out = np.empty((hi - lo, self.dim), dtype=complex)
+        for a, b, piece, k in parts:
+            out[a - lo:b - lo] = piece(a - k, b - k)
+        return out
 
     @property
     def points(self) -> np.ndarray:
@@ -288,24 +305,27 @@ def check_piecewise_linear_family(
             return PwlFamilyReport(
                 False, None, 0.0,
                 f"trace {idx} declares {tr.segments} segments > {max_segments}")
-        # every sample but the last (a knot) against the chord of its own
-        # segment, as the largest complex modulus over coordinates, one
-        # segment at a time; the deviation at a knot is exactly 0, and the
-        # first sample of the largest deviation is reported; the box keeps
-        # running minima and maxima over the segments of the real and the
-        # imaginary parts apart, as (d, 2) pairs, since a complex minimum
-        # is lexicographic
-        ts, knots = tr.params, tr.knots.tolist()
+        # every sample of a span but its last (a knot) against the chord of
+        # its segment, which starts at the previous span's last row, as the
+        # largest complex modulus over coordinates, one span at a time; the
+        # deviation at a knot is exactly 0, and the first sample of the
+        # largest deviation is reported; the box keeps running minima and
+        # maxima over the spans of the real and the imaginary parts apart,
+        # as (d, 2) pairs, since a complex minimum is lexicographic
+        ts = tr.params
         i, seg_i, dev_i, scale = 0, 0, -1.0, 1.0
-        low = high = None
-        for seg, (lo, hi) in enumerate(zip(knots[:-1], knots[1:])):
-            run = tr.rows(lo, hi + 1)
-            w = (ts[lo:hi] - ts[lo]) / (ts[hi] - ts[lo])
-            dev = np.max(np.abs(run[0] + w[:, None] * (run[-1] - run[0]) - run[:-1]),
-                         axis=1)
-            j = int(np.argmax(dev))
-            if dev[j] > dev_i:
-                i, seg_i, dev_i = lo + j, seg, float(dev[j])
+        low = high = start = None
+        for seg, (k, (a, b)) in enumerate(zip(tr.knots.tolist(), tr.spans())):
+            run = tr.rows(a, b)
+            start = run[0] if start is None else start
+            if len(run) > 1:  # a later one-step span is its knot alone
+                w = (ts[a:b - 1] - ts[k]) / (ts[b - 1] - ts[k])
+                dev = np.max(np.abs(start + w[:, None] * (run[-1] - start) - run[:-1]),
+                             axis=1)
+                j = int(np.argmax(dev))
+                if dev[j] > dev_i:
+                    i, seg_i, dev_i = a + j, seg, float(dev[j])
+            start = run[-1].copy()  # a view would keep the span alive
             scale = max(scale, float(np.max(np.abs(run.real))),
                         float(np.max(np.abs(run.imag))))
             parts = (run.real, run.imag)

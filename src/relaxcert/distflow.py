@@ -591,13 +591,12 @@ def case_from_dict(data: dict) -> tuple[RadialNetwork, OpfCost]:
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
                         root=str(_require(data, "root", "case")))
     raw_cost = _require(data, "cost", "case")
-    cost = OpfCost(**{
-        key: np.asarray(finite_numbers(_require(raw_cost, key, "cost"), f"cost.{key}"))
-        for key in ("cp", "cq", "qp", "qq")})
-    if len(cost.cp) != net.n_bus:
-        raise ValueError(
-            f"cost.cp: {len(cost.cp)} entries for {net.n_bus} buses")
-    return net, cost
+    coefficients = {key: finite_numbers(_require(raw_cost, key, "cost"), f"cost.{key}")
+                    for key in ("cp", "cq", "qp", "qq")}
+    for key, values in coefficients.items():
+        if len(values) != net.n_bus:
+            raise ValueError(f"cost.{key}: {len(values)} entries for {net.n_bus} buses")
+    return net, OpfCost(**coefficients)
 
 
 def case_to_dict(net: RadialNetwork, cost: OpfCost) -> dict:

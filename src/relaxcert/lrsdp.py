@@ -327,7 +327,6 @@ def _monotone_side(inst: LrsdpInstance, Sigma: np.ndarray, Y: np.ndarray,
 def reduce_rank_path(
     inst: LrsdpInstance,
     X0: PsdPoint | np.ndarray,
-    samples_per_stage: int = SEGMENT_SAMPLES,
     tol: float = FEAS_TOL,
 ) -> ReductionResult:
     """Drive a feasible matrix to rank <= r along constraint-preserving
@@ -340,10 +339,11 @@ def reduce_rank_path(
     :class:`ReductionStuckError` when no direction exists.
     Only the input and the construction are checked (a direction, a
     boundary step, a monotone side and a rank drop per stage); the samples
-    are for :func:`~relaxcert.core.verify_path` to judge.  The trace keeps
-    each stage's generator, ``(U, Sigma, Y, alpha)`` or a constant stage's
-    matrix, and makes its samples on demand as ``U (diag(Sigma) + t alpha
-    Y) U^H``, the expression that also gives each stage's endpoint.
+    are for :func:`~relaxcert.core.verify_path` to judge.  Each stage is
+    one knot segment of ``SEGMENT_SAMPLES`` samples, and the trace holds
+    one row generator per stage: a moving stage makes its samples on demand
+    as ``U (diag(Sigma) + t alpha Y) U^H``, the expression that also gives
+    the stage's endpoint, and a constant stage tiles its matrix.
     """
     start = X0 if isinstance(X0, PsdPoint) else PsdPoint.from_matrix(np.asarray(X0))
     violation = inst.constraint_residual(start.X)
@@ -360,21 +360,15 @@ def reduce_rank_path(
         return ReductionResult(trace=trace, final=start, stages=())
 
     n_stages = r0 - inst.r
-    step = samples_per_stage - 1
-    local_ts = np.linspace(0.0, 1.0, samples_per_stage)
-    params = np.empty(n_stages * step + 1)
-    generators: list = []
+    local_ts = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
+    pieces: list = []
     stage_infos: list[ReductionStage] = []
     current = start
 
     for i in range(1, n_stages + 1):
         k_before = current.rank()
-        # stage i spans rows (i-1)*step .. i*step; after the first stage,
-        # its first sample is the previous stage's last
-        first = 0 if i == 1 else 1
-        rows = slice((i - 1) * step + first, i * step + 1)
         if k_before <= r0 - i:
-            generators.append(current.X.reshape(-1))
+            pieces.append(lambda a, b, x=current.X.reshape(-1): np.tile(x, (b - a, 1)))
             stage_infos.append(ReductionStage(
                 index=i, constant=True, rank_before=k_before, rank_after=k_before))
         else:
@@ -397,7 +391,8 @@ def reduce_rank_path(
                     f"stage {i}: tail sum increases toward both boundary steps")
             _, alpha = max(candidates)
 
-            generators.append((U, sigma, Y, alpha))
+            pieces.append(lambda a, b, stage=(U, sigma, Y, alpha): _stage_points(
+                *stage, local_ts[a:b]).reshape(b - a, n * n))
             end = PsdPoint.from_matrix(_stage_points(U, sigma, Y, alpha, local_ts[-1:])[0],
                                        name=f"stage {i} endpoint")
             if end.rank() >= k_before:
@@ -407,41 +402,18 @@ def reduce_rank_path(
                 index=i, constant=False, rank_before=k_before,
                 rank_after=end.rank(), alpha=float(alpha)))
             current = end
-        params[rows] = ((i - 1) / n_stages + local_ts / n_stages)[first:]
 
-    trace = PathTrace.generated(params, np.arange(n_stages + 1) * step, n * n,
-                                _stage_sampler(generators, local_ts, n))
+    params = np.append(0.0, np.arange(n_stages)[:, None] / n_stages
+                       + local_ts[1:] / n_stages)
+    trace = PathTrace.generated(params, np.arange(n_stages + 1) * (SEGMENT_SAMPLES - 1),
+                                n * n, pieces)
     return ReductionResult(trace=trace, final=current, stages=tuple(stage_infos))
 
 
 def _stage_points(U: np.ndarray, Sigma: np.ndarray, Y: np.ndarray, alpha: float,
-                  ts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The stage matrices ``U (diag(Sigma) + t alpha Y) U^H`` at each t,
-    written to ``out`` when given."""
-    return np.matmul(U @ _stage_matrices(Sigma, Y, alpha, ts), U.conj().T, out=out)
-
-
-def _stage_sampler(generators: list, local_ts: np.ndarray, n: int):
-    """Rows ``lo .. hi - 1`` of a reduction trace from its stage generators,
-    flattened: a constant stage's matrix or a stage's ``(U, Sigma, Y,
-    alpha)`` at its local parameters.  Stage ``i`` (from 0) spans rows
-    ``i * step .. (i + 1) * step``, and a knot row belongs to the earlier
-    stage.  Each stage writes its rows in place."""
-    step = len(local_ts) - 1
-
-    def sample(lo: int, hi: int) -> np.ndarray:
-        out = np.empty((hi - lo, n * n), dtype=complex)
-        for i in range(max(lo - 1, 0) // step, max(hi - 2, 0) // step + 1):
-            a, b = max(lo, i * step + (i > 0)), min(hi, (i + 1) * step + 1)
-            rows, gen = out[a - lo:b - lo], generators[i]
-            if isinstance(gen, tuple):
-                _stage_points(*gen, local_ts[a - i * step:b - i * step],
-                              out=rows.reshape(b - a, n, n))
-            else:
-                rows[:] = gen
-        return out
-
-    return sample
+                  ts: np.ndarray) -> np.ndarray:
+    """The stage matrices ``U (diag(Sigma) + t alpha Y) U^H`` at each t."""
+    return U @ _stage_matrices(Sigma, Y, alpha, ts) @ U.conj().T
 
 
 def lrsdp_certified_problem(inst: LrsdpInstance) -> "CertifiedProblem":

@@ -196,7 +196,7 @@ def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem
     if not report.structural_ok:
         fails = ", ".join(c.name for c in report.failures())
         raise PreconditionError(f"instance fails structural assumptions: {fails}")
-    v_pad = 0.5
+    v_pad = 0.5  # around the voltage box, floored at 0 as the handle needs
     # |S_k|^2 <= v_tail * ell_k caps every line power; by the balance
     # equation an injection is at least minus the caps of its incident
     # lines, since positive impedances make z * ell >= 0
@@ -206,7 +206,7 @@ def opf_certified_problem(net: RadialNetwork, cost: OpfCost) -> CertifiedProblem
     np.add.at(s_floor, net.head_idx, -S_cap)
     lo = np.concatenate([
         np.maximum(net.s_min.real, s_floor) + 1j * np.maximum(net.s_min.imag, s_floor),
-        (net.v_min - v_pad).astype(complex),
+        np.maximum(net.v_min - v_pad, 0.0).astype(complex),
         np.zeros(net.n_line, dtype=complex),
         -S_cap.astype(complex) * (1 + 1j),
     ])

@@ -155,7 +155,7 @@ def test_criterion_4_rank_reduction():
         assert inst.dimension_condition
         X0 = random_feasible_psd(rng, n)  # full rank start
         f0 = inst.cost(X0)
-        result = reduce_rank_path(inst, X0, samples_per_stage=101)
+        result = reduce_rank_path(inst, X0)
         assert result.final.rank() <= 1, f"trial {trial}"
         assert len(result.stages) <= n - 1, f"trial {trial}"
         tails = []

@@ -398,6 +398,10 @@ class TestBruteForceOracle:
         ([0, 0], [1, 1], -0.1, "resolution must be a positive finite number"),
         ([0, 0], [1, 1], np.nan, "resolution must be a positive finite number"),
         ([0, 0], [1, 1], np.inf, "resolution must be a positive finite number"),
+        ([np.nan, 0], [1, 1], 0.1, "scan axis 0 has a non-finite bound"),
+        ([-np.inf, 0], [1, 1], 0.1, "scan axis 0 has a non-finite bound"),
+        ([0, 0], [np.inf, 1], 0.1, "scan axis 0 has a non-finite bound"),
+        ([0, 0], [1, np.nan], 0.1, "scan axis 1 has a non-finite bound"),
     ])
     def test_bad_box_or_resolution_is_named_before_the_model(
             self, lower, upper, resolution, message):

@@ -470,6 +470,10 @@ STRUCTURE_FIELDS = [
     ("opf", "demo_3bus.json", ("lines",), [], "lines: expected a non-empty list, got []"),
     ("opf", "demo_3bus.json", ("lines", 0), 7, "lines[0]: expected an object, got 7"),
     ("opf", "demo_3bus.json", ("cost",), 5, "cost: expected an object, got 5"),
+    ("opf", "demo_2bus.json", ("cost", "cp"), [1.0], "cost.cp: 1 entries for 2 buses"),
+    ("opf", "demo_2bus.json", ("cost", "cq"), [1.0], "cost.cq: 1 entries for 2 buses"),
+    ("opf", "demo_2bus.json", ("cost", "qp"), [1.0], "cost.qp: 1 entries for 2 buses"),
+    ("opf", "demo_2bus.json", ("cost", "qq"), [1.0], "cost.qq: 1 entries for 2 buses"),
     ("lrsdp", "demo_lrsdp.json", ("m",), 0, "m: expected at least 1, got 0"),
     ("lrsdp", "demo_lrsdp.json", ("n",), -1, "n: expected at least 1, got -1"),
     ("lrsdp", "demo_lrsdp.json", ("m",), -1, "m: expected at least 1, got -1"),

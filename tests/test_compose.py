@@ -13,7 +13,7 @@ from relaxcert.compose import (
     sample_box,
     union_feasible,
 )
-from relaxcert.core import FEAS_TOL, ProblemHandle
+from relaxcert.core import FEAS_TOL, PathTrace, ProblemHandle
 from relaxcert.qmc import halton
 
 
@@ -137,6 +137,46 @@ class TestIntersectFeasible:
         np.testing.assert_array_equal(
             trace.points[trace.knots],
             np.concatenate([first.points[first.knots], second.points[second.knots][1:]]))
+
+    def test_multi_segment_paths_join_without_a_whole_trace_read(self):
+        """Two multi-segment paths join into the parent's concatenation, the
+        second path's start dropped, bit for bit; once the combinator is
+        built, no stage path is asked for all its samples."""
+        whole_reads_fail = []
+
+        class StagePath(PathTrace):
+            @property
+            def points(self):
+                assert not whole_reads_fail, "a stage path was read whole"
+                return super().points
+
+        def primitive(block):
+            """``block_primitive``, its path in three segments."""
+            knots = [0, 3, 4, 10]
+            ts = np.linspace(0.0, 1.0, 11)
+            s = np.interp(ts, ts[knots], [0.0, 0.5, 0.6, 1.0])
+
+            def path(x):
+                step = np.zeros(2, complex)
+                step[block] = -x[block]
+                return StagePath(ts, x + s[:, None] * step, knots)
+
+            base = block_primitive(block)
+            return CertifiedProblem(handle=base.handle, path_factory=path,
+                                    segment_bound=3, box=base.box)
+
+        p1, p2 = primitive(0), primitive(1)
+        comp = intersect_feasible(p1, p2, split=([0], [1]))
+        x = np.array([0.6 + 0.1j, 0.8 - 0.2j])
+        first = p1.path_factory(x)
+        second = p2.path_factory(first.end)
+        params = np.concatenate([0.5 * first.params, 0.5 + 0.5 * second.params[1:]])
+        points = np.concatenate([first.points, second.points[1:]], axis=0)
+        whole_reads_fail.append(True)
+        trace = comp.path_factory(x)
+        assert trace.knots.tolist() == [0, 3, 4, 10, 13, 14, 20]
+        assert trace.params.tobytes() == params.tobytes()
+        assert trace.points.tobytes() == points.tobytes()
 
     def test_sum_lyapunov_additivity(self):
         p1, p2 = block_primitive(0), block_primitive(1)

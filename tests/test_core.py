@@ -84,21 +84,44 @@ class TestPathTraceValidation:
                       knots=knots)
 
     def test_generated_rows_are_checked_finite(self):
-        def sample(lo, hi):
-            rows = np.zeros((hi - lo, 2), dtype=complex)
+        def piece(a, b):
+            rows = np.zeros((b - a, 2), dtype=complex)
             rows[:, 1] = np.nan
             return rows
 
-        tr = PathTrace.generated(np.linspace(0, 1, 5), [0, 2, 4], 2, sample)
+        tr = PathTrace.generated(np.linspace(0, 1, 5), [0, 2, 4], 2, [piece, piece])
         assert tr.dim == 2 and tr.segments == 2
         for read in (lambda: tr.points, lambda: tr.rows(1, 3), lambda: tr.end):
             with pytest.raises(ValueError, match="points must be finite"):
                 read()
 
     def test_generated_knots_are_checked_at_construction(self):
+        def piece(a, b):
+            return np.zeros((b - a, 1), dtype=complex)
+
         with pytest.raises(ValueError, match="knots"):
-            PathTrace.generated(np.linspace(0, 1, 5), [0, 3, 2, 4], 1,
-                                lambda lo, hi: np.zeros((hi - lo, 1), dtype=complex))
+            PathTrace.generated(np.linspace(0, 1, 5), [0, 3, 2, 4], 1, [piece] * 3)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_generated_needs_one_piece_per_segment(self, count):
+        def piece(a, b):
+            return np.zeros((b - a, 1), dtype=complex)
+
+        with pytest.raises(ValueError, match=f"{count} pieces for 2 segments"):
+            PathTrace.generated(np.linspace(0, 1, 5), [0, 2, 4], 1, [piece] * count)
+
+    def test_generated_rows_come_from_their_segments(self):
+        """Segment i makes rows knots[i] + a .. knots[i] + b - 1; a knot row
+        comes from the earlier segment, and a range across knots joins the
+        segments' parts in order."""
+        def piece(seg):
+            return lambda a, b: (100 * seg + np.arange(a, b, dtype=complex))[:, None]
+
+        tr = PathTrace.generated(np.linspace(0, 1, 6), [0, 2, 3, 5], 1,
+                                 [piece(0), piece(1), piece(2)])
+        assert tr.points[:, 0].tolist() == [0, 1, 2, 101, 201, 202]
+        assert tr.rows(2, 4)[:, 0].tolist() == [2, 101]
+        assert tr.rows(3, 3).shape == (0, 1)
 
     def test_segments_counts_pieces(self):
         tr = PathTrace(params=np.linspace(0, 1, 5), points=np.zeros((5, 1)),

@@ -10,7 +10,13 @@ import pytest
 from gen import random_feasible_psd, random_spectraplex_instance
 from relaxcert.certify import check_c2_proxy
 from relaxcert.cli import main
-from relaxcert.core import PathTrace, PreconditionError, check_piecewise_linear_family, verify_path
+from relaxcert.core import (
+    SEGMENT_SAMPLES,
+    PathTrace,
+    PreconditionError,
+    check_piecewise_linear_family,
+    verify_path,
+)
 from relaxcert.lrsdp import (
     BoundarySteps,
     LrsdpInstance,
@@ -186,11 +192,11 @@ class TestReduceRankPath:
     def test_knots_at_stage_boundaries(self):
         rng = np.random.default_rng(9)
         inst = random_spectraplex_instance(rng, n=4, degenerate=True)
-        result = reduce_rank_path(inst, random_feasible_psd(rng, 4), samples_per_stage=11)
+        result = reduce_rank_path(inst, random_feasible_psd(rng, 4))
         n_stages = len(result.stages)
         assert n_stages == 3
         trace = result.trace
-        assert trace.knots.tolist() == [0, 10, 20, 30]
+        assert trace.knots.tolist() == [0, 100, 200, 300]
         np.testing.assert_allclose(trace.params[trace.knots],
                                    np.arange(n_stages + 1) / n_stages, atol=1e-15)
 
@@ -200,10 +206,10 @@ class TestReduceRankPath:
         matrix."""
         rng = np.random.default_rng(10)
         inst = random_spectraplex_instance(rng, n=6, degenerate=True)
-        result = reduce_rank_path(inst, random_feasible_psd(rng, 6), samples_per_stage=11)
+        result = reduce_rank_path(inst, random_feasible_psd(rng, 6))
         n_stages = len(result.stages)
         assert n_stages == 5
-        ts = np.linspace(0.0, 1.0, 11)
+        ts = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
         grid = np.concatenate([((i - 1) / n_stages + ts / n_stages)[min(i - 1, 1):]
                                for i in range(1, n_stages + 1)])
         assert result.trace.params.tobytes() == grid.tobytes()

@@ -1,10 +1,14 @@
 """Tests for the restoration machinery: Lyapunov value, gap roots, path."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from gen import random_radial_network
 from relaxcert.certify import check_c1_c3
+from relaxcert.compose import compose_cost, union_feasible
 from relaxcert.core import FEAS_TOL, PathTrace, PreconditionError, verify_path
 from relaxcert.distflow import (
     Bus,
@@ -13,11 +17,13 @@ from relaxcert.distflow import (
     OpfCost,
     RadialNetwork,
     forward_point,
+    load_case,
     pack_point,
     pf_residuals,
     residual_X,
     residual_Xhat,
     unpack_point,
+    validate_assumptions,
 )
 from relaxcert.restore import (
     cprime_margin,
@@ -28,6 +34,8 @@ from relaxcert.restore import (
     restoration_path,
     write_restoration_csv,
 )
+
+CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
 
 def line_net(z=0.02 + 0.02j, l_max=5.0):
@@ -220,6 +228,20 @@ class TestRestorationPath:
         end = trace.end
         assert np.all(lo.real <= end.real) and np.all(end.real <= hi.real)
         assert np.all(lo.imag <= end.imag) and np.all(end.imag <= hi.imag)
+
+    def test_box_samples_evaluate_when_v_min_is_low(self):
+        # v_min = 0.3 passes the assumptions; the box's voltage rows stop at
+        # 0 rather than v_min - 0.5, so the handle can evaluate box samples
+        # and the combinators, which draw them, can be built
+        net, cost = load_case(os.path.join(CASES, "demo_2bus.json"))
+        net = RadialNetwork(buses=tuple(dataclasses.replace(b, v_min=0.3) for b in net.buses),
+                            lines=net.lines, root=net.root)
+        assert validate_assumptions(net, cost).structural_ok
+        problem = opf_certified_problem(net, cost)
+        lo = problem.box[0]
+        assert np.all(lo[net.n_bus:2 * net.n_bus] == 0)
+        compose_cost(problem, lambda y: y)
+        union_feasible(problem, problem)
 
 
 class TestCprimeMargin:
