@@ -26,12 +26,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from relaxcert.floatrepr import WIDTH, repr_text
 
 # Membership tolerance on unit-scaled residuals (double-precision conic
 # solvers do not reliably deliver more).
@@ -42,6 +46,9 @@ MONOTONE_SLACK = 1e-12
 SEGMENT_SAMPLES = 101
 # Most cells that write_trace_csv formats at once.
 CSV_BLOCK_CELLS = 2**14
+# A CSV cell's bytes, gathered as one item: repr text padded with NUL, then
+# a comma.
+_CELL = np.dtype((np.void, WIDTH + 1))
 
 
 class PreconditionError(ValueError):
@@ -125,8 +132,7 @@ class PathTrace:
         if len(self) != len(points):
             raise ValueError(f"{len(self)} params but {len(points)} points")
         _finite_rows(points)
-        self.pieces = [lambda a, b, k=k: points[k + a:k + b]
-                       for k in self.knots[:-1].tolist()]
+        self.pieces = [lambda a, b, k=k: points[k + a:k + b] for k in self._firsts]
 
     @classmethod
     def generated(cls, params, knots, dim: int,
@@ -163,14 +169,24 @@ class PathTrace:
                 "knots must be strictly increasing sample indices from 0 to "
                 f"{len(params) - 1}, got {knots.tolist()}")
         self.params, self.knots, self.dim = params, knots, dim
+        # built once for rows and spans: each segment's first knot, and its
+        # rows, a knot shared by two segments going to the earlier one
+        self._firsts = knots[:-1].tolist()
+        self._spans = tuple((lo + (lo > 0), hi + 1)
+                            for lo, hi in zip(self._firsts, knots[1:].tolist()))
+        self._ends = [hi for _, hi in self._spans]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Samples ``lo .. hi - 1`` as a ``(hi - lo, dim)`` array."""
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"rows {lo}..{hi} outside 0..{len(self)}")
-        parts = [(max(lo, a), min(hi, b), piece, k) for piece, k, (a, b)
-                 in zip(self.pieces, self.knots.tolist(), self.spans())
-                 if max(lo, a) < min(hi, b)]
+        parts = []
+        # the segments holding rows lo .. hi - 1, from the first ending after lo
+        for i in range(bisect.bisect_right(self._ends, lo), self.segments):
+            a, b = self._spans[i]
+            if a >= hi or lo == hi:
+                break
+            parts.append((max(lo, a), min(hi, b), self.pieces[i], self._firsts[i]))
         if len(parts) == 1:
             a, b, piece, k = parts[0]
             return piece(a - k, b - k)
@@ -189,11 +205,10 @@ class PathTrace:
         """Number of linear pieces."""
         return len(self.knots) - 1
 
-    def spans(self) -> list[tuple[int, int]]:
+    def spans(self) -> tuple[tuple[int, int], ...]:
         """Each knot segment's rows as ``(lo, hi)``, hi exclusive, a knot
         shared by two segments going to the earlier one."""
-        knots = self.knots.tolist()
-        return [(lo + (lo > 0), hi + 1) for lo, hi in zip(knots[:-1], knots[1:])]
+        return self._spans
 
     def __len__(self) -> int:
         return len(self.params)
@@ -459,15 +474,21 @@ def write_trace_csv(
     order callers fix so files are deterministic and diffable.  The samples
     are made one knot segment at a time, and each segment is formatted in
     blocks of at most ``CSV_BLOCK_CELLS`` cells (at least one row).  A cell
-    is formatted only where its float64 bits differ from the cell above,
-    in the block or written before it, and elsewhere reuses that cell's
-    text; within a block each distinct float is formatted once.
+    is ``repr`` text, made by :func:`~relaxcert.floatrepr.repr_text` for
+    the block's distinct values whose float64 bits differ from the cell
+    above, in the block or written before it; any other cell reuses the
+    text above it.  A block's rows are one byte buffer, and the bytes are
+    those of ``csv.writer``.
     """
     columns = (trace.params, cost(trace), lyapunov(trace))
-    step = max(1, CSV_BLOCK_CELLS // (3 + len(coordinate_labels)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["t", "f", "V", *coordinate_labels])
-        above = above_bits = None  # the text and bits of the last row written
+    width = 3 + len(coordinate_labels)
+    step = max(1, CSV_BLOCK_CELLS // width)
+    header = io.StringIO()
+    csv.writer(header).writerow(["t", "f", "V", *coordinate_labels])
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        # the words and bits of the last row written
+        above, above_bits = np.empty((0, WIDTH + 1), dtype=np.uint8), None
         for first, stop in trace.spans():
             coords = coordinate_rows(trace.rows(first, stop))
             for lo in range(first, stop, step):
@@ -477,19 +498,29 @@ def write_trace_csv(
                 bits = block.view(np.uint64)  # -0.0 and 0.0 differ here
                 fresh = np.ones(block.shape, dtype=bool)
                 np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-                text = np.empty(block.shape, dtype=object)
-                if above is not None:
+                if above_bits is not None:
                     np.not_equal(bits[0], above_bits, out=fresh[0])
-                    text[0] = above
-                # repr round-trips every Python float exactly and needs no
-                # quoting, so joining gives csv.writer's bytes, faster
+                # the block's words, each a fixed-width cell of bytes: the
+                # row above's, each distinct fresh value's and a line end,
+                # text before a comma; repr text needs no quoting, so these
+                # are csv.writer's bytes
                 keys, inverse = np.unique(bits[fresh], return_inverse=True)
-                words = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
-                text[fresh] = words[inverse]
-                # each cell takes the text of the nearest fresh cell above it
+                words = np.zeros((len(above) + len(keys) + 1, WIDTH + 1), dtype=np.uint8)
+                words[:len(above)] = above
+                words[len(above):-1, :WIDTH] = repr_text(keys.view(float))
+                words[len(above):-1, WIDTH] = ord(",")
+                words[-1, 0] = ord("\n")
+                word = np.empty(block.shape, dtype=np.intp)
+                word[0] = np.arange(width)
+                word[fresh] = inverse + len(above)
+                # each cell takes the word of the nearest fresh cell above it
                 source = np.where(fresh, np.arange(len(block))[:, None], 0)
                 np.maximum.accumulate(source, axis=0, out=source)
-                text = text[source, np.arange(block.shape[1])]
-                fh.writelines(",".join(row) + "\r\n" for row in text.tolist())
+                cells = np.full((len(block), width + 1), len(words) - 1)
+                cells[:, :-1] = np.take(word, source * width + np.arange(width))
+                lines = np.take(words.view(_CELL)[:, 0], cells).view(np.uint8)
+                lines = lines.reshape(len(block), -1)
+                lines[:, -WIDTH - 2] = ord("\r")  # for the last cell's comma
+                fh.write(lines[lines != 0])
                 # copies: views would keep the block and its text alive
-                above, above_bits = text[-1].copy(), bits[-1].copy()
+                above, above_bits = words[cells[-1, :-1]], bits[-1].copy()

@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from gen import bend_reductions, bend_restorations, random_spectraplex_instance
 from relaxcert.certify import CertificateReport, ConditionResult
 from relaxcert.cli import _certificate_exit, main
 from relaxcert.distflow import (
+    coordinate_labels,
     load_case,
     residual_X,
     residual_Xhat,
@@ -264,6 +266,23 @@ class TestOpfCommand:
         csv_a = open(os.path.join(out1, "restoration.csv")).read()
         csv_b = open(os.path.join(out2, "restoration.csv")).read()
         assert csv_a == csv_b
+
+    def test_restoration_header_is_quoted_as_the_csv_module_quotes(self, tmp_path):
+        """A bus id with a comma and a quote in it: the header's labels are
+        quoted as csv.writer quotes them, though the rows go out as bytes."""
+        with open(case("demo_2bus.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["buses"][1]["id"] = data["lines"][0]["to"] = 'b,"1'
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["opf", str(path), "--out", str(out), "--samples", "5"]) == 0
+        expected = io.StringIO()
+        csv.writer(expected).writerow(["t", "f", "V", *coordinate_labels(load_case(str(path))[0])])
+        with open(out / "restoration.csv", "rb") as fh:
+            header = fh.readline()
+        assert header == expected.getvalue().encode("utf-8")
+        assert header.startswith(b't,f,V,s0_re,s0_im,"sb,""1_re","sb,""1_im",v0,"vb,""1",')
 
 
 class TestLrsdpCommand:
