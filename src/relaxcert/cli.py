@@ -11,6 +11,7 @@ reruns except for the single ``generated_at`` key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -364,9 +365,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser(defaults: bool = True) -> argparse.ArgumentParser:
-    """The command-line parser; with ``defaults=False`` an option the
-    command line does not give is absent from the parse."""
+    """The command-line parser, built once per process and only parsed
+    with afterwards; with ``defaults=False`` an option the command line
+    does not give is absent from the parse."""
     def default(value):
         return value if defaults else argparse.SUPPRESS
 

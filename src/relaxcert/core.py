@@ -120,8 +120,10 @@ class PathTrace:
     making rows ``knots[i] + a .. knots[i] + b - 1``, and :meth:`rows` asks
     each segment for its part of a range, a knot row from the earlier
     segment (:meth:`spans`).  A trace built here slices its ``(K, d)``
-    sample array; :meth:`generated` takes the generators themselves.
-    :attr:`points` builds every row and caches nothing.
+    sample array; :meth:`generated` takes the generators themselves, and
+    every path the package constructs (restoration, rank reduction,
+    intersection) is generated, so it holds no samples.  :attr:`points`
+    builds every row and caches nothing: each read makes its rows again.
     """
 
     def __init__(self, params, points, knots) -> None:
@@ -235,7 +237,8 @@ class PathTrace:
 
 def _finite_rows(rows: np.ndarray) -> np.ndarray:
     """``rows``, once checked finite."""
-    if not (np.all(np.isfinite(rows.real)) and np.all(np.isfinite(rows.imag))):
+    # a complex entry is finite when both of its parts are
+    if not np.all(np.isfinite(rows)):
         raise ValueError("points must be finite")
     return rows
 

@@ -12,6 +12,7 @@ value, and lands on the feasible set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from relaxcert.distflow import (
     RadialNetwork,
     coordinate_labels,
     coordinate_rows,
+    pack_point,
     pf_residuals,
     set_residuals,
     unpack_point,
@@ -89,18 +91,32 @@ def edge_deltas(net: RadialNetwork, x: OperatingPoint) -> tuple[np.ndarray, np.n
     return delta, in_M
 
 
-def _path_points(net: RadialNetwork, x: OperatingPoint, delta: np.ndarray,
-                 ts: np.ndarray) -> np.ndarray:
-    """Flat sample matrix of the restoration path at parameters ``ts``."""
+def _path_rows(net: RadialNetwork, x: OperatingPoint,
+               delta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The restoration path's flat samples as a function of parameters
+    ``ts``, a new ``(len(ts), d)`` array each call.
+
+    A row is ``x - t * w * move``: the injections give up half the pull of
+    the impedance-weighted roots on their incident lines, the currents the
+    roots, the line powers half of ``z * delta``, and the voltages nothing.
+    The flat start, the move and the weights ``w`` (1/2 or 1) are made once
+    here; ``t * w`` is exact, so every row has the bits of the per-block
+    form ``x.s - 0.5 * t * pull``, ``x.ell - t * delta`` and so on.
+    """
     zd = net.z * delta
     pull = np.zeros(net.n_bus, dtype=complex)
     np.add.at(pull, net.tail_idx, zd)
     np.add.at(pull, net.head_idx, zd)
+    start = pack_point(x)
+    move = np.concatenate([pull, np.zeros(net.n_bus), delta, zd])
+    weight = np.repeat([0.5, 0.5, 1.0, 0.5], [net.n_bus, net.n_bus, net.n_line, net.n_line])
 
-    t = ts[:, None]
-    v = np.broadcast_to(x.v, (len(ts), net.n_bus))
-    return np.concatenate([x.s - 0.5 * t * pull, v, x.ell - t * delta,
-                           x.S - 0.5 * t * zd], axis=1)
+    def rows(ts: np.ndarray) -> np.ndarray:
+        out = np.multiply(ts[:, None], weight, out=np.empty((len(ts), len(start)), complex))
+        np.multiply(out, move, out=out)
+        return np.subtract(start, out, out=out)
+
+    return rows
 
 
 def restoration_path(net: RadialNetwork, x: OperatingPoint,
@@ -110,7 +126,9 @@ def restoration_path(net: RadialNetwork, x: OperatingPoint,
     Per line, the current drops by the gap root and the sending-end power by
     half the impedance times the root; the affected bus injections absorb
     the difference so the affine DistFlow equations hold along the way.
-    Voltages never move.  Nothing is judged here: the caller has tested
+    Voltages never move.  The trace is one generated segment: it keeps the
+    start and the move, not its samples, and makes rows on demand
+    (:func:`_path_rows`).  Nothing is judged here: the caller has tested
     that ``x`` is relaxed-feasible and not feasible (``check_c1_c3`` for
     sampled points, ``relaxcert opf`` for the solver optimum), and
     :func:`~relaxcert.core.verify_path` judges the path.  Only the
@@ -118,8 +136,9 @@ def restoration_path(net: RadialNetwork, x: OperatingPoint,
     """
     delta, _ = edge_deltas(net, x)
     ts = np.linspace(0.0, 1.0, samples)
-    return PathTrace(params=ts, points=_path_points(net, x, delta, ts),
-                     knots=[0, samples - 1])
+    path_rows = _path_rows(net, x, delta)
+    return PathTrace.generated(ts, [0, samples - 1], 2 * (net.n_bus + net.n_line),
+                               [lambda a, b: path_rows(ts[a:b])])
 
 
 @dataclass(frozen=True)

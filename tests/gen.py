@@ -174,14 +174,19 @@ def bend_restorations(monkeypatch):
     """Make every restoration path bulge up by 1 in every voltage at its
     midpoint, above ``v_max``, so its inner samples leave the relaxed set;
     the endpoints do not move."""
-    straight = restore._path_points
+    straight = restore._path_rows
 
-    def bent(net, x, delta, ts):
-        pts = straight(net, x, delta, ts)
-        pts[:, net.n_bus:2 * net.n_bus] += 4.0 * (ts * (1.0 - ts))[:, None]
-        return pts
+    def bent(net, x, delta):
+        rows = straight(net, x, delta)
 
-    monkeypatch.setattr(restore, "_path_points", bent)
+        def bent_rows(ts):
+            pts = rows(ts)
+            pts[:, net.n_bus:2 * net.n_bus] += 4.0 * (ts * (1.0 - ts))[:, None]
+            return pts
+
+        return bent_rows
+
+    monkeypatch.setattr(restore, "_path_rows", bent)
 
 
 def bend_reductions(monkeypatch):

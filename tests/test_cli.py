@@ -839,6 +839,21 @@ class TestConfig:
         assert code == 0
         assert read_json(os.path.join(out, "report.json"))["sample_count"] == 3
 
+    def test_a_second_run_in_one_process_sees_only_its_own_options(
+            self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": 2}))
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert main(["opf", case("demo_2bus.json"), "--out", first,
+                     "--config", str(config), "--samples", "3", "--seed", "4"]) == 0
+        # both parsers are built: the next run parses with them and builds none
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", None)
+        config.write_text(json.dumps({"seed": 5}))
+        assert main(["opf", case("demo_2bus.json"), "--out", second,
+                     "--config", str(config)]) == 0
+        reports = [read_json(os.path.join(out, "report.json")) for out in (first, second)]
+        assert [(r["sample_count"], r["seed"]) for r in reports] == [(3, 4), (25, 5)]
+
 
 LOADED_AFTER_EACH_STEP = """
 import json, sys

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from relaxcert.distflow import (
     pf_residuals,
     residual_X,
     residual_Xhat,
+    sample_relaxed_points,
     unpack_point,
     validate_assumptions,
 )
@@ -242,6 +244,73 @@ class TestRestorationPath:
         assert np.all(lo[net.n_bus:2 * net.n_bus] == 0)
         compose_cost(problem, lambda y: y)
         union_feasible(problem, problem)
+
+
+def broadcast_path_points(net, x, delta, ts):
+    """The restoration path's samples at ``ts``, as four broadcast blocks
+    joined: the reference form whose bits every generated row keeps."""
+    zd = net.z * delta
+    pull = np.zeros(net.n_bus, dtype=complex)
+    np.add.at(pull, net.tail_idx, zd)
+    np.add.at(pull, net.head_idx, zd)
+    t = ts[:, None]
+    v = np.broadcast_to(x.v, (len(ts), net.n_bus))
+    return np.concatenate([x.s - 0.5 * t * pull, v, x.ell - t * delta,
+                           x.S - 0.5 * t * zd], axis=1)
+
+
+def restoration_points():
+    """Relaxed points of random feeders: sampled ones with every line slack,
+    one with tight lines (zero roots), and one whose injections carry signed
+    zeros."""
+    points = []
+    for seed, n_bus in ((21, 3), (22, 9), (23, 30)):
+        rng = np.random.default_rng(seed)
+        net, cost = random_radial_network(rng, n_bus=n_bus, finite_s_box=n_bus > 3)
+        points += [(net, x) for x in sample_relaxed_points(net, cost, 2, rng)]
+    rng = np.random.default_rng(24)
+    net, _ = random_radial_network(rng, n_bus=8)
+    S = rng.normal(0, 0.3, net.n_line) + 1j * rng.normal(0, 0.3, net.n_line)
+    extra = np.where(np.arange(net.n_line) % 2 == 0, 0.0, 0.2)
+    x = forward_point(net, 1.0, S, extra_ell=extra)
+    points.append((net, x))
+    zeros = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+    points.append((net, dataclasses.replace(x, s=np.resize(zeros, net.n_bus))))
+    return points
+
+
+class TestGeneratedRestoration:
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (57, 57), (101, 101), (0, 1), (42, 43), (100, 101),
+        (1, 100), (13, 71), (0, 101),
+    ], ids=["empty-first", "empty-interior", "empty-last", "first-row",
+            "interior-row", "last-row", "interior", "interior-offset", "full"])
+    def test_rows_keep_the_bits_of_the_broadcast_form(self, lo, hi):
+        for net, x in restoration_points():
+            delta, in_M = edge_deltas(net, x)
+            trace = restoration_path(net, x)
+            assert trace.segments == 1 and len(trace) == 101
+            want = broadcast_path_points(net, x, delta, trace.params)[lo:hi]
+            got = trace.rows(lo, hi)
+            assert got.shape == want.shape == (hi - lo, trace.dim)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert not in_M.all()  # the signed-zero point has tight lines
+
+    def test_traces_hold_no_samples_once_built(self):
+        # a sample array of 101 rows of d = 398 complex coordinates is
+        # 0.61 MiB; a generated trace keeps its start, move and weights
+        rng = np.random.default_rng(25)
+        net, cost = random_radial_network(rng, n_bus=100, finite_s_box=True)
+        points = sample_relaxed_points(net, cost, 25, rng)
+        tracemalloc.start()
+        try:
+            traces = [restoration_path(net, x) for x in points]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [tr.dim for tr in traces] == [398] * 25
+        assert held < 2**20, f"25 traces hold {held / 2**20:.2f} MiB"
 
 
 class TestCprimeMargin:
