@@ -134,7 +134,8 @@ def check_c1_c3(
 def check_c2_proxy(problem: CertifiedProblem,
                    traces: Sequence[PathTrace]) -> ConditionResult:
     """Uniform-regularity proxy: all paths piecewise linear with a common
-    segment bound and a common bounding box."""
+    segment bound, their samples on the chords of their segments; a common
+    bounding box needs no check, every row being checked finite."""
     report = check_piecewise_linear_family(traces, problem.segment_bound)
     return ConditionResult("c2_proxy", report.passed,
                            margin=-report.worst_deviation,
@@ -148,7 +149,6 @@ class ExactnessResult:
 
     verdict: str  # "strong" | "weak" | "unknown"
     note: str = ""
-    witness: str = ""
 
 
 def check_exactness(
@@ -193,8 +193,7 @@ def check_exactness(
         return ExactnessResult(
             "unknown",
             note="restoration strictly decreased the cost; the supplied point "
-                 "cannot be relaxation-optimal",
-            witness=f"feasible point with cost {f1:.12g} < {f0:.12g}")
+                 "cannot be relaxation-optimal")
     return ExactnessResult("unknown",
                            note="restoration increased the cost (broken factory)")
 

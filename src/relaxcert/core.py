@@ -120,10 +120,12 @@ class PathTrace:
     making rows ``knots[i] + a .. knots[i] + b - 1``, and :meth:`rows` asks
     each segment for its part of a range, a knot row from the earlier
     segment (:meth:`spans`).  A trace built here slices its ``(K, d)``
-    sample array; :meth:`generated` takes the generators themselves, and
-    every path the package constructs (restoration, rank reduction,
-    intersection) is generated, so it holds no samples.  :attr:`points`
-    builds every row and caches nothing: each read makes its rows again.
+    sample array, as only :func:`arc_length_reparameterize` does;
+    :meth:`generated` takes the generators themselves, and every path the
+    package constructs (restoration, rank reduction, intersection) is
+    generated, so it holds no samples.  Every row is checked finite, so a
+    family's samples fit a finite box.  :attr:`points` builds every row and
+    caches nothing: each read makes its rows again.
     """
 
     def __init__(self, params, points, knots) -> None:
@@ -157,25 +159,24 @@ class PathTrace:
             raise ValueError("params must be 1-D")
         if len(params) < 2:
             raise ValueError("a trace needs at least two samples")
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise ValueError("params must be finite")
-        if abs(params[0]) > 0.0 or abs(params[-1] - 1.0) > 0.0:
+        if params[0] != 0.0 or params[-1] != 1.0:
             raise ValueError("params must start at 0 and end at 1")
-        if np.any(np.diff(params) <= 0):
+        if not (np.diff(params) > 0).all():
             raise ValueError("params must be strictly increasing")
-        if (knots.ndim != 1 or len(knots) < 2
-                or not np.issubdtype(knots.dtype, np.integer)
-                or knots[0] != 0 or knots[-1] != len(params) - 1
-                or np.any(np.diff(knots) <= 0)):
+        ks = knots.tolist()
+        if (knots.ndim != 1 or len(ks) < 2 or knots.dtype.kind not in "iu"
+                or ks[0] != 0 or ks[-1] != len(params) - 1
+                or any(a >= b for a, b in zip(ks, ks[1:]))):
             raise ValueError(
                 "knots must be strictly increasing sample indices from 0 to "
-                f"{len(params) - 1}, got {knots.tolist()}")
+                f"{len(params) - 1}, got {ks}")
         self.params, self.knots, self.dim = params, knots, dim
         # built once for rows and spans: each segment's first knot, and its
         # rows, a knot shared by two segments going to the earlier one
-        self._firsts = knots[:-1].tolist()
-        self._spans = tuple((lo + (lo > 0), hi + 1)
-                            for lo, hi in zip(self._firsts, knots[1:].tolist()))
+        self._firsts = ks[:-1]
+        self._spans = tuple((lo + (lo > 0), hi + 1) for lo, hi in zip(ks, ks[1:]))
         self._ends = [hi for _, hi in self._spans]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -292,7 +293,6 @@ class PwlFamilyReport:
     """Outcome of the piecewise-linear family check."""
 
     passed: bool
-    bounding_box: tuple[np.ndarray, np.ndarray] | None
     worst_deviation: float
     note: str = ""
 
@@ -302,37 +302,34 @@ def check_piecewise_linear_family(
 ) -> PwlFamilyReport:
     """Certify that a family of traces is uniformly piecewise linear.
 
-    Passes iff every trace declares at most ``max_segments`` segments, every
-    sample lies within ``tol`` (scaled by the magnitude of the trace's data)
-    of the chord of its declared segment, and all samples fit in one finite
-    bounding box, which bounds the real and the imaginary parts of each
-    coordinate apart.  One O(K d) pass per trace, one knot segment at a
-    time; an empty family passes vacuously.
+    Passes iff every trace declares at most ``max_segments`` segments and
+    every sample lies within ``tol`` (scaled by the magnitude of the
+    trace's data) of the chord of its declared segment.  A common bounding
+    box needs no check: :class:`PathTrace` checks every row finite as it
+    is made.  One O(K d) pass per trace, one knot segment at a time; an
+    empty family passes vacuously.
     """
     traces = list(traces)
     if not traces:
-        return PwlFamilyReport(True, None, 0.0, "empty family: vacuously true")
+        return PwlFamilyReport(True, 0.0, "empty family: vacuously true")
     dim = traces[0].dim
     if any(tr.dim != dim for tr in traces):
         raise ValueError("traces must share the ambient dimension")
 
     worst = 0.0
-    lows, highs = [], []
     for idx, tr in enumerate(traces):
         if tr.segments > max_segments:
             return PwlFamilyReport(
-                False, None, 0.0,
+                False, 0.0,
                 f"trace {idx} declares {tr.segments} segments > {max_segments}")
         # every sample of a span but its last (a knot) against the chord of
         # its segment, which starts at the previous span's last row, as the
         # largest complex modulus over coordinates, one span at a time; the
         # deviation at a knot is exactly 0, and the first sample of the
-        # largest deviation is reported; the box keeps running minima and
-        # maxima over the spans of the real and the imaginary parts apart,
-        # as (d, 2) pairs, since a complex minimum is lexicographic
+        # largest deviation is reported
         ts = tr.params
         i, seg_i, dev_i, scale = 0, 0, -1.0, 1.0
-        low = high = start = None
+        start = None
         for seg, (k, (a, b)) in enumerate(zip(tr.knots.tolist(), tr.spans())):
             run = tr.rows(a, b)
             start = run[0] if start is None else start
@@ -346,26 +343,15 @@ def check_piecewise_linear_family(
             start = run[-1].copy()  # a view would keep the span alive
             scale = max(scale, float(np.max(np.abs(run.real))),
                         float(np.max(np.abs(run.imag))))
-            parts = (run.real, run.imag)
-            seg_low = np.stack([p.min(axis=0) for p in parts], axis=1)
-            seg_high = np.stack([p.max(axis=0) for p in parts], axis=1)
-            low = seg_low if low is None else np.minimum(low, seg_low)
-            high = seg_high if high is None else np.maximum(high, seg_high)
         tol_abs = tol * scale
         if dev_i > tol_abs:
             return PwlFamilyReport(
-                False, None, dev_i,
+                False, dev_i,
                 f"trace {idx}, segment {seg_i}: sample {i} lies {dev_i:.3g} "
                 f"off the chord (tol {tol_abs:.3g}); the {tr.segments} declared "
                 "affine runs do not fit the samples")
         worst = max(worst, dev_i)
-        lows.append(low)
-        highs.append(high)
-
-    # each (d, 2) pair array viewed as its d complex bounds, signed zeros kept
-    box = (np.min(lows, axis=0).view(complex)[:, 0],
-           np.max(highs, axis=0).view(complex)[:, 0])
-    return PwlFamilyReport(True, box, worst)
+    return PwlFamilyReport(True, worst)
 
 
 class HandleValues(NamedTuple):

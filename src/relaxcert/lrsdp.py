@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 import numpy as np
 import scipy.linalg
 
@@ -343,7 +344,8 @@ def reduce_rank_path(
     one knot segment of ``SEGMENT_SAMPLES`` samples, and the trace holds
     one row generator per stage: a moving stage makes its samples on demand
     as ``U (diag(Sigma) + t alpha Y) U^H``, the expression that also gives
-    the stage's endpoint, and a constant stage tiles its matrix.
+    the stage's endpoint, and a constant stage, like the two-sample trace
+    of a start already of rank <= r, tiles its matrix.
     """
     start = X0 if isinstance(X0, PsdPoint) else PsdPoint.from_matrix(np.asarray(X0))
     violation = inst.constraint_residual(start.X)
@@ -355,8 +357,7 @@ def reduce_rank_path(
     r0 = start.rank()
 
     if r0 <= inst.r:
-        trace = PathTrace(params=[0.0, 1.0], points=np.tile(start.X.reshape(-1), (2, 1)),
-                          knots=[0, 1])
+        trace = PathTrace.generated([0.0, 1.0], [0, 1], n * n, [_constant_stage(start)])
         return ReductionResult(trace=trace, final=start, stages=())
 
     n_stages = r0 - inst.r
@@ -368,7 +369,7 @@ def reduce_rank_path(
     for i in range(1, n_stages + 1):
         k_before = current.rank()
         if k_before <= r0 - i:
-            pieces.append(lambda a, b, x=current.X.reshape(-1): np.tile(x, (b - a, 1)))
+            pieces.append(_constant_stage(current))
             stage_infos.append(ReductionStage(
                 index=i, constant=True, rank_before=k_before, rank_after=k_before))
         else:
@@ -408,6 +409,12 @@ def reduce_rank_path(
     trace = PathTrace.generated(params, np.arange(n_stages + 1) * (SEGMENT_SAMPLES - 1),
                                 n * n, pieces)
     return ReductionResult(trace=trace, final=current, stages=tuple(stage_infos))
+
+
+def _constant_stage(point: PsdPoint) -> Callable[[int, int], np.ndarray]:
+    """A constant stage's rows: ``b - a`` copies of the flattened matrix."""
+    x = point.X.reshape(-1)
+    return lambda a, b: np.tile(x, (b - a, 1))
 
 
 def _stage_points(U: np.ndarray, Sigma: np.ndarray, Y: np.ndarray, alpha: float,

@@ -284,19 +284,6 @@ class TestPiecewiseLinearFamily:
         with pytest.raises(ValueError):
             check_piecewise_linear_family([t1, t2], max_segments=1)
 
-    def test_bounding_box_reported(self):
-        t1 = line_trace([0, 0], [1, 2], np.linspace(0, 1, 5))
-        t2 = line_trace([-1, 1], [0, 3], np.linspace(0, 1, 5))
-        rep = check_piecewise_linear_family([t1, t2], max_segments=1)
-        lo, hi = rep.bounding_box
-        np.testing.assert_allclose(lo.real, [-1, 0])
-        np.testing.assert_allclose(hi.real, [1, 3])
-
-    def test_bounding_box_bounds_real_and_imaginary_parts_apart(self):
-        tr = PathTrace(params=[0.0, 1.0], points=[[1 + 5j], [2 + 0j]], knots=[0, 1])
-        lo, hi = check_piecewise_linear_family([tr], max_segments=1).bounding_box
-        assert lo.tolist() == [1 + 0j] and hi.tolist() == [2 + 5j]
-
 
 class TestDeclaredKnots:
     def test_dense_polyline_passes_with_its_knots(self):
@@ -342,7 +329,7 @@ class TestFamilyCheckPerSegment:
         traces = []
         for k in range(3):
             verts = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-            verts.real[:, 2] = 0.0 if k == 1 else -0.0  # ties of signed zeros in the box
+            verts.real[:, 2] = 0.0 if k == 1 else -0.0  # zeros of both signs
             tr = dense_polyline(verts)
             pts = tr.points.copy()
             pts[1:-1] += bend * rng.normal(size=pts[1:-1].shape)
@@ -354,11 +341,6 @@ class TestFamilyCheckPerSegment:
         rep = check_piecewise_linear_family(traces, max_segments=4)
         assert rep.passed
         assert rep.worst_deviation == max(float(np.max(d)) for d, _ in self.whole_trace(traces))
-        stacked = np.concatenate([tr.points for tr in traces])
-        for got, bound in zip(rep.bounding_box, (np.min, np.max)):
-            want = np.empty(stacked.shape[1], dtype=complex)
-            want.real, want.imag = bound(stacked.real, axis=0), bound(stacked.imag, axis=0)
-            assert got.tobytes() == want.tobytes()
 
     def test_failing_family_names_the_whole_trace_worst_sample(self):
         traces = self.family(4, bend=1e-6)
